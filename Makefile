@@ -23,6 +23,7 @@ vet-fixtures:
 
 test:
 	$(GO) test ./...
+	$(GO) test -cpu 1,2 ./internal/arena ./deque
 
 race:
 	$(GO) test -race -short ./...

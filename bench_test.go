@@ -351,21 +351,25 @@ func BenchmarkReclamation(b *testing.B) {
 		}
 	})
 	// Allocator-level ablation of bulk allocation (Hat Trick [24]): shared
-	// freelist versus per-goroutine caches.
+	// freelists versus per-goroutine caches.  Parallel goroutines take the
+	// two lanes in turn, as the two ends of a deque would.
 	b.Run("arena/shared", func(b *testing.B) {
 		a := arena.New[uint64](1 << 10)
+		var next atomic.Uint32
 		b.RunParallel(func(pb *testing.PB) {
+			l := arena.Lane(next.Add(1) & 1)
 			for pb.Next() {
-				if idx, ok := a.Alloc(); ok {
-					a.Free(idx)
+				if idx, ok := a.Alloc(l); ok {
+					a.Free(l, idx)
 				}
 			}
 		})
 	})
 	b.Run("arena/bulk-cache", func(b *testing.B) {
 		a := arena.New[uint64](1 << 10)
+		var next atomic.Uint32
 		b.RunParallel(func(pb *testing.PB) {
-			c := arena.NewCache(a, 32)
+			c := arena.NewCache(a, arena.Lane(next.Add(1)&1), 32)
 			defer c.Drain()
 			for pb.Next() {
 				if idx, ok := c.Alloc(); ok {
@@ -385,6 +389,36 @@ func BenchmarkPublicAPI(b *testing.B) {
 			d.PushRight(i)
 			d.PopRight()
 		}
+	})
+	// The paper's disjoint-ends property through the public wrapper: two
+	// goroutines, one per end of one Array[int], each running b.N
+	// push+pop pairs.  Each end's excursion is one element against a
+	// prefill of 512, so the ends never meet; with the ends (and their
+	// arena lanes) on disjoint cache lines, ns/op on two processors stays
+	// near the single-goroutine Array[int] figure.
+	b.Run("Array[int]/ends2", func(b *testing.B) {
+		d := deque.NewArray[int](1 << 10)
+		for i := 0; i < 512; i++ {
+			d.PushRight(i)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		b.ResetTimer()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				d.PushLeft(i)
+				d.PopLeft()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				d.PushRight(i)
+				d.PopRight()
+			}
+		}()
+		wg.Wait()
 	})
 	b.Run("List[int]", func(b *testing.B) {
 		d := deque.NewList[int]()

@@ -329,12 +329,12 @@ func expB8(o io, ops int, workers []int) {
 			start := time.Now()
 			if mode == "arena/shared" {
 				for i := 0; i < ops; i++ {
-					if idx, ok := a.Alloc(); ok {
-						a.Free(idx)
+					if idx, ok := a.Alloc(arena.Right); ok {
+						a.Free(arena.Right, idx)
 					}
 				}
 			} else {
-				c := arena.NewCache(a, 32)
+				c := arena.NewCache(a, arena.Right, 32)
 				for i := 0; i < ops; i++ {
 					if idx, ok := c.Alloc(); ok {
 						c.Free(idx)

@@ -87,8 +87,8 @@ func (d *Array[T]) CloseTelemetry() { d.inst.close() }
 func (d *Array[T]) Cap() int { return d.core.Cap() }
 
 // box stores v in a fresh slot and returns its non-zero handle word.
-func (d *Array[T]) box(v T) (uint64, bool) {
-	idx, ok := d.slots.Alloc()
+func (d *Array[T]) box(l arena.Lane, v T) (uint64, bool) {
+	idx, ok := d.slots.Alloc(l)
 	if !ok {
 		return 0, false
 	}
@@ -97,7 +97,7 @@ func (d *Array[T]) box(v T) (uint64, bool) {
 }
 
 // unbox retrieves and releases the slot behind a popped handle.
-func (d *Array[T]) unbox(h uint64) T {
+func (d *Array[T]) unbox(l arena.Lane, h uint64) T {
 	idx, ok := d.slots.Resolve(h)
 	if !ok {
 		panic("deque: popped handle does not resolve (corrupt state)")
@@ -106,7 +106,7 @@ func (d *Array[T]) unbox(h uint64) T {
 	v := *p
 	var zero T
 	*p = zero // do not retain references in recycled slots
-	d.slots.Free(idx)
+	d.slots.Free(l, idx)
 	return v
 }
 
@@ -115,12 +115,12 @@ func (d *Array[T]) PushLeft(v T) error {
 	if err := d.admit(); err != nil {
 		return err
 	}
-	h, ok := d.box(v)
+	h, ok := d.box(arena.Left, v)
 	if !ok {
 		return ErrFull
 	}
 	if d.core.PushLeft(h) == spec.Full {
-		d.releaseUnpushed(h)
+		d.releaseUnpushed(arena.Left, h)
 		return ErrFull
 	}
 	return nil
@@ -131,26 +131,26 @@ func (d *Array[T]) PushRight(v T) error {
 	if err := d.admit(); err != nil {
 		return err
 	}
-	h, ok := d.box(v)
+	h, ok := d.box(arena.Right, v)
 	if !ok {
 		return ErrFull
 	}
 	if d.core.PushRight(h) == spec.Full {
-		d.releaseUnpushed(h)
+		d.releaseUnpushed(arena.Right, h)
 		return ErrFull
 	}
 	return nil
 }
 
 // releaseUnpushed frees the slot of a handle that never entered the deque.
-func (d *Array[T]) releaseUnpushed(h uint64) {
+func (d *Array[T]) releaseUnpushed(l arena.Lane, h uint64) {
 	idx, ok := d.slots.Resolve(h)
 	if !ok {
 		panic("deque: unpushed handle does not resolve")
 	}
 	var zero T
 	*d.slots.Get(idx) = zero
-	d.slots.Free(idx)
+	d.slots.Free(l, idx)
 }
 
 // PopLeft implements Deque.
@@ -160,7 +160,7 @@ func (d *Array[T]) PopLeft() (T, error) {
 		var zero T
 		return zero, ErrEmpty
 	}
-	return d.unbox(h), nil
+	return d.unbox(arena.Left, h), nil
 }
 
 // PopRight implements Deque.
@@ -170,7 +170,7 @@ func (d *Array[T]) PopRight() (T, error) {
 		var zero T
 		return zero, ErrEmpty
 	}
-	return d.unbox(h), nil
+	return d.unbox(arena.Right, h), nil
 }
 
 // Items returns the deque's contents left to right.  It must only be

@@ -1,6 +1,9 @@
 package deque
 
-import "dcasdeque/internal/telemetry"
+import (
+	"dcasdeque/internal/arena"
+	"dcasdeque/internal/telemetry"
+)
 
 // popManyChunk bounds the handle buffer a batch pop allocates, so a
 // caller passing a huge max (e.g. "drain everything") does not force a
@@ -9,8 +12,9 @@ const popManyChunk = 256
 
 // popMany implements the PopLMany/PopRMany contract over a core-level
 // batch pop and the implementation's unboxer: transfer up to max
-// handles, unbox each, stop early at empty.
-func popMany[T any](max int, pop func([]uint64) int, unbox func(uint64) T) []T {
+// handles, unbox each on the popping end's arena lane, stop early at
+// empty.
+func popMany[T any](max int, pop func([]uint64) int, l arena.Lane, unbox func(arena.Lane, uint64) T) []T {
 	if max <= 0 {
 		return nil
 	}
@@ -26,7 +30,7 @@ func popMany[T any](max int, pop func([]uint64) int, unbox func(uint64) T) []T {
 			out = make([]T, 0, n)
 		}
 		for _, h := range buf[:n] {
-			out = append(out, unbox(h))
+			out = append(out, unbox(l, h))
 		}
 		if n < want {
 			break // the deque went empty mid-chunk
@@ -37,22 +41,22 @@ func popMany[T any](max int, pop func([]uint64) int, unbox func(uint64) T) []T {
 
 // PopLMany implements Deque.
 func (d *Array[T]) PopLMany(max int) []T {
-	return popMany(max, d.core.PopLeftMany, d.unbox)
+	return popMany(max, d.core.PopLeftMany, arena.Left, d.unbox)
 }
 
 // PopRMany implements Deque.
 func (d *Array[T]) PopRMany(max int) []T {
-	return popMany(max, d.core.PopRightMany, d.unbox)
+	return popMany(max, d.core.PopRightMany, arena.Right, d.unbox)
 }
 
 // PopLMany implements Deque.
 func (d *List[T]) PopLMany(max int) []T {
-	return popMany(max, d.core.PopLeftMany, d.unbox)
+	return popMany(max, d.core.PopLeftMany, arena.Left, d.unbox)
 }
 
 // PopRMany implements Deque.
 func (d *List[T]) PopRMany(max int) []T {
-	return popMany(max, d.core.PopRightMany, d.unbox)
+	return popMany(max, d.core.PopRightMany, arena.Right, d.unbox)
 }
 
 // PopLMany implements Deque.  The whole batch drains under a single

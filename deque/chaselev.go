@@ -96,8 +96,8 @@ func (d *ChaseLev[T]) CloseTelemetry() { d.inst.close() }
 func (d *ChaseLev[T]) Cap() int { return d.slots.Cap() }
 
 // box stores v in a fresh slot and returns its non-zero handle word.
-func (d *ChaseLev[T]) box(v T) (uint64, bool) {
-	idx, ok := d.slots.Alloc()
+func (d *ChaseLev[T]) box(l arena.Lane, v T) (uint64, bool) {
+	idx, ok := d.slots.Alloc(l)
 	if !ok {
 		return 0, false
 	}
@@ -106,7 +106,7 @@ func (d *ChaseLev[T]) box(v T) (uint64, bool) {
 }
 
 // unbox retrieves and releases the slot behind a popped handle.
-func (d *ChaseLev[T]) unbox(h uint64) T {
+func (d *ChaseLev[T]) unbox(l arena.Lane, h uint64) T {
 	idx, ok := d.slots.Resolve(h)
 	if !ok {
 		panic("deque: popped handle does not resolve (corrupt state)")
@@ -115,7 +115,7 @@ func (d *ChaseLev[T]) unbox(h uint64) T {
 	v := *p
 	var zero T
 	*p = zero // do not retain references in recycled slots
-	d.slots.Free(idx)
+	d.slots.Free(l, idx)
 	return v
 }
 
@@ -131,7 +131,7 @@ func (d *ChaseLev[T]) PushRight(v T) error {
 	if err := d.admit(); err != nil {
 		return err
 	}
-	h, ok := d.box(v)
+	h, ok := d.box(arena.Right, v)
 	if !ok {
 		return ErrFull
 	}
@@ -146,7 +146,7 @@ func (d *ChaseLev[T]) PopLeft() (T, error) {
 		var zero T
 		return zero, ErrEmpty
 	}
-	return d.unbox(h), nil
+	return d.unbox(arena.Left, h), nil
 }
 
 // PopRight implements Deque.  OWNER-ONLY: see the type comment.
@@ -156,7 +156,7 @@ func (d *ChaseLev[T]) PopRight() (T, error) {
 		var zero T
 		return zero, ErrEmpty
 	}
-	return d.unbox(h), nil
+	return d.unbox(arena.Right, h), nil
 }
 
 // PopLMany implements Deque, strengthening its contract: each core
@@ -176,12 +176,12 @@ func (d *ChaseLev[T]) PopLMany(max int) []T {
 			n += k
 		}
 		return n
-	}, d.unbox)
+	}, arena.Left, d.unbox)
 }
 
 // PopRMany implements Deque.  OWNER-ONLY: a batch of owner pops.
 func (d *ChaseLev[T]) PopRMany(max int) []T {
-	return popMany(max, d.core.PopRightMany, d.unbox)
+	return popMany(max, d.core.PopRightMany, arena.Right, d.unbox)
 }
 
 // Items returns the deque's contents left to right.  It must only be

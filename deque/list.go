@@ -131,8 +131,8 @@ func (d *List[T]) Stats() (Stats, bool) {
 // exporter entry is dropped.  Safe to call regardless of configuration.
 func (d *List[T]) CloseTelemetry() { d.inst.close() }
 
-func (d *List[T]) box(v T) (uint64, bool) {
-	idx, ok := d.slots.Alloc()
+func (d *List[T]) box(l arena.Lane, v T) (uint64, bool) {
+	idx, ok := d.slots.Alloc(l)
 	if !ok {
 		return 0, false
 	}
@@ -140,7 +140,7 @@ func (d *List[T]) box(v T) (uint64, bool) {
 	return d.slots.Handle(idx), true
 }
 
-func (d *List[T]) unbox(h uint64) T {
+func (d *List[T]) unbox(l arena.Lane, h uint64) T {
 	idx, ok := d.slots.Resolve(h)
 	if !ok {
 		panic("deque: popped handle does not resolve (corrupt state)")
@@ -149,18 +149,18 @@ func (d *List[T]) unbox(h uint64) T {
 	v := *p
 	var zero T
 	*p = zero
-	d.slots.Free(idx)
+	d.slots.Free(l, idx)
 	return v
 }
 
-func (d *List[T]) releaseUnpushed(h uint64) {
+func (d *List[T]) releaseUnpushed(l arena.Lane, h uint64) {
 	idx, ok := d.slots.Resolve(h)
 	if !ok {
 		panic("deque: unpushed handle does not resolve")
 	}
 	var zero T
 	*d.slots.Get(idx) = zero
-	d.slots.Free(idx)
+	d.slots.Free(l, idx)
 }
 
 // PushLeft implements Deque.
@@ -168,12 +168,12 @@ func (d *List[T]) PushLeft(v T) error {
 	if err := d.admit(); err != nil {
 		return err
 	}
-	h, ok := d.box(v)
+	h, ok := d.box(arena.Left, v)
 	if !ok {
 		return ErrFull
 	}
 	if d.core.PushLeft(h) == spec.Full {
-		d.releaseUnpushed(h)
+		d.releaseUnpushed(arena.Left, h)
 		return ErrFull
 	}
 	return nil
@@ -184,12 +184,12 @@ func (d *List[T]) PushRight(v T) error {
 	if err := d.admit(); err != nil {
 		return err
 	}
-	h, ok := d.box(v)
+	h, ok := d.box(arena.Right, v)
 	if !ok {
 		return ErrFull
 	}
 	if d.core.PushRight(h) == spec.Full {
-		d.releaseUnpushed(h)
+		d.releaseUnpushed(arena.Right, h)
 		return ErrFull
 	}
 	return nil
@@ -202,7 +202,7 @@ func (d *List[T]) PopLeft() (T, error) {
 		var zero T
 		return zero, ErrEmpty
 	}
-	return d.unbox(h), nil
+	return d.unbox(arena.Left, h), nil
 }
 
 // PopRight implements Deque.
@@ -212,7 +212,7 @@ func (d *List[T]) PopRight() (T, error) {
 		var zero T
 		return zero, ErrEmpty
 	}
-	return d.unbox(h), nil
+	return d.unbox(arena.Right, h), nil
 }
 
 // Compact completes the deque's deferred physical deletions on both

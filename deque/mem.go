@@ -13,12 +13,19 @@ import (
 // plus the live high-water mark and slab footprint.  Snapshots taken
 // while operations are in flight may straddle one (the counters are read
 // individually); quiescent snapshots are exact.
+//
+// The counters are sums over the arena's two lanes, one per deque end.
+// HighWater in reuse mode is the number of slots ever carved fresh: an
+// allocation carves only when no freed slot is available, so on any
+// quiescent history it equals the peak of Live, and under concurrency
+// it is an upper bound on that peak.  In gc mode (no recycling) it is
+// the maximum of Live observed at allocations.
 type ArenaStats struct {
 	Allocs    uint64 `json:"allocs"`     // successful allocations
 	Frees     uint64 `json:"frees"`      // slots recycled through the freelist
 	Retired   uint64 `json:"retired"`    // slots permanently retired (gc mode)
 	Live      int64  `json:"live"`       // currently allocated slots
-	HighWater int64  `json:"high_water"` // maximum Live ever observed
+	HighWater int64  `json:"high_water"` // peak Live: slots carved (reuse mode), max Live (gc mode)
 	Slabs     uint64 `json:"slabs"`      // storage blocks published (monotone)
 	SlabBytes uint64 `json:"slab_bytes"` // bytes held by published blocks
 	SlotBytes uint64 `json:"slot_bytes"` // per-slot footprint

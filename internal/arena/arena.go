@@ -8,12 +8,12 @@
 // completely non-blocking deque implementation".  This package is that
 // substrate, solved three ways:
 //
-//   - gc mode (reuse disabled): slots are allocated by an atomic bump
-//     pointer and never recycled during the arena's lifetime, which gives
+//   - gc mode (reuse disabled): slots are carved from the never-allocated
+//     region and never recycled during the arena's lifetime, which gives
 //     exactly the no-ABA guarantee the paper obtains from a garbage
 //     collector.  The arena itself is reclaimed by Go's GC when dropped.
-//   - reuse mode: freed slots are recycled through a lock-free Treiber
-//     freelist; a per-slot generation counter makes recycled references
+//   - reuse mode: freed slots are recycled through lock-free Treiber
+//     freelists; a per-slot generation counter makes recycled references
 //     distinguishable (tagged pointers), preventing ABA.
 //   - bulk mode (Cache): slots are allocated and freed in batches through
 //     a thread-local cache, reproducing the key idea of the follow-up
@@ -25,17 +25,35 @@
 // generation, flag-bit) triple fits into one 64-bit word that DCAS can
 // operate on — raw Go pointers cannot be packed with flag bits in a
 // GC-safe way.
+//
+// The freelist and the occupancy ledger are split into two lanes, one per
+// deque end, and the two lanes carve fresh slots from opposite ends of the
+// index space.  Every Alloc and Free names the Lane of the operation it
+// serves, so two goroutines working opposite ends of a deque touch no
+// common written cache line in the allocator: the disjoint-ends property
+// the paper proves for the deque's own words holds for its storage too.
 package arena
 
 import (
 	"fmt"
 	"sync/atomic"
 	"unsafe"
+
+	"dcasdeque/internal/dcas"
 )
 
 // Nil is the reserved "no slot" index.  Valid slot indices returned by
 // Alloc are in [0, Cap); Nil is math.MaxUint32 and is never allocated.
 const Nil uint32 = ^uint32(0)
+
+// Lane names the deque end an allocation or free serves.
+type Lane uint8
+
+// The two lanes, numbered like telemetry.End.
+const (
+	Left  Lane = 0
+	Right Lane = 1
+)
 
 // block is one contiguous chunk of slots with its parallel metadata.
 type block[T any] struct {
@@ -48,6 +66,50 @@ type block[T any] struct {
 	gen []atomic.Uint32
 }
 
+// tagShift is the ABA tag's offset in a lane's freelist head word
+// (checked against the //dequevet:packed declaration on lane.free by the
+// stampwidth analyzer).
+const tagShift = 32
+
+// laneWords is the number of 8-byte words a lane carries before padding.
+const laneWords = 5
+
+// lane is one end's share of the arena: a Treiber freelist and the ledger
+// counters of the operations that end performs.  A slot freed on one lane
+// may be allocated on the other, so a lane's live count can go negative;
+// only the sum over lanes is meaningful.  Padded to a full false-sharing
+// range so the two lanes can never share a line.
+type lane struct {
+	// free is the Treiber head: idx+1 of the top slot (0 = empty) below a
+	// tag that every successful CAS bumps, so a head popped and pushed
+	// back between a competitor's load and CAS no longer matches.
+	//dequevet:packed idx:32 tag:32
+	free    atomic.Uint64
+	allocs  atomic.Uint64 // successful allocations on this lane
+	frees   atomic.Uint64 // slots freed to this lane's freelist (reuse mode)
+	retired atomic.Uint64 // slots retired through this lane (gc mode)
+	live    atomic.Int64  // slots allocated here minus slots released here
+	_       [dcas.FalseSharingRange - 8*laneWords]byte
+}
+
+// lanes holds both ends' lanes.  They are declared contended: padlayout
+// recomputes this struct's layout and rejects any edit that brings them
+// within one false-sharing range of each other.
+type lanes struct {
+	//dequevet:contended left-end lane, written by left-end allocs and frees
+	left lane
+	//dequevet:contended right-end lane, written by right-end allocs and frees
+	right lane
+}
+
+// at selects one end's lane.
+func (ls *lanes) at(l Lane) *lane {
+	if l == Left {
+		return &ls.left
+	}
+	return &ls.right
+}
+
 // Arena is a fixed-capacity concurrent slot allocator.  All methods are
 // safe for concurrent use.  An Arena must be created with New.
 type Arena[T any] struct {
@@ -55,29 +117,35 @@ type Arena[T any] struct {
 	blockShift uint
 	capacity   int
 	reuse      bool
+	slotBytes  uint64
+	blocks     []atomic.Pointer[block[T]]
 
-	bump   atomic.Int64  // next never-allocated index
-	free   atomic.Uint64 // Treiber head: tag<<32 | idx+1
-	blocks []atomic.Pointer[block[T]]
+	// The fields above are read on every operation and never written
+	// after New; the pad keeps the left lane's writes off their line.
+	_ dcas.CacheLinePad
 
-	// Occupancy ledger.  live is an independent counter, NOT derived from
-	// allocs−frees, so the conservation invariant
+	// Occupancy ledger, per lane.  live is an independent counter, NOT
+	// derived from allocs−frees, so the conservation invariant
 	//
-	//	allocs == live + frees + retired
+	//	allocs == live + frees + retired   (each summed over lanes)
 	//
 	// is a real crosscheck on the allocator (a lost or double count on any
-	// path breaks it) rather than a tautology.  frees counts slots returned
-	// to the freelist (reuse mode); retired counts slots whose storage was
-	// permanently retired (gc mode).  highWater tracks the maximum observed
-	// live count (racy max: exact when quiescent, a close lower bound under
-	// concurrency).  slabs counts published blocks and only grows.
-	allocs    atomic.Uint64
-	frees     atomic.Uint64
-	retired   atomic.Uint64
-	live      atomic.Int64
+	// path breaks it) rather than a tautology.
+	lanes lanes
+
+	// Carve state, written only when an allocation finds both freelists
+	// empty (and on every allocation in gc mode, which never recycles).
+	// The never-allocated region is [lo, hi): the left lane carves upward
+	// from lo and the right lane downward from hi, so slots the two ends
+	// carve — and their items, links and generations — sit at opposite
+	// ends of the index space instead of sharing cache lines.
+	//dequevet:packed lo:32 hi:32
+	fresh atomic.Uint64
+	// highWater is gc mode's racy maximum of the summed live count: exact
+	// when quiescent, a close lower bound under concurrency.  Reuse mode
+	// derives HighWater from the carve word instead (see Occupancy).
 	highWater atomic.Int64
-	slabs     atomic.Uint64
-	slotBytes uint64
+	slabs     atomic.Uint64 // published blocks; only grows
 }
 
 // Occupancy is a point-in-time snapshot of an arena's ledger.  Taken while
@@ -88,7 +156,7 @@ type Occupancy struct {
 	Frees     uint64 // slots recycled through the freelist (reuse mode)
 	Retired   uint64 // slots permanently retired (gc mode)
 	Live      int64  // currently allocated slots
-	HighWater int64  // maximum Live ever observed
+	HighWater int64  // peak Live bound; see Arena.Occupancy
 	Slabs     uint64 // blocks published (monotone: slabs are never unmapped)
 	SlabBytes uint64 // bytes held by published blocks (items+next+gen)
 	SlotBytes uint64 // per-slot footprint: sizeof(T) + per-slot metadata
@@ -141,8 +209,8 @@ func WithReuse(on bool) Option {
 
 // New returns an arena able to hold up to capacity live slots of type T.
 func New[T any](capacity int, opts ...Option) *Arena[T] {
-	if capacity < 1 {
-		panic("arena: capacity must be ≥ 1")
+	if capacity < 1 || capacity >= int(Nil) {
+		panic("arena: capacity must be in [1, 2³²−1)")
 	}
 	cfg := config{blockSize: 1024, reuse: true}
 	for _, o := range opts {
@@ -156,7 +224,7 @@ func New[T any](capacity int, opts ...Option) *Arena[T] {
 	}
 	nBlocks := (capacity + bs - 1) / bs
 	var probe T
-	return &Arena[T]{
+	a := &Arena[T]{
 		blockSize:  bs,
 		blockShift: shift,
 		capacity:   capacity,
@@ -166,6 +234,8 @@ func New[T any](capacity int, opts ...Option) *Arena[T] {
 		// generation counter (4 bytes each).
 		slotBytes: uint64(unsafe.Sizeof(probe)) + 8,
 	}
+	a.fresh.Store(uint64(capacity) << 32) // lo = 0, hi = capacity
+	return a
 }
 
 // Cap reports the arena's slot capacity.
@@ -177,58 +247,81 @@ func (a *Arena[T]) Reusing() bool { return a.reuse }
 // Live reports the number of currently allocated slots (approximate under
 // concurrency, exact when quiescent).
 func (a *Arena[T]) Live() int {
-	return int(a.live.Load())
+	return int(a.lanes.left.live.Load() + a.lanes.right.live.Load())
 }
 
 // Allocs reports the total number of successful Alloc calls.
-func (a *Arena[T]) Allocs() uint64 { return a.allocs.Load() }
+func (a *Arena[T]) Allocs() uint64 {
+	return a.lanes.left.allocs.Load() + a.lanes.right.allocs.Load()
+}
 
 // Frees reports the total number of Free calls (recycled plus retired).
-func (a *Arena[T]) Frees() uint64 { return a.frees.Load() + a.retired.Load() }
+func (a *Arena[T]) Frees() uint64 {
+	o := a.Occupancy()
+	return o.Frees + o.Retired
+}
 
 // SlotBytes reports the per-slot footprint in bytes: sizeof(T) plus the
 // slot's parallel metadata (freelist link and generation counter).
 func (a *Arena[T]) SlotBytes() uint64 { return a.slotBytes }
 
-// Occupancy returns a snapshot of the arena's ledger.  The counters are
-// loaded individually, so a snapshot taken mid-churn may straddle an
-// in-flight operation; quiescent snapshots are exact and satisfy
-// Occupancy.Conserved.
+// Occupancy returns a snapshot of the arena's ledger, summed over both
+// lanes.  The counters are loaded individually, so a snapshot taken
+// mid-churn may straddle an in-flight operation; quiescent snapshots are
+// exact and satisfy Occupancy.Conserved.
+//
+// HighWater in reuse mode is the number of slots carved from the
+// never-allocated region.  An allocation carves only after finding both
+// freelists empty, i.e. with every carved slot live, so in any quiescent
+// history the count equals the peak of Live; under concurrency a slot in
+// flight to a freelist can force an extra carve, which makes it an upper
+// bound (as do the slots a Cache carves in bulk and holds).  In gc mode
+// nothing recycles, so carving counts allocations, and HighWater is
+// instead the racy maximum of Live maintained on every allocation.
 func (a *Arena[T]) Occupancy() Occupancy {
-	slabs := a.slabs.Load()
-	return Occupancy{
-		Frees:     a.frees.Load(),
-		Retired:   a.retired.Load(),
-		Live:      a.live.Load(),
+	l, r := &a.lanes.left, &a.lanes.right
+	o := Occupancy{
+		Allocs:    l.allocs.Load() + r.allocs.Load(),
+		Frees:     l.frees.Load() + r.frees.Load(),
+		Retired:   l.retired.Load() + r.retired.Load(),
+		Live:      l.live.Load() + r.live.Load(),
 		HighWater: a.highWater.Load(),
-		Allocs:    a.allocs.Load(),
-		Slabs:     slabs,
-		SlabBytes: slabs * uint64(a.blockSize) * a.slotBytes,
+		Slabs:     a.slabs.Load(),
 		SlotBytes: a.slotBytes,
 		Cap:       uint64(a.capacity),
 	}
+	if a.reuse {
+		w := a.fresh.Load() // carved: [0, lo) and [hi, capacity)
+		o.HighWater = int64(uint32(w)) + int64(a.capacity) - int64(w>>32)
+	}
+	o.SlabBytes = o.Slabs * uint64(a.blockSize) * a.slotBytes
+	return o
 }
 
-// countAlloc records one successful allocation in the ledger and advances
-// the live high-water mark.  The max update is a racy read-then-store:
-// under contention a concurrent higher value can be overwritten, so
-// HighWater is a tight lower bound, exact when quiescent.
-func (a *Arena[T]) countAlloc() {
-	a.allocs.Add(1)
-	l := a.live.Add(1)
-	if hw := a.highWater.Load(); l > hw {
-		a.highWater.Store(l)
+// countAlloc records one successful allocation in lane ln's ledger.  In
+// gc mode it also advances the live high-water mark, a racy
+// read-then-store over both lanes: under contention a concurrent higher
+// value can be overwritten, so HighWater is a tight lower bound there,
+// exact when quiescent.
+func (a *Arena[T]) countAlloc(ln *lane) {
+	ln.allocs.Add(1)
+	ln.live.Add(1)
+	if !a.reuse {
+		l := a.lanes.left.live.Load() + a.lanes.right.live.Load()
+		if hw := a.highWater.Load(); l > hw {
+			a.highWater.Store(l)
+		}
 	}
 }
 
-// countFree records one Free in the ledger, splitting by reclamation
-// class: recycled (reuse mode) vs retired (gc mode).
-func (a *Arena[T]) countFree() {
-	a.live.Add(-1)
+// countFree records one Free in lane ln's ledger, splitting by
+// reclamation class: recycled (reuse mode) vs retired (gc mode).
+func (a *Arena[T]) countFree(ln *lane) {
+	ln.live.Add(-1)
 	if a.reuse {
-		a.frees.Add(1)
+		ln.frees.Add(1)
 	} else {
-		a.retired.Add(1)
+		ln.retired.Add(1)
 	}
 }
 
@@ -265,10 +358,11 @@ func (a *Arena[T]) locate(idx uint32) (*block[T], int) {
 	return blk, int(idx) & (a.blockSize - 1)
 }
 
-// popFree removes one slot from the freelist, or returns (Nil, false).
-func (a *Arena[T]) popFree() (uint32, bool) {
+// popFree removes one slot from lane ln's freelist, or returns (Nil,
+// false).
+func (a *Arena[T]) popFree(ln *lane) (uint32, bool) {
 	for {
-		h := a.free.Load()
+		h := ln.free.Load()
 		idxPlus1 := uint32(h)
 		if idxPlus1 == 0 {
 			return Nil, false
@@ -276,42 +370,47 @@ func (a *Arena[T]) popFree() (uint32, bool) {
 		idx := idxPlus1 - 1
 		blk, off := a.locate(idx)
 		nxt := blk.next[off].Load()
-		tag := h >> 32
-		if a.free.CompareAndSwap(h, (tag+1)<<32|uint64(nxt)) {
+		tag := h >> tagShift
+		if ln.free.CompareAndSwap(h, (tag+1)<<tagShift|uint64(nxt)) {
 			return idx, true
 		}
 	}
 }
 
-// pushFree adds one slot to the freelist.
-func (a *Arena[T]) pushFree(idx uint32) {
+// pushFree adds one slot to lane ln's freelist.
+func (a *Arena[T]) pushFree(ln *lane, idx uint32) {
 	blk, off := a.locate(idx)
 	for {
-		h := a.free.Load()
+		h := ln.free.Load()
 		blk.next[off].Store(uint32(h))
-		tag := h >> 32
-		if a.free.CompareAndSwap(h, (tag+1)<<32|uint64(idx+1)) {
+		tag := h >> tagShift
+		if ln.free.CompareAndSwap(h, (tag+1)<<tagShift|uint64(idx+1)) {
 			return
 		}
 	}
 }
 
-// bumpAlloc reserves n fresh contiguous slots; it returns the first index
-// and how many were actually reserved (0 if the arena is exhausted).
-func (a *Arena[T]) bumpAlloc(n int) (uint32, int) {
+// carve carves up to n fresh contiguous slots from lane l's side of
+// the never-allocated region; it returns the first index and how many
+// were carved (0 if the arena is exhausted).
+func (a *Arena[T]) carve(l Lane, n int) (uint32, int) {
 	for {
-		cur := a.bump.Load()
-		if cur >= int64(a.capacity) {
+		w := a.fresh.Load()
+		lo, hi := uint32(w), uint32(w>>32)
+		take := min(uint32(n), hi-lo)
+		if take == 0 {
 			return Nil, 0
 		}
-		take := int64(n)
-		if cur+take > int64(a.capacity) {
-			take = int64(a.capacity) - cur
+		first := lo
+		if l == Left {
+			lo += take
+		} else {
+			hi -= take
+			first = hi
 		}
-		if a.bump.CompareAndSwap(cur, cur+take) {
-			first := uint32(cur)
+		if a.fresh.CompareAndSwap(w, uint64(hi)<<32|uint64(lo)) {
 			// Make sure every touched block exists before returning.
-			for b := int(cur) >> a.blockShift; b <= int(cur+take-1)>>a.blockShift; b++ {
+			for b := int(first) >> a.blockShift; b <= int(first+take-1)>>a.blockShift; b++ {
 				a.ensureBlock(b)
 			}
 			return first, int(take)
@@ -319,60 +418,50 @@ func (a *Arena[T]) bumpAlloc(n int) (uint32, int) {
 	}
 }
 
-// Alloc reserves one slot and returns its index.  ok is false when the
-// arena is exhausted — the condition under which the deque's push
-// operations return "full" ("In the actual implementation, the push
-// operations return 'full' in the case that the memory allocator fails",
-// Section 2.2, footnote 3).  The slot's contents are whatever the previous
-// user left there (or the zero value for a fresh slot); callers initialize
-// all fields before publishing the slot.
-func (a *Arena[T]) Alloc() (uint32, bool) {
+// Alloc reserves one slot for an operation on lane l's end and returns
+// its index.  It takes a slot from l's freelist, then from the other
+// lane's, and only then carves a fresh one, so ok is false only when both
+// freelists are empty and the arena is exhausted — the condition under
+// which the deque's push operations return "full" ("In the actual
+// implementation, the push operations return 'full' in the case that the
+// memory allocator fails", Section 2.2, footnote 3).  The slot's contents
+// are whatever the previous user left there (or the zero value for a
+// fresh slot); callers initialize all fields before publishing the slot.
+func (a *Arena[T]) Alloc(l Lane) (uint32, bool) {
+	ln := a.lanes.at(l)
 	if a.reuse {
-		if idx, ok := a.popFree(); ok {
-			a.countAlloc()
+		idx, ok := a.popFree(ln)
+		if !ok {
+			// Traffic that allocates on one end and frees on the other (a
+			// FIFO queue, a stolen task) leaves its slots on the other lane.
+			idx, ok = a.popFree(a.lanes.at(l ^ 1))
+		}
+		if ok {
+			a.countAlloc(ln)
 			return idx, true
 		}
 	}
-	idx, n := a.bumpAlloc(1)
+	idx, n := a.carve(l, 1)
 	if n == 0 {
 		return Nil, false
 	}
-	a.countAlloc()
+	a.countAlloc(ln)
 	return idx, true
 }
 
-// Reserve permanently claims n fresh contiguous slots and returns the
-// first index, or (Nil, false) if fewer than n contiguous slots remain.
-// Reserved slots are invisible to the allocation accounting: they are
-// never freed, never recycled, and do not count toward Live, Allocs or
-// Frees.  The deque constructors use Reserve to place padding between
-// eagerly allocated hot nodes (the list deques' sentinels) so they land
-// on separate cache lines without perturbing the live-node invariants the
-// correctness tests check.
-func (a *Arena[T]) Reserve(n int) (uint32, bool) {
-	if n < 1 {
-		return Nil, false
-	}
-	first, got := a.bumpAlloc(n)
-	if got < n {
-		// Roll forward: the partially reserved tail slots simply stay
-		// unused; the arena is effectively exhausted anyway.
-		return Nil, false
-	}
-	return first, true
-}
-
-// Free returns a slot to the arena and bumps its generation so that stale
+// Free returns a slot to the arena through lane l, the lane of the
+// operation releasing it, and bumps the slot's generation so that stale
 // tagged references can never match it again.  In gc mode the slot's
-// storage is retired rather than recycled.  Freeing a slot twice without an
-// intervening Alloc is a caller bug; it is detectable via Gen in tests but
-// not checked here.
-func (a *Arena[T]) Free(idx uint32) {
+// storage is retired rather than recycled.  Freeing a slot twice without
+// an intervening Alloc is a caller bug; it is detectable via Gen in tests
+// but not checked here.
+func (a *Arena[T]) Free(l Lane, idx uint32) {
 	blk, off := a.locate(idx)
 	blk.gen[off].Add(1)
-	a.countFree()
+	ln := a.lanes.at(l)
+	a.countFree(ln)
 	if a.reuse {
-		a.pushFree(idx)
+		a.pushFree(ln, idx)
 	}
 }
 

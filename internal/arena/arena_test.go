@@ -8,7 +8,7 @@ import (
 
 func TestAllocFreeBasic(t *testing.T) {
 	a := New[int](8, WithBlockSize(4))
-	idx, ok := a.Alloc()
+	idx, ok := a.Alloc(Left)
 	if !ok {
 		t.Fatal("Alloc failed on fresh arena")
 	}
@@ -19,7 +19,7 @@ func TestAllocFreeBasic(t *testing.T) {
 	if a.Live() != 1 {
 		t.Fatalf("Live = %d, want 1", a.Live())
 	}
-	a.Free(idx)
+	a.Free(Left, idx)
 	if a.Live() != 0 {
 		t.Fatalf("Live = %d, want 0", a.Live())
 	}
@@ -30,13 +30,13 @@ func TestExhaustion(t *testing.T) {
 	a := New[int](cap, WithBlockSize(2))
 	var got []uint32
 	for i := 0; i < cap; i++ {
-		idx, ok := a.Alloc()
+		idx, ok := a.Alloc(Left)
 		if !ok {
 			t.Fatalf("Alloc %d failed before capacity", i)
 		}
 		got = append(got, idx)
 	}
-	if _, ok := a.Alloc(); ok {
+	if _, ok := a.Alloc(Left); ok {
 		t.Fatal("Alloc beyond capacity succeeded")
 	}
 	// Distinctness.
@@ -48,8 +48,8 @@ func TestExhaustion(t *testing.T) {
 		seen[idx] = true
 	}
 	// Freeing makes room again in reuse mode.
-	a.Free(got[2])
-	idx, ok := a.Alloc()
+	a.Free(Left, got[2])
+	idx, ok := a.Alloc(Left)
 	if !ok {
 		t.Fatal("Alloc after Free failed")
 	}
@@ -60,10 +60,10 @@ func TestExhaustion(t *testing.T) {
 
 func TestGCModeNeverRecycles(t *testing.T) {
 	a := New[int](4, WithReuse(false))
-	idx, _ := a.Alloc()
-	a.Free(idx)
+	idx, _ := a.Alloc(Left)
+	a.Free(Left, idx)
 	for i := 0; i < 3; i++ {
-		j, ok := a.Alloc()
+		j, ok := a.Alloc(Left)
 		if !ok {
 			t.Fatal("Alloc failed with capacity remaining")
 		}
@@ -71,7 +71,7 @@ func TestGCModeNeverRecycles(t *testing.T) {
 			t.Fatal("gc-mode arena recycled a freed slot")
 		}
 	}
-	if _, ok := a.Alloc(); ok {
+	if _, ok := a.Alloc(Left); ok {
 		t.Fatal("gc-mode arena exceeded capacity")
 	}
 	if a.Reusing() {
@@ -81,13 +81,13 @@ func TestGCModeNeverRecycles(t *testing.T) {
 
 func TestGenerationAdvancesOnFree(t *testing.T) {
 	a := New[int](2)
-	idx, _ := a.Alloc()
+	idx, _ := a.Alloc(Left)
 	g0 := a.Gen(idx)
 	if g0 < 1 {
 		t.Fatalf("initial generation %d < 1", g0)
 	}
-	a.Free(idx)
-	idx2, _ := a.Alloc()
+	a.Free(Left, idx)
+	idx2, _ := a.Alloc(Left)
 	if idx2 != idx {
 		t.Fatalf("expected recycled slot %d, got %d", idx, idx2)
 	}
@@ -98,7 +98,7 @@ func TestGenerationAdvancesOnFree(t *testing.T) {
 
 func TestHandleRoundTripAndStaleness(t *testing.T) {
 	a := New[string](4)
-	idx, _ := a.Alloc()
+	idx, _ := a.Alloc(Left)
 	*a.Get(idx) = "x"
 	h := a.Handle(idx)
 	if h < 1<<32 {
@@ -108,7 +108,7 @@ func TestHandleRoundTripAndStaleness(t *testing.T) {
 	if !ok || got != idx {
 		t.Fatalf("Resolve = (%d, %v), want (%d, true)", got, ok, idx)
 	}
-	a.Free(idx)
+	a.Free(Left, idx)
 	if _, ok := a.Resolve(h); ok {
 		t.Fatal("stale handle resolved after Free")
 	}
@@ -124,7 +124,7 @@ func TestHandlePackingProperties(t *testing.T) {
 	a := New[int](64)
 	var idxs []uint32
 	for i := 0; i < 64; i++ {
-		idx, _ := a.Alloc()
+		idx, _ := a.Alloc(Left)
 		idxs = append(idxs, idx)
 	}
 	f := func(i, j uint8) bool {
@@ -141,7 +141,7 @@ func TestHandlePackingProperties(t *testing.T) {
 	}
 }
 
-// TestConcurrentAllocFree hammers the shared freelist from many goroutines;
+// TestConcurrentAllocFree hammers both freelists from many goroutines;
 // every goroutine continuously allocates, writes a signature, validates it,
 // and frees.  Any double-allocation corrupts another goroutine's signature.
 func TestConcurrentAllocFree(t *testing.T) {
@@ -157,8 +157,11 @@ func TestConcurrentAllocFree(t *testing.T) {
 		wg.Add(1)
 		go func(sig uint64) {
 			defer wg.Done()
+			// Odd workers allocate on the right lane, even ones on the
+			// left; every worker frees on the opposite lane.
+			l := Lane(sig & 1)
 			for i := 0; i < rounds; i++ {
-				idx, ok := a.Alloc()
+				idx, ok := a.Alloc(l)
 				if !ok {
 					continue // exhausted this instant; fine
 				}
@@ -166,10 +169,10 @@ func TestConcurrentAllocFree(t *testing.T) {
 				*p = sig<<32 | uint64(i)
 				if *p != sig<<32|uint64(i) {
 					errs <- "slot overwritten while owned"
-					a.Free(idx)
+					a.Free(l^1, idx)
 					return
 				}
-				a.Free(idx)
+				a.Free(l^1, idx)
 			}
 		}(uint64(w + 1))
 	}
@@ -201,10 +204,11 @@ func TestConcurrentDistinctOwnership(t *testing.T) {
 		wg.Add(1)
 		go func(me uint64) {
 			defer wg.Done()
+			l := Lane(me & 1) // allocate on l, free on the other lane
 			held := make([]uint32, 0, hold)
 			for i := 0; i < rounds; i++ {
 				for len(held) < hold {
-					idx, ok := a.Alloc()
+					idx, ok := a.Alloc(l)
 					if !ok {
 						break
 					}
@@ -224,7 +228,7 @@ func TestConcurrentDistinctOwnership(t *testing.T) {
 				}
 				for _, idx := range held {
 					a.Get(idx).owner = 0
-					a.Free(idx)
+					a.Free(l^1, idx)
 				}
 				held = held[:0]
 			}
@@ -239,24 +243,24 @@ func TestConcurrentDistinctOwnership(t *testing.T) {
 
 func TestCacheBulkAllocation(t *testing.T) {
 	a := New[int](256, WithBlockSize(32))
-	c := NewCache(a, 8)
+	c := NewCache(a, Left, 8)
 	// First Alloc should bulk-reserve; subsequent allocs should not grow
-	// the bump pointer until the batch is consumed.
+	// the carve word until the batch is consumed.
 	idx0, ok := c.Alloc()
 	if !ok {
 		t.Fatal("cache Alloc failed")
 	}
-	bumpAfterFirst := a.bump.Load()
+	loAfterFirst := uint32(a.fresh.Load()) // lo: the left lane carves upward
 	for i := 1; i < 8; i++ {
 		if _, ok := c.Alloc(); !ok {
 			t.Fatalf("cache Alloc %d failed", i)
 		}
 	}
-	if a.bump.Load() != bumpAfterFirst {
+	if uint32(a.fresh.Load()) != loAfterFirst {
 		t.Fatal("cache went to shared state within one batch")
 	}
-	if bumpAfterFirst != 8 {
-		t.Fatalf("bulk reservation = %d slots, want 8", bumpAfterFirst)
+	if loAfterFirst != 8 {
+		t.Fatalf("bulk reservation = %d slots, want 8", loAfterFirst)
 	}
 	c.Free(idx0)
 	if c.Cached() == 0 {
@@ -266,7 +270,7 @@ func TestCacheBulkAllocation(t *testing.T) {
 
 func TestCacheSpillAndDrain(t *testing.T) {
 	a := New[int](256)
-	c := NewCache(a, 4)
+	c := NewCache(a, Left, 4)
 	var idxs []uint32
 	for i := 0; i < 16; i++ {
 		idx, ok := c.Alloc()
@@ -289,7 +293,7 @@ func TestCacheSpillAndDrain(t *testing.T) {
 	// All slots must be reachable again through the shared freelist.
 	seen := map[uint32]bool{}
 	for i := 0; i < 16; i++ {
-		idx, ok := a.Alloc()
+		idx, ok := a.Alloc(Left)
 		if !ok {
 			t.Fatalf("re-Alloc %d failed after Drain", i)
 		}
@@ -302,7 +306,7 @@ func TestCacheSpillAndDrain(t *testing.T) {
 
 func TestCacheGCModeDrain(t *testing.T) {
 	a := New[int](16, WithReuse(false))
-	c := NewCache(a, 4)
+	c := NewCache(a, Left, 4)
 	idx, ok := c.Alloc()
 	if !ok {
 		t.Fatal("Alloc failed")
@@ -332,20 +336,20 @@ func TestCacheGCModeDrain(t *testing.T) {
 
 func TestCacheExhaustionFallsBackToFreelist(t *testing.T) {
 	a := New[int](8)
-	// Exhaust the bump region directly.
+	// Exhaust the never-allocated region directly.
 	direct := make([]uint32, 0, 8)
 	for {
-		idx, ok := a.Alloc()
+		idx, ok := a.Alloc(Left)
 		if !ok {
 			break
 		}
 		direct = append(direct, idx)
 	}
 	for _, idx := range direct {
-		a.Free(idx)
+		a.Free(Left, idx)
 	}
 	// A cache must now be able to allocate via the shared freelist.
-	c := NewCache(a, 4)
+	c := NewCache(a, Left, 4)
 	got := 0
 	for {
 		_, ok := c.Alloc()
@@ -371,7 +375,7 @@ func TestConcurrentCaches(t *testing.T) {
 		wg.Add(1)
 		go func(sig uint64) {
 			defer wg.Done()
-			c := NewCache(a, 8)
+			c := NewCache(a, Lane(sig&1), 8)
 			defer c.Drain()
 			for i := 0; i < rounds; i++ {
 				idx, ok := c.Alloc()
@@ -427,46 +431,11 @@ func TestBlockSizeRounding(t *testing.T) {
 
 func TestStatsCounts(t *testing.T) {
 	a := New[int](8)
-	i1, _ := a.Alloc()
-	i2, _ := a.Alloc()
-	a.Free(i1)
+	i1, _ := a.Alloc(Left)
+	i2, _ := a.Alloc(Left)
+	a.Free(Left, i1)
 	if a.Allocs() != 2 || a.Frees() != 1 || a.Live() != 1 {
 		t.Fatalf("stats = allocs %d frees %d live %d", a.Allocs(), a.Frees(), a.Live())
 	}
-	a.Free(i2)
-}
-
-// TestReserve checks that reserved slots are contiguous, excluded from the
-// live accounting, and disjoint from subsequently allocated slots.
-func TestReserve(t *testing.T) {
-	a := New[int](8)
-	first, ok := a.Reserve(3)
-	if !ok {
-		t.Fatal("Reserve(3) failed on an empty arena")
-	}
-	if a.Live() != 0 || a.Allocs() != 0 || a.Frees() != 0 {
-		t.Fatalf("Reserve changed accounting: live=%d allocs=%d frees=%d",
-			a.Live(), a.Allocs(), a.Frees())
-	}
-	seen := map[uint32]bool{first: true, first + 1: true, first + 2: true}
-	for i := 0; i < 5; i++ {
-		idx, ok := a.Alloc()
-		if !ok {
-			t.Fatalf("Alloc %d failed with capacity left", i)
-		}
-		if seen[idx] {
-			t.Fatalf("Alloc returned reserved or duplicate slot %d", idx)
-		}
-		seen[idx] = true
-	}
-	// 3 reserved + 5 allocated = capacity 8: exhausted.
-	if _, ok := a.Alloc(); ok {
-		t.Fatal("Alloc succeeded past capacity")
-	}
-	if _, ok := a.Reserve(1); ok {
-		t.Fatal("Reserve succeeded past capacity")
-	}
-	if a.Live() != 5 {
-		t.Fatalf("live = %d, want 5", a.Live())
-	}
+	a.Free(Left, i2)
 }

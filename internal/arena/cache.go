@@ -10,55 +10,62 @@ package arena
 // arena may be used from different goroutines simultaneously.
 type Cache[T any] struct {
 	a     *Arena[T]
+	lane  Lane
 	batch int
 	local []uint32
 }
 
 // NewCache returns a cache that moves slots between the goroutine and the
-// shared arena in groups of batch (default 32 if batch < 1).
-func NewCache[T any](a *Arena[T], batch int) *Cache[T] {
+// shared arena in groups of batch (default 32 if batch < 1).  The cache
+// serves one deque end: its ledger counts and freelist spills go to lane
+// l, and it refills from l's freelist before the other lane's.
+func NewCache[T any](a *Arena[T], l Lane, batch int) *Cache[T] {
 	if batch < 1 {
 		batch = 32
 	}
-	return &Cache[T]{a: a, batch: batch, local: make([]uint32, 0, 2*batch)}
+	return &Cache[T]{a: a, lane: l, batch: batch, local: make([]uint32, 0, 2*batch)}
 }
 
 // Arena returns the underlying shared arena.
 func (c *Cache[T]) Arena() *Arena[T] { return c.a }
 
 // Alloc reserves one slot, preferring the local cache, then a contiguous
-// bulk reservation from the arena's bump region, then the shared freelist.
-// ok is false only when the arena is exhausted and nothing is cached.
+// bulk carve from the arena's never-allocated region, then the shared
+// freelists (the cache's own lane first).  ok is false only when the
+// arena is exhausted and nothing is cached.
 func (c *Cache[T]) Alloc() (uint32, bool) {
+	ln := c.a.lanes.at(c.lane)
 	if n := len(c.local); n > 0 {
 		idx := c.local[n-1]
 		c.local = c.local[:n-1]
-		c.a.countAlloc()
+		c.a.countAlloc(ln)
 		return idx, true
 	}
-	// Bulk-reserve fresh contiguous slots: one shared CAS buys batch
+	// Bulk-carve fresh contiguous slots: one shared CAS buys batch
 	// allocations.
-	first, got := c.a.bumpAlloc(c.batch)
+	first, got := c.a.carve(c.lane, c.batch)
 	if got > 0 {
 		for i := got - 1; i >= 1; i-- {
 			c.local = append(c.local, first+uint32(i))
 		}
-		c.a.countAlloc()
+		c.a.countAlloc(ln)
 		return first, true
 	}
-	// Fresh region exhausted: refill from the shared freelist.
+	// Fresh region exhausted: refill from the shared freelists.
 	if c.a.reuse {
-		for len(c.local) < c.batch {
-			idx, ok := c.a.popFree()
-			if !ok {
-				break
+		for _, from := range []*lane{ln, c.a.lanes.at(c.lane ^ 1)} {
+			for len(c.local) < c.batch {
+				idx, ok := c.a.popFree(from)
+				if !ok {
+					break
+				}
+				c.local = append(c.local, idx)
 			}
-			c.local = append(c.local, idx)
 		}
 		if n := len(c.local); n > 0 {
 			idx := c.local[n-1]
 			c.local = c.local[:n-1]
-			c.a.countAlloc()
+			c.a.countAlloc(ln)
 			return idx, true
 		}
 	}
@@ -66,12 +73,13 @@ func (c *Cache[T]) Alloc() (uint32, bool) {
 }
 
 // Free retires a slot into the local cache (bumping its generation), and
-// spills half the cache to the shared freelist when the cache overflows,
+// spills half the cache to its lane's freelist when the cache overflows,
 // so slots keep circulating between goroutines.
 func (c *Cache[T]) Free(idx uint32) {
 	blk, off := c.a.locate(idx)
 	blk.gen[off].Add(1)
-	c.a.countFree()
+	ln := c.a.lanes.at(c.lane)
+	c.a.countFree(ln)
 	if !c.a.reuse {
 		return
 	}
@@ -79,13 +87,13 @@ func (c *Cache[T]) Free(idx uint32) {
 	if len(c.local) >= 2*c.batch {
 		for i := 0; i < c.batch; i++ {
 			n := len(c.local)
-			c.a.pushFree(c.local[n-1])
+			c.a.pushFree(ln, c.local[n-1])
 			c.local = c.local[:n-1]
 		}
 	}
 }
 
-// Drain returns every cached slot to the shared freelist.  Call it when a
+// Drain returns every cached slot to its lane's freelist.  Call it when a
 // goroutine retires its cache so the slots remain allocatable.
 func (c *Cache[T]) Drain() {
 	if !c.a.reuse {
@@ -93,7 +101,7 @@ func (c *Cache[T]) Drain() {
 		return
 	}
 	for _, idx := range c.local {
-		c.a.pushFree(idx)
+		c.a.pushFree(c.a.lanes.at(c.lane), idx)
 	}
 	c.local = c.local[:0]
 }

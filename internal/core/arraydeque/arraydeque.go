@@ -182,13 +182,13 @@ func New(n int, opts ...Option) *Deque {
 	d.l.Init(0)
 	d.r.Init(1 % d.n)
 	// Pre-assign the lock-ordering tokens while the deque is still private,
-	// keeping the lazy-assignment CAS off the DCAS hot path.
-	locs := make([]*dcas.Loc, 0, n+2)
-	locs = append(locs, &d.l, &d.r)
+	// keeping the lazy-assignment CAS off the DCAS hot path.  One location
+	// at a time: collecting them into a slice first would allocate n+2
+	// pointers of garbage per deque.
+	dcas.AssignIDs(&d.l, &d.r)
 	for i := uint64(0); i < d.n; i++ {
-		locs = append(locs, d.cell(i))
+		dcas.AssignIDs(d.cell(i))
 	}
-	dcas.AssignIDs(locs...)
 	return d
 }
 

@@ -69,11 +69,10 @@ func NewDummy(opts ...Option) *DummyDeque {
 	if o.maxNodes < 4 {
 		panic("listdeque: dummy variant needs at least 4 nodes")
 	}
-	ar := arena.New[node](o.maxNodes+dummyHeadroom+sentinelSpacerSlots, arena.WithReuse(o.reuse))
-	sl, ok1 := ar.Alloc()
-	_, okSp := ar.Reserve(sentinelSpacerSlots)
-	sr, ok2 := ar.Alloc()
-	if !ok1 || !okSp || !ok2 {
+	ar := arena.New[node](o.maxNodes+dummyHeadroom, arena.WithReuse(o.reuse))
+	sl, ok1 := ar.Alloc(arena.Left)
+	sr, ok2 := ar.Alloc(arena.Right)
+	if !ok1 || !ok2 {
 		panic("listdeque: sentinel allocation failed")
 	}
 	d := &DummyDeque{prov: o.prov, ar: ar, sl: sl, sr: sr, backoff: o.backoff, tel: o.tel,
@@ -138,8 +137,13 @@ func (d *DummyDeque) resolve(w tagptr.Word, right bool) (real tagptr.Word, delet
 
 // mkDummy allocates a dummy node whose inward pointer references real.
 // It returns the dummy's pointer word, or ok=false if allocation failed.
+// The dummy is allocated on the lane of the popping end.
 func (d *DummyDeque) mkDummy(real tagptr.Word, right bool) (tagptr.Word, uint32, bool) {
-	idx, ok := d.ar.Alloc()
+	l := arena.Left
+	if right {
+		l = arena.Right
+	}
+	idx, ok := d.ar.Alloc(l)
 	if !ok {
 		return tagptr.Nil, 0, false
 	}
@@ -202,7 +206,7 @@ func (d *DummyDeque) PopRight() (uint64, spec.Result) {
 				d.count(telemetry.Right, telemetry.LogicalDeletes, 1)
 				return v, spec.Okay
 			}
-			d.ar.Free(didx) // never published
+			d.ar.Free(arena.Right, didx) // never published
 		}
 		retries++
 		bo.Wait() // the attempt lost a race; back off before retrying
@@ -219,7 +223,7 @@ func (d *DummyDeque) PushRight(v uint64) spec.Result {
 		d.note(telemetry.Right, telemetry.FullHits, 0, start)
 		return spec.Full // leave the headroom for delete-bit dummies
 	}
-	idx, ok := d.ar.Alloc()
+	idx, ok := d.ar.Alloc(arena.Right)
 	if !ok {
 		d.note(telemetry.Right, telemetry.FullHits, 0, start)
 		return spec.Full
@@ -276,8 +280,8 @@ func (d *DummyDeque) deleteRight() {
 			oldLLR := lln.r.Load()
 			if tagptr.Ptr(real) == tagptr.Ptr(oldLLR) {
 				if d.prov.DCAS(srL, &lln.r, raw, oldLLR, oldLL, d.srPtr) {
-					d.ar.Free(delIdx)
-					d.ar.Free(tagptr.MustIdx(raw)) // the dummy
+					d.ar.Free(arena.Right, delIdx)
+					d.ar.Free(arena.Right, tagptr.MustIdx(raw)) // the dummy
 					d.count(telemetry.Right, telemetry.PhysicalDeletes, 1)
 					return
 				}
@@ -287,10 +291,10 @@ func (d *DummyDeque) deleteRight() {
 			leftReal, leftDeleted := d.resolve(oldRraw, false)
 			if leftDeleted {
 				if d.prov.DCAS(srL, slR, raw, oldRraw, d.slPtr, d.srPtr) {
-					d.ar.Free(delIdx)                   // right null node
-					d.ar.Free(tagptr.MustIdx(raw))      // right dummy
-					d.ar.Free(tagptr.MustIdx(leftReal)) // left null node
-					d.ar.Free(tagptr.MustIdx(oldRraw))  // left dummy
+					d.ar.Free(arena.Right, delIdx)                   // right null node
+					d.ar.Free(arena.Right, tagptr.MustIdx(raw))      // right dummy
+					d.ar.Free(arena.Right, tagptr.MustIdx(leftReal)) // left null node
+					d.ar.Free(arena.Right, tagptr.MustIdx(oldRraw))  // left dummy
 					// One regular node was deleted from each side.
 					d.count(telemetry.Right, telemetry.PhysicalDeletes, 1)
 					d.count(telemetry.Left, telemetry.PhysicalDeletes, 1)
@@ -339,7 +343,7 @@ func (d *DummyDeque) PopLeft() (uint64, spec.Result) {
 				d.count(telemetry.Left, telemetry.LogicalDeletes, 1)
 				return v, spec.Okay
 			}
-			d.ar.Free(didx)
+			d.ar.Free(arena.Left, didx)
 		}
 		retries++
 		bo.Wait() // the attempt lost a race; back off before retrying
@@ -356,7 +360,7 @@ func (d *DummyDeque) PushLeft(v uint64) spec.Result {
 		d.note(telemetry.Left, telemetry.FullHits, 0, start)
 		return spec.Full // leave the headroom for delete-bit dummies
 	}
-	idx, ok := d.ar.Alloc()
+	idx, ok := d.ar.Alloc(arena.Left)
 	if !ok {
 		d.note(telemetry.Left, telemetry.FullHits, 0, start)
 		return spec.Full
@@ -409,8 +413,8 @@ func (d *DummyDeque) deleteLeft() {
 			oldRRL := rrn.l.Load()
 			if tagptr.Ptr(real) == tagptr.Ptr(oldRRL) {
 				if d.prov.DCAS(slR, &rrn.l, raw, oldRRL, oldRR, d.slPtr) {
-					d.ar.Free(delIdx)
-					d.ar.Free(tagptr.MustIdx(raw))
+					d.ar.Free(arena.Left, delIdx)
+					d.ar.Free(arena.Left, tagptr.MustIdx(raw))
 					d.count(telemetry.Left, telemetry.PhysicalDeletes, 1)
 					return
 				}
@@ -420,10 +424,10 @@ func (d *DummyDeque) deleteLeft() {
 			rightReal, rightDeleted := d.resolve(oldLraw, true)
 			if rightDeleted {
 				if d.prov.DCAS(slR, srL, raw, oldLraw, d.srPtr, d.slPtr) {
-					d.ar.Free(delIdx)
-					d.ar.Free(tagptr.MustIdx(raw))
-					d.ar.Free(tagptr.MustIdx(rightReal))
-					d.ar.Free(tagptr.MustIdx(oldLraw))
+					d.ar.Free(arena.Left, delIdx)
+					d.ar.Free(arena.Left, tagptr.MustIdx(raw))
+					d.ar.Free(arena.Left, tagptr.MustIdx(rightReal))
+					d.ar.Free(arena.Left, tagptr.MustIdx(oldLraw))
 					// One regular node was deleted from each side.
 					d.count(telemetry.Left, telemetry.PhysicalDeletes, 1)
 					d.count(telemetry.Right, telemetry.PhysicalDeletes, 1)

@@ -9,8 +9,11 @@ import (
 
 // The list deques' always-hot words are the sentinels' inward pointers:
 // every operation loads (and most DCAS) SL.r or SR.l.  The constructors
-// reserve spacer slots between the two sentinel allocations so those words
-// land in disjoint false-sharing ranges; these tests pin that geometry.
+// allocate the sentinels on opposite arena lanes, which carve from
+// opposite ends of the arena, so those words land in disjoint
+// false-sharing ranges; these tests pin that geometry, down to a
+// four-node arena (a three-node one leaves the plain deque's words 120
+// bytes apart).
 
 func hotWordGap(t *testing.T, name string, slR, srL unsafe.Pointer) {
 	t.Helper()
@@ -28,26 +31,29 @@ func hotWordGap(t *testing.T, name string, slR, srL unsafe.Pointer) {
 }
 
 func TestSentinelLayout(t *testing.T) {
-	d := New()
-	hotWordGap(t, "New",
-		unsafe.Pointer(&d.node(d.sl).r), unsafe.Pointer(&d.node(d.sr).l))
+	for _, d := range []*Deque{New(), New(WithMaxNodes(4))} {
+		hotWordGap(t, "New",
+			unsafe.Pointer(&d.node(d.sl).r), unsafe.Pointer(&d.node(d.sr).l))
+	}
 }
 
 func TestSentinelLayoutDummy(t *testing.T) {
-	d := NewDummy()
-	hotWordGap(t, "NewDummy",
-		unsafe.Pointer(&d.node(d.sl).r), unsafe.Pointer(&d.node(d.sr).l))
+	for _, d := range []*DummyDeque{NewDummy(), NewDummy(WithMaxNodes(4))} {
+		hotWordGap(t, "NewDummy",
+			unsafe.Pointer(&d.node(d.sl).r), unsafe.Pointer(&d.node(d.sr).l))
+	}
 }
 
 func TestSentinelLayoutLFRC(t *testing.T) {
-	d := NewLFRC()
-	hotWordGap(t, "NewLFRC",
-		unsafe.Pointer(&d.node(d.sl).r), unsafe.Pointer(&d.node(d.sr).l))
+	for _, d := range []*LFRCDeque{NewLFRC(), NewLFRC(WithMaxNodes(4))} {
+		hotWordGap(t, "NewLFRC",
+			unsafe.Pointer(&d.node(d.sl).r), unsafe.Pointer(&d.node(d.sr).l))
+	}
 }
 
-// TestSentinelSpacerAccounting checks that the spacer reservation is
-// invisible to the arena accounting the correctness tests rely on: a fresh
-// deque reports exactly its two sentinels live.
+// TestSentinelSpacerAccounting checks the arena accounting the
+// correctness tests rely on: a fresh deque reports exactly its two
+// sentinels live, with nothing between them counted.
 func TestSentinelSpacerAccounting(t *testing.T) {
 	if live := New().Arena().Live(); live != 2 {
 		t.Fatalf("New: fresh deque has %d live nodes, want 2", live)

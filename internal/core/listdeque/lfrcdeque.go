@@ -68,11 +68,10 @@ func NewLFRC(opts ...Option) *LFRCDeque {
 	if o.maxNodes < 3 {
 		panic("listdeque: need at least 3 nodes")
 	}
-	ar := arena.New[rcNode](o.maxNodes + sentinelSpacerSlots)
-	sl, ok1 := ar.Alloc()
-	_, okSp := ar.Reserve(sentinelSpacerSlots)
-	sr, ok2 := ar.Alloc()
-	if !ok1 || !okSp || !ok2 {
+	ar := arena.New[rcNode](o.maxNodes)
+	sl, ok1 := ar.Alloc(arena.Left)
+	sr, ok2 := ar.Alloc(arena.Right)
+	if !ok1 || !ok2 {
 		panic("listdeque: sentinel allocation failed")
 	}
 	d := &LFRCDeque{prov: o.prov, ar: ar, sl: sl, sr: sr, backoff: o.backoff, tel: o.tel,
@@ -169,8 +168,9 @@ func (d *LFRCDeque) addRef(w tagptr.Word) {
 }
 
 // release consumes one counted reference to w's node, freeing the node —
-// and releasing its outgoing links — when the count reaches zero.
-func (d *LFRCDeque) release(w tagptr.Word) {
+// and releasing its outgoing links — when the count reaches zero.  Freed
+// nodes go back through lane l, the end of the releasing operation.
+func (d *LFRCDeque) release(l arena.Lane, w tagptr.Word) {
 	if d.leakDropRelease(w) {
 		return // seeded fault: the decrement never happens (see leak.go)
 	}
@@ -197,7 +197,7 @@ func (d *LFRCDeque) release(w tagptr.Word) {
 				n.l.Init(tagptr.Nil)
 				n.r.Init(tagptr.Nil)
 				n.val.Init(Null)
-				d.ar.Free(idx)
+				d.ar.Free(l, idx)
 				d.refFree()
 			}
 			break
@@ -237,18 +237,18 @@ func (d *LFRCDeque) PopRight() (uint64, spec.Result) {
 		ln := d.node(tagptr.MustIdx(oldL))
 		v := ln.val.Load()
 		if v == SentL {
-			d.release(oldL)
+			d.release(arena.Right, oldL)
 			d.note(telemetry.Right, telemetry.EmptyHits, retries, start)
 			return 0, spec.Empty
 		}
 		if tagptr.Deleted(oldL) {
-			d.release(oldL)
+			d.release(arena.Right, oldL)
 			d.deleteRight()
 			continue
 		}
 		if v == Null {
 			ok := d.prov.DCAS(srL, &ln.val, oldL, v, oldL, v) // linearization point: empty confirm
-			d.release(oldL)
+			d.release(arena.Right, oldL)
 			if ok {
 				d.note(telemetry.Right, telemetry.EmptyHits, retries, start)
 				return 0, spec.Empty
@@ -258,7 +258,7 @@ func (d *LFRCDeque) PopRight() (uint64, spec.Result) {
 			// same node before and after, so no count moves.
 			newL := tagptr.WithDeleted(oldL, true)
 			ok := d.prov.DCAS(srL, &ln.val, oldL, v, newL, Null) // linearization point: logical deletion
-			d.release(oldL)
+			d.release(arena.Right, oldL)
 			if ok {
 				d.note(telemetry.Right, telemetry.Pops, retries, start)
 				d.count(telemetry.Right, telemetry.LogicalDeletes, 1)
@@ -276,7 +276,7 @@ func (d *LFRCDeque) PushRight(v uint64) spec.Result {
 		panic("listdeque: value collides with a distinguished word")
 	}
 	start := d.tstart()
-	idx, ok := d.ar.Alloc()
+	idx, ok := d.ar.Alloc(arena.Right)
 	if !ok {
 		d.note(telemetry.Right, telemetry.FullHits, 0, start)
 		return spec.Full
@@ -297,7 +297,7 @@ func (d *LFRCDeque) PushRight(v uint64) spec.Result {
 	for {
 		oldL := d.load(srL)
 		if tagptr.Deleted(oldL) {
-			d.release(oldL)
+			d.release(arena.Right, oldL)
 			d.deleteRight()
 			continue
 		}
@@ -310,13 +310,13 @@ func (d *LFRCDeque) PushRight(v uint64) spec.Result {
 			// shared references exactly.  SR->L dropped its reference to
 			// oldL (released below) while n.l holds our transferred load
 			// reference (net 0 for oldL).
-			d.release(oldL) // SR->L's dropped reference to oldL
+			d.release(arena.Right, oldL) // SR->L's dropped reference to oldL
 			d.note(telemetry.Right, telemetry.Pushes, retries, start)
 			return spec.Okay
 		}
 		// Retry: reclaim the load reference (the n.l link will be
 		// overwritten next iteration).
-		d.release(oldL)
+		d.release(arena.Right, oldL)
 		retries++
 		bo.Wait() // the attempt lost a race; back off before retrying
 	}
@@ -329,7 +329,7 @@ func (d *LFRCDeque) deleteRight() {
 	for {
 		oldL := d.load(srL)
 		if !tagptr.Deleted(oldL) {
-			d.release(oldL)
+			d.release(arena.Right, oldL)
 			return
 		}
 		delN := d.node(tagptr.MustIdx(oldL))
@@ -342,19 +342,19 @@ func (d *LFRCDeque) deleteRight() {
 					// The deleted node lost both shared references (SR->L
 					// and lln.r); oldLL gained one (SR->L).
 					d.addRef(oldLL)
-					d.release(oldL)   // SR->L's ref to the deleted node
-					d.release(oldLLR) // lln.r's ref to the deleted node
+					d.release(arena.Right, oldL)   // SR->L's ref to the deleted node
+					d.release(arena.Right, oldLLR) // lln.r's ref to the deleted node
 					// Release our three locals.
-					d.release(oldL)
-					d.release(oldLL)
-					d.release(oldLLR)
+					d.release(arena.Right, oldL)
+					d.release(arena.Right, oldLL)
+					d.release(arena.Right, oldLLR)
 					d.count(telemetry.Right, telemetry.PhysicalDeletes, 1)
 					return
 				}
 			}
-			d.release(oldLLR)
-			d.release(oldLL)
-			d.release(oldL)
+			d.release(arena.Right, oldLLR)
+			d.release(arena.Right, oldLL)
+			d.release(arena.Right, oldL)
 		} else { // two null items
 			oldR := d.load(slR)
 			if tagptr.Deleted(oldR) {
@@ -364,24 +364,24 @@ func (d *LFRCDeque) deleteRight() {
 					// never collect.  The winner severs it while still
 					// holding counted locals; stale readers see harmless
 					// sentinel words.
-					d.severLink(&delN.l, tagptr.Ptr(oldR) /* right.l -> left */, d.slPtr)
+					d.severLink(arena.Right, &delN.l, tagptr.Ptr(oldR) /* right.l -> left */, d.slPtr)
 					leftN := d.node(tagptr.MustIdx(oldR))
-					d.severLink(&leftN.r, tagptr.Ptr(oldL) /* left.r -> right */, d.srPtr)
+					d.severLink(arena.Right, &leftN.r, tagptr.Ptr(oldL) /* left.r -> right */, d.srPtr)
 					// Both nulls lost their sentinel references too.
-					d.release(oldL) // SR->L's ref to the right null
-					d.release(oldR) // SL->R's ref to the left null
-					d.release(oldL) // our local
-					d.release(oldR) // our local
-					d.release(oldLL)
+					d.release(arena.Right, oldL) // SR->L's ref to the right null
+					d.release(arena.Right, oldR) // SL->R's ref to the left null
+					d.release(arena.Right, oldL) // our local
+					d.release(arena.Right, oldR) // our local
+					d.release(arena.Right, oldLL)
 					// One node was deleted from each side (Figure 16).
 					d.count(telemetry.Right, telemetry.PhysicalDeletes, 1)
 					d.count(telemetry.Left, telemetry.PhysicalDeletes, 1)
 					return
 				}
 			}
-			d.release(oldR)
-			d.release(oldLL)
-			d.release(oldL)
+			d.release(arena.Right, oldR)
+			d.release(arena.Right, oldLL)
+			d.release(arena.Right, oldL)
 		}
 	}
 }
@@ -389,11 +389,12 @@ func (d *LFRCDeque) deleteRight() {
 // severLink atomically replaces a dead node's link to another dead node
 // with an uncounted sentinel word and releases the link's reference.  The
 // expected current target is given without its deleted bit; the link may
-// legitimately hold it with either bit value.
-func (d *LFRCDeque) severLink(link *dcas.Loc, target tagptr.Word, sentinelWord tagptr.Word) {
+// legitimately hold it with either bit value.  l is the lane of the
+// deleting operation.
+func (d *LFRCDeque) severLink(l arena.Lane, link *dcas.Loc, target tagptr.Word, sentinelWord tagptr.Word) {
 	for _, cand := range []tagptr.Word{target, tagptr.WithDeleted(target, true)} {
 		if link.CAS(cand, sentinelWord) {
-			d.release(cand)
+			d.release(l, cand)
 			return
 		}
 	}
@@ -412,18 +413,18 @@ func (d *LFRCDeque) PopLeft() (uint64, spec.Result) {
 		rn := d.node(tagptr.MustIdx(oldR))
 		v := rn.val.Load()
 		if v == SentR {
-			d.release(oldR)
+			d.release(arena.Left, oldR)
 			d.note(telemetry.Left, telemetry.EmptyHits, retries, start)
 			return 0, spec.Empty
 		}
 		if tagptr.Deleted(oldR) {
-			d.release(oldR)
+			d.release(arena.Left, oldR)
 			d.deleteLeft()
 			continue
 		}
 		if v == Null {
 			ok := d.prov.DCAS(slR, &rn.val, oldR, v, oldR, v) // linearization point: empty confirm
-			d.release(oldR)
+			d.release(arena.Left, oldR)
 			if ok {
 				d.note(telemetry.Left, telemetry.EmptyHits, retries, start)
 				return 0, spec.Empty
@@ -431,7 +432,7 @@ func (d *LFRCDeque) PopLeft() (uint64, spec.Result) {
 		} else {
 			newR := tagptr.WithDeleted(oldR, true)
 			ok := d.prov.DCAS(slR, &rn.val, oldR, v, newR, Null) // linearization point: logical deletion
-			d.release(oldR)
+			d.release(arena.Left, oldR)
 			if ok {
 				d.note(telemetry.Left, telemetry.Pops, retries, start)
 				d.count(telemetry.Left, telemetry.LogicalDeletes, 1)
@@ -449,7 +450,7 @@ func (d *LFRCDeque) PushLeft(v uint64) spec.Result {
 		panic("listdeque: value collides with a distinguished word")
 	}
 	start := d.tstart()
-	idx, ok := d.ar.Alloc()
+	idx, ok := d.ar.Alloc(arena.Left)
 	if !ok {
 		d.note(telemetry.Left, telemetry.FullHits, 0, start)
 		return spec.Full
@@ -464,7 +465,7 @@ func (d *LFRCDeque) PushLeft(v uint64) spec.Result {
 	for {
 		oldR := d.load(slR)
 		if tagptr.Deleted(oldR) {
-			d.release(oldR)
+			d.release(arena.Left, oldR)
 			d.deleteLeft()
 			continue
 		}
@@ -473,11 +474,11 @@ func (d *LFRCDeque) PushLeft(v uint64) spec.Result {
 		n.val.Init(v)
 		rn := d.node(tagptr.MustIdx(oldR))
 		if d.prov.DCAS(slR, &rn.l, oldR, d.slPtr, nw, nw) { // linearization point: splice
-			d.release(oldR)
+			d.release(arena.Left, oldR)
 			d.note(telemetry.Left, telemetry.Pushes, retries, start)
 			return spec.Okay
 		}
-		d.release(oldR)
+		d.release(arena.Left, oldR)
 		retries++
 		bo.Wait() // the attempt lost a race; back off before retrying
 	}
@@ -490,7 +491,7 @@ func (d *LFRCDeque) deleteLeft() {
 	for {
 		oldR := d.load(slR)
 		if !tagptr.Deleted(oldR) {
-			d.release(oldR)
+			d.release(arena.Left, oldR)
 			return
 		}
 		delN := d.node(tagptr.MustIdx(oldR))
@@ -501,40 +502,40 @@ func (d *LFRCDeque) deleteLeft() {
 			if tagptr.Ptr(oldR) == tagptr.Ptr(oldRRL) {
 				if d.prov.DCAS(slR, &rrn.l, oldR, oldRRL, oldRR, d.slPtr) {
 					d.addRef(oldRR)
-					d.release(oldR)
-					d.release(oldRRL)
-					d.release(oldR)
-					d.release(oldRR)
-					d.release(oldRRL)
+					d.release(arena.Left, oldR)
+					d.release(arena.Left, oldRRL)
+					d.release(arena.Left, oldR)
+					d.release(arena.Left, oldRR)
+					d.release(arena.Left, oldRRL)
 					d.count(telemetry.Left, telemetry.PhysicalDeletes, 1)
 					return
 				}
 			}
-			d.release(oldRRL)
-			d.release(oldRR)
-			d.release(oldR)
+			d.release(arena.Left, oldRRL)
+			d.release(arena.Left, oldRR)
+			d.release(arena.Left, oldR)
 		} else {
 			oldL := d.load(srL)
 			if tagptr.Deleted(oldL) {
 				if d.prov.DCAS(slR, srL, oldR, oldL, d.srPtr, d.slPtr) {
 					// Sever the dead pair's mutual links (see deleteRight).
-					d.severLink(&delN.r, tagptr.Ptr(oldL) /* left.r -> right */, d.srPtr)
+					d.severLink(arena.Left, &delN.r, tagptr.Ptr(oldL) /* left.r -> right */, d.srPtr)
 					rightN := d.node(tagptr.MustIdx(oldL))
-					d.severLink(&rightN.l, tagptr.Ptr(oldR) /* right.l -> left */, d.slPtr)
-					d.release(oldR) // SL->R's ref to the left null
-					d.release(oldL) // SR->L's ref to the right null
-					d.release(oldR) // our local
-					d.release(oldL) // our local
-					d.release(oldRR)
+					d.severLink(arena.Left, &rightN.l, tagptr.Ptr(oldR) /* right.l -> left */, d.slPtr)
+					d.release(arena.Left, oldR) // SL->R's ref to the left null
+					d.release(arena.Left, oldL) // SR->L's ref to the right null
+					d.release(arena.Left, oldR) // our local
+					d.release(arena.Left, oldL) // our local
+					d.release(arena.Left, oldRR)
 					// One node was deleted from each side (Figure 16).
 					d.count(telemetry.Left, telemetry.PhysicalDeletes, 1)
 					d.count(telemetry.Right, telemetry.PhysicalDeletes, 1)
 					return
 				}
 			}
-			d.release(oldL)
-			d.release(oldRR)
-			d.release(oldR)
+			d.release(arena.Left, oldL)
+			d.release(arena.Left, oldRR)
+			d.release(arena.Left, oldR)
 		}
 	}
 }

@@ -65,15 +65,6 @@ type node struct {
 	val  dcas.Loc
 }
 
-// sentinelSpacerSlots is the number of arena slots reserved between the
-// two sentinels at construction.  The deque's always-hot words are the
-// sentinels' inward pointers (SL.r and SR.l); with the sentinels allocated
-// back-to-back those words sit 48 bytes apart — inside one false-sharing
-// range — so every left-end operation would invalidate the line every
-// right-end operation spins on.  Two spacer node slots put the hot words
-// ≥ dcas.FalseSharingRange bytes apart for both node layouts.
-const sentinelSpacerSlots = 2
-
 // Deque is a linked-list-based unbounded deque.  All methods are safe for
 // concurrent use.  Create with New.
 type Deque struct {
@@ -165,11 +156,17 @@ func New(opts ...Option) *Deque {
 	if o.maxNodes < 3 {
 		panic("listdeque: need at least 3 nodes (two sentinels and an item)")
 	}
-	ar := arena.New[node](o.maxNodes+sentinelSpacerSlots, arena.WithReuse(o.reuse))
-	sl, ok1 := ar.Alloc()
-	_, okSp := ar.Reserve(sentinelSpacerSlots)
-	sr, ok2 := ar.Alloc()
-	if !ok1 || !okSp || !ok2 {
+	ar := arena.New[node](o.maxNodes, arena.WithReuse(o.reuse))
+	// The deque's always-hot words are the sentinels' inward pointers
+	// (SL.r and SR.l).  The arena's lanes carve from opposite ends of its
+	// index space, so allocating each sentinel on its own end's lane puts
+	// those words at opposite ends of the arena — in any arena of four or
+	// more nodes, at least dcas.FalseSharingRange bytes apart — and every
+	// left-end operation leaves alone the line every right-end operation
+	// spins on.  NewDummy and NewLFRC do the same.
+	sl, ok1 := ar.Alloc(arena.Left)
+	sr, ok2 := ar.Alloc(arena.Right)
+	if !ok1 || !ok2 {
 		panic("listdeque: sentinel allocation failed")
 	}
 	d := &Deque{
@@ -285,7 +282,7 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 		panic("listdeque: value collides with a distinguished word")
 	}
 	start := d.tstart()
-	idx, ok := d.ar.Alloc() // line 2: new Node()
+	idx, ok := d.ar.Alloc(arena.Right) // line 2: new Node()
 	if !ok {
 		d.note(telemetry.Right, telemetry.FullHits, 0, start)
 		return spec.Full // line 3
@@ -342,7 +339,7 @@ func (d *Deque) deleteRight() {
 				// deleted node's left neighbour point to each other
 				// (lines 9-12, Figure 15).
 				if d.prov.DCAS(srL, &lln.r, oldL, oldLLR, oldLL, d.srPtr) {
-					d.retire(delIdx)
+					d.retire(arena.Right, delIdx)
 					d.count(telemetry.Right, telemetry.PhysicalDeletes, 1)
 					return // line 13
 				}
@@ -354,8 +351,8 @@ func (d *Deque) deleteRight() {
 				// DCAS overlaps with a concurrent deleteLeft's DCAS on
 				// SL->R, so exactly one of them wins (Figure 16).
 				if d.prov.DCAS(srL, slR, oldL, oldR, d.slPtr, d.srPtr) {
-					d.retire(delIdx)
-					d.retire(tagptr.MustIdx(oldR))
+					d.retire(arena.Right, delIdx)
+					d.retire(arena.Right, tagptr.MustIdx(oldR))
 					// One node was deleted from each side (Figure 16).
 					d.count(telemetry.Right, telemetry.PhysicalDeletes, 1)
 					d.count(telemetry.Left, telemetry.PhysicalDeletes, 1)
@@ -411,7 +408,7 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 		panic("listdeque: value collides with a distinguished word")
 	}
 	start := d.tstart()
-	idx, ok := d.ar.Alloc()
+	idx, ok := d.ar.Alloc(arena.Left)
 	if !ok {
 		d.note(telemetry.Left, telemetry.FullHits, 0, start)
 		return spec.Full
@@ -457,7 +454,7 @@ func (d *Deque) deleteLeft() {
 			oldRRL := rrn.l.Load()
 			if tagptr.Ptr(oldR) == tagptr.Ptr(oldRRL) {
 				if d.prov.DCAS(slR, &rrn.l, oldR, oldRRL, oldRR, d.slPtr) {
-					d.retire(delIdx)
+					d.retire(arena.Left, delIdx)
 					d.count(telemetry.Left, telemetry.PhysicalDeletes, 1)
 					return
 				}
@@ -466,8 +463,8 @@ func (d *Deque) deleteLeft() {
 			oldL := srL.Load()
 			if tagptr.Deleted(oldL) {
 				if d.prov.DCAS(slR, srL, oldR, oldL, d.srPtr, d.slPtr) {
-					d.retire(delIdx)
-					d.retire(tagptr.MustIdx(oldL))
+					d.retire(arena.Left, delIdx)
+					d.retire(arena.Left, tagptr.MustIdx(oldL))
 					// One node was deleted from each side (Figure 16).
 					d.count(telemetry.Left, telemetry.PhysicalDeletes, 1)
 					d.count(telemetry.Right, telemetry.PhysicalDeletes, 1)
@@ -483,7 +480,8 @@ func (d *Deque) deleteLeft() {
 // node is retired exactly once.  In gc mode the storage is never reused,
 // reproducing the paper's garbage-collector assumption; in reuse mode the
 // node's generation advances so stale pointer words can never match a new
-// incarnation.
-func (d *Deque) retire(idx uint32) {
-	d.ar.Free(idx)
+// incarnation.  The node goes back through lane l, the end of the
+// operation whose splice retired it.
+func (d *Deque) retire(l arena.Lane, idx uint32) {
+	d.ar.Free(l, idx)
 }

@@ -126,9 +126,9 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				lk.Lock()
+				lk.Lock(0)
 				counter++
-				lk.Unlock()
+				lk.Unlock(0)
 			}
 		}()
 	}
@@ -141,17 +141,17 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 // TestSpinLockTryLock checks the non-blocking acquisition path.
 func TestSpinLockTryLock(t *testing.T) {
 	var lk spinLock
-	if !lk.TryLock() {
+	if !lk.TryLock(0) {
 		t.Fatal("TryLock on an unlocked lock failed")
 	}
-	if lk.TryLock() {
+	if lk.TryLock(0) {
 		t.Fatal("TryLock on a held lock succeeded")
 	}
-	lk.Unlock()
-	if !lk.TryLock() {
+	lk.Unlock(0)
+	if !lk.TryLock(0) {
 		t.Fatal("TryLock after Unlock failed")
 	}
-	lk.Unlock()
+	lk.Unlock(0)
 }
 
 // TestAssignIDs checks eager token assignment: idempotent, unique, and
@@ -159,7 +159,7 @@ func TestSpinLockTryLock(t *testing.T) {
 func TestAssignIDs(t *testing.T) {
 	var a, b Loc
 	AssignIDs(&a, &b)
-	ida, idb := a.id.Load(), b.id.Load()
+	ida, idb := a.lk.state.Load()>>idShift, b.lk.state.Load()>>idShift
 	if ida == 0 || idb == 0 {
 		t.Fatal("AssignIDs left a token unassigned")
 	}
@@ -167,10 +167,18 @@ func TestAssignIDs(t *testing.T) {
 		t.Fatalf("duplicate tokens: %d", ida)
 	}
 	AssignIDs(&a, &b) // idempotent
-	if a.id.Load() != ida || b.id.Load() != idb {
+	if a.lk.state.Load()>>idShift != ida || b.lk.state.Load()>>idShift != idb {
 		t.Fatal("AssignIDs reassigned an existing token")
 	}
-	if a.lockID() != ida {
-		t.Fatal("lockID disagrees with assigned token")
+	if a.ID() != ida || a.lockKey() != ida<<idShift {
+		t.Fatal("ID or lockKey disagrees with the assigned token")
+	}
+	// The token shares the lock word: taking and releasing the lock must
+	// leave it in place.
+	a.Store(1)
+	a.CAS(1, 2)
+	new(TwoLock).DCAS(&a, &b, 2, 0, 3, 4)
+	if a.ID() != ida || b.ID() != idb {
+		t.Fatalf("tokens %d, %d after locked operations, want %d, %d", a.ID(), b.ID(), ida, idb)
 	}
 }

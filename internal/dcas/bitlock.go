@@ -39,7 +39,7 @@ type BitLock struct {
 // bitOf maps a location to its lock bit.  The lock-ordering token is used
 // rather than the address because bit identity must be stable for the
 // location's lifetime and Go does not guarantee GC-stable addresses.
-func bitOf(l *Loc) uint64 { return 1 << (l.lockID() & 63) }
+func bitOf(l *Loc) uint64 { return 1 << (l.lockKey() >> idShift & 63) }
 
 // acquire takes ownership of every bit in bits, waiting while any of them
 // is held.  The fast path is a single test-and-set: an uncontended mask is

@@ -51,47 +51,47 @@ import (
 // (Section 2): Read_i(L), Write_i(L, v) and DCAS_i(L1, L2, ...).
 //
 // Layout: the value word leads so that the hot load path dereferences the
-// Loc's own address; the lock word and ordering token follow.  A Loc is
-// 24 bytes — deliberately unpadded, because aggregates embed many of them
-// (array cells, list nodes) and choose their own spacing; see PaddedLoc
-// for the padded form.
+// Loc's own address; the lock word, which also carries the ordering token,
+// follows.  A Loc is 16 bytes — deliberately unpadded, because aggregates
+// embed many of them (array cells, list nodes) and choose their own
+// spacing; see PaddedLoc for the padded form.
 type Loc struct {
-	v  atomic.Uint64
+	v atomic.Uint64
+	// lk is the location's lock.  Its word also holds a process-wide
+	// unique lock-ordering token, 0 meaning "not yet assigned".  Go
+	// provides no portable, GC-stable address order, so an explicit total
+	// order over locations is maintained instead.  Deque constructors
+	// assign tokens eagerly with AssignIDs, so on the DCAS hot path
+	// lockKey is a single atomic load plus an untaken branch; the lazy
+	// assignment below exists only for zero-value Locs that were never
+	// registered (and runs once per location ever — arena-recycled nodes
+	// keep their token across incarnations).
 	lk spinLock
-	// id is a process-wide unique lock-ordering token; 0 means "not yet
-	// assigned".  Go provides no portable, GC-stable address order, so an
-	// explicit total order over locations is maintained instead.  Deque
-	// constructors assign tokens eagerly with AssignIDs, so on the DCAS
-	// hot path lockID is a single atomic load plus an untaken branch; the
-	// lazy assignment below exists only for zero-value Locs that were
-	// never registered (and runs once per location ever — arena-recycled
-	// nodes keep their token across incarnations).
-	id atomic.Uint64
 }
 
 // locIDs hands out lock-ordering tokens; 0 means "not yet assigned".
 var locIDs atomic.Uint64
 
-// lockID returns the location's ordering token.  The steady-state path is
-// the single load; assignment is pushed out of line.
-func (l *Loc) lockID() uint64 {
-	id := l.id.Load()
-	if id == 0 {
-		id = l.assignID()
+// lockKey returns the location's lock word as loaded, assigning a token
+// first if it has none: the token above the lock bit, plus the lock bit
+// if the lock was held at the load.  The key is what the spinLock methods
+// take, and it orders locations exactly as their tokens do — distinct
+// tokens put two keys at least two apart, so the lock bit cannot reorder
+// them.  A word reads 0 only while unassigned (a location's lock is only
+// ever taken through its key).  The steady-state path is the single load;
+// assignment is pushed out of line.
+func (l *Loc) lockKey() uint64 {
+	w := l.lk.state.Load()
+	if w == 0 {
+		w = l.assignID()
 	}
-	return id
+	return w
 }
 
-// assignID gives the location a token on first use.
+// assignID gives the location a token on first use and returns its key.
 //
 //go:noinline
-func (l *Loc) assignID() uint64 {
-	id := locIDs.Add(1)
-	if l.id.CompareAndSwap(0, id) {
-		return id
-	}
-	return l.id.Load()
-}
+func (l *Loc) assignID() uint64 { return l.lk.setID(locIDs.Add(1)) }
 
 // AssignIDs eagerly assigns lock-ordering tokens to the given locations.
 // Constructors call it on every location they create (end counters, array
@@ -99,7 +99,7 @@ func (l *Loc) assignID() uint64 {
 // plus a CAS — never runs inside an operation's DCAS.  Idempotent.
 func AssignIDs(locs ...*Loc) {
 	for _, l := range locs {
-		if l.id.Load() == 0 {
+		if l.lk.state.Load() == 0 {
 			l.assignID()
 		}
 	}
@@ -109,7 +109,7 @@ func AssignIDs(locs ...*Loc) {
 // first use.  The token doubles as a stable identity for per-location
 // attribution (AttrStats): it survives arena recycling and is never
 // reused, so "location 7" means the same word for a deque's whole life.
-func (l *Loc) ID() uint64 { return l.lockID() }
+func (l *Loc) ID() uint64 { return l.lockKey() >> idShift }
 
 // Load atomically reads the location (Read_i(L) in the paper's model).
 func (l *Loc) Load() uint64 { return l.v.Load() }
@@ -118,9 +118,10 @@ func (l *Loc) Load() uint64 { return l.v.Load() }
 // model).  It acquires the location's lock so that it linearizes with any
 // in-flight DCAS touching the same location.
 func (l *Loc) Store(v uint64) {
-	l.lk.Lock()
+	k := l.lockKey()
+	l.lk.Lock(k)
 	l.v.Store(v)
-	l.lk.Unlock()
+	l.lk.Unlock(k)
 }
 
 // Init writes the location without acquiring its lock.  It must only be
@@ -145,12 +146,13 @@ func (l *Loc) RawStore(v uint64) { l.v.Store(v) }
 // operations on the same location.  (Baselines that never mix CAS with
 // DCAS, such as the ABP deque, use raw sync/atomic instead.)
 func (l *Loc) CAS(old, new uint64) bool {
-	l.lk.Lock()
+	k := l.lockKey()
+	l.lk.Lock(k)
 	ok := l.v.Load() == old
 	if ok {
 		l.v.Store(new)
 	}
-	l.lk.Unlock()
+	l.lk.Unlock(k)
 	return ok
 }
 
@@ -181,16 +183,17 @@ type Provider interface {
 // The zero value is ready to use.
 type TwoLock struct{}
 
-// lockPair acquires the locks of both locations in ID order.  On return
-// both locks are held; the caller must release both.
+// lockPair acquires the locks of both locations, whose keys are k1 and
+// k2, in token order.  On return both locks are held; the caller must
+// release both.
 //
 //dequevet:lockpath-transfers a1.lk a2.lk
-func (p *TwoLock) lockPair(a1, a2 *Loc) {
-	if a1.lockID() > a2.lockID() {
-		a1, a2 = a2, a1
+func (p *TwoLock) lockPair(a1, a2 *Loc, k1, k2 uint64) {
+	if k1 > k2 {
+		a1, a2, k1, k2 = a2, a1, k2, k1
 	}
-	a1.lk.Lock()
-	a2.lk.Lock()
+	a1.lk.Lock(k1)
+	a2.lk.Lock(k2)
 }
 
 // DCAS implements the weak form of Figure 1.
@@ -198,14 +201,15 @@ func (p *TwoLock) DCAS(a1, a2 *Loc, o1, o2, n1, n2 uint64) bool {
 	if a1 == a2 {
 		panic("dcas: DCAS requires two distinct locations")
 	}
-	p.lockPair(a1, a2)
+	k1, k2 := a1.lockKey(), a2.lockKey()
+	p.lockPair(a1, a2, k1, k2)
 	ok := a1.v.Load() == o1 && a2.v.Load() == o2
 	if ok {
 		a1.v.Store(n1)
 		a2.v.Store(n2)
 	}
-	a2.lk.Unlock()
-	a1.lk.Unlock()
+	a2.lk.Unlock(k2)
+	a1.lk.Unlock(k1)
 	return ok
 }
 
@@ -214,7 +218,8 @@ func (p *TwoLock) DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (v1, v2 uint64, o
 	if a1 == a2 {
 		panic("dcas: DCASView requires two distinct locations")
 	}
-	p.lockPair(a1, a2)
+	k1, k2 := a1.lockKey(), a2.lockKey()
+	p.lockPair(a1, a2, k1, k2)
 	v1 = a1.v.Load()
 	v2 = a2.v.Load()
 	ok = v1 == o1 && v2 == o2
@@ -222,8 +227,8 @@ func (p *TwoLock) DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (v1, v2 uint64, o
 		a1.v.Store(n1)
 		a2.v.Store(n2)
 	}
-	a2.lk.Unlock()
-	a1.lk.Unlock()
+	a2.lk.Unlock(k2)
+	a1.lk.Unlock(k1)
 	return v1, v2, ok
 }
 
@@ -256,8 +261,8 @@ type StripedMutex struct {
 // stripePair returns the stripes guarding the two locations, lowest
 // first; m2 is nil when both map to one stripe.
 func (p *StripedMutex) stripePair(a1, a2 *Loc) (m1, m2 *sync.Mutex) {
-	i1 := a1.lockID() & (mutexStripes - 1)
-	i2 := a2.lockID() & (mutexStripes - 1)
+	i1 := a1.lockKey() >> idShift & (mutexStripes - 1)
+	i2 := a2.lockKey() >> idShift & (mutexStripes - 1)
 	if i1 == i2 {
 		return &p.mus[i1], nil
 	}

@@ -48,6 +48,10 @@ type Ref = uint64
 // Nil is the null reference.
 const Nil Ref = 0
 
+// poolLane is the arena lane every pool allocation and free uses.  A pool
+// serves no deque end, so all its traffic shares one lane.
+const poolLane = arena.Left
+
 // object wraps a value with its reference count.
 type object[T any] struct {
 	rc  dcas.Loc
@@ -121,7 +125,7 @@ func (p *Pool[T]) Occupancy() arena.Occupancy { return p.ar.Occupancy() }
 // New allocates an object holding v with reference count 1 (the caller's
 // local reference).  ok is false if the pool is exhausted.
 func (p *Pool[T]) New(v T) (Ref, bool) {
-	idx, ok := p.ar.Alloc()
+	idx, ok := p.ar.Alloc(poolLane)
 	if !ok {
 		return Nil, false
 	}
@@ -203,7 +207,7 @@ func (p *Pool[T]) Release(r Ref) {
 				}
 				var zero T
 				obj.val = zero
-				p.ar.Free(idx)
+				p.ar.Free(poolLane, idx)
 				p.refFree()
 			}
 			break

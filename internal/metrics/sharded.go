@@ -12,7 +12,7 @@ package metrics
 // the histogram: per-shard atomic bucket counts (same log-linear
 // geometry, so shards merge exactly), shards padded apart, and a
 // recorder that picks its stripe either from its own stack address
-// (Record) or from a caller-supplied lane such as a scheduler worker
+// (Record, via StackLane) or from a caller-supplied lane such as a scheduler worker
 // index (RecordAt, which makes the shard single-writer and the
 // recording add uncontended).
 //
@@ -82,15 +82,26 @@ func NewShardedHistogram(shards int) *ShardedHistogram {
 	return h
 }
 
-// Record adds one observation, picking the stripe from the caller's
-// stack address (the telemetry Sink's goroutine-identity trick: stacks
-// are distinct allocations, so concurrent recorders overwhelmingly land
-// on different stripes).
-func (h *ShardedHistogram) Record(v uint64) {
+// StackLane picks the calling goroutine's stripe in [0, mask] (mask is
+// a power of two minus one) from the address of a variable on its stack.
+// Live goroutine stacks are distinct allocations of at least 2 KiB (the
+// runtime's minimum stack), so the address above bit 11 identifies the
+// stack, while the bits below it mostly say how deep the call is — nearly
+// the same for every recorder at one call site.  A Fibonacci
+// multiplicative hash of addr>>11 spreads neighbouring stacks across the
+// stripes.  A goroutine whose stack moves simply lands on another stripe:
+// only distribution, never correctness, depends on the choice.  Shared by
+// ShardedHistogram.Record and the telemetry Sink.
+func StackLane(mask uint32) uint32 {
 	var probe byte
-	p := uintptr(unsafe.Pointer(&probe)) >> 7
-	p ^= p >> 11 // fold higher stack-allocation entropy into the index bits
-	h.shards[uint32(p)&h.mask].record(v)
+	h := uint64(uintptr(unsafe.Pointer(&probe))>>11) * 0x9e3779b97f4a7c15 // 2⁶⁴/φ
+	return uint32(h>>32) & mask
+}
+
+// Record adds one observation, picking the stripe with StackLane, so
+// concurrent recorders overwhelmingly land on different stripes.
+func (h *ShardedHistogram) Record(v uint64) {
+	h.shards[StackLane(h.mask)].record(v)
 }
 
 // RecordAt adds one observation to the stripe for a caller-chosen lane

@@ -172,3 +172,48 @@ func TestHistogramSnapshotEmpty(t *testing.T) {
 		t.Fatalf("empty snapshot mean: %v", sn.Mean())
 	}
 }
+
+// TestStackLaneCollisions holds goroutines live at a barrier — so their
+// stacks are distinct allocations at once, as concurrent recorders' are —
+// and compares how often two of them pick the same stripe against the
+// birthday bound for uniformly random picks: g goroutines over s stripes
+// collide in g(g−1)/2s pairs on average.  A hash that ignores the bits
+// telling neighbouring stacks apart piles them onto a few stripes and
+// exceeds the bound many times over.
+func TestStackLaneCollisions(t *testing.T) {
+	const (
+		goroutines = 64
+		stripes    = 64
+	)
+	lanes := make([]uint32, goroutines)
+	var picked, done sync.WaitGroup
+	release := make(chan struct{})
+	picked.Add(goroutines)
+	done.Add(goroutines)
+	for g := range goroutines {
+		go func() {
+			defer done.Done()
+			lanes[g] = StackLane(stripes - 1)
+			picked.Done()
+			<-release // keep this stack live until every goroutine has picked
+		}()
+	}
+	picked.Wait()
+	close(release)
+	done.Wait()
+
+	perLane := map[uint32]int{}
+	pairs := 0
+	for _, l := range lanes {
+		pairs += perLane[l]
+		perLane[l]++
+	}
+	birthday := float64(goroutines*(goroutines-1)/2) / stripes
+	t.Logf("%d goroutines over %d stripes: %d colliding pairs (birthday bound %.1f), %d stripes used",
+		goroutines, stripes, pairs, birthday, len(perLane))
+	// Three times the mean is about eleven standard deviations above it
+	// for random picks; a degenerate hash collides in hundreds of pairs.
+	if float64(pairs) > 3*birthday {
+		t.Fatalf("%d colliding pairs, more than 3× the birthday bound %.1f: lanes %v", pairs, birthday, lanes)
+	}
+}

@@ -36,9 +36,9 @@ package telemetry
 import (
 	"runtime"
 	"sync/atomic"
-	"unsafe"
 
 	"dcasdeque/internal/dcas"
+	"dcasdeque/internal/metrics"
 )
 
 // End identifies the deque end an event is attributed to.
@@ -183,17 +183,10 @@ func NewSink() *Sink {
 	return &Sink{shards: make([]shard, n), mask: uint32(n - 1)}
 }
 
-// shard picks the recording goroutine's stripe.  Goroutine stacks are
-// distinct allocations, so the address of any stack variable is a cheap,
-// stable-enough goroutine identifier; bits below 7 are dropped because
-// they vary within one frame, not between goroutines.  A goroutine whose
-// stack moves simply lands on another stripe — only distribution, never
-// correctness, depends on the choice.
+// shard picks the recording goroutine's stripe from its stack address
+// (metrics.StackLane).
 func (s *Sink) shard() *shard {
-	var probe byte
-	h := uintptr(unsafe.Pointer(&probe)) >> 7
-	h ^= h >> 11 // fold higher stack-allocation entropy into the index bits
-	return &s.shards[uint32(h)&s.mask]
+	return &s.shards[metrics.StackLane(s.mask)]
 }
 
 // Op records one completed operation: outcome is Pushes, Pops, FullHits

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -115,42 +114,6 @@ func TestSinkConcurrent(t *testing.T) {
 	if sn.Left.Pushes != workers/2*per || sn.Right.Pushes != workers/2*per {
 		t.Fatalf("per-end split %d/%d, want %d each", sn.Left.Pushes, sn.Right.Pushes, workers/2*per)
 	}
-}
-
-// TestShardDistribution checks the stack-address shard picker actually
-// spreads goroutines across stripes on a multi-shard sink.  (Statistical:
-// with 64 goroutines and ≥2 shards, all landing on one stripe would mean
-// the hash is degenerate.)
-func TestShardDistribution(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("single-P schedule builds a 1-shard sink")
-	}
-	s := NewSink()
-	if len(s.shards) < 2 {
-		t.Skip("sink has one shard")
-	}
-	var wg sync.WaitGroup
-	hit := make([]int, 64)
-	for g := 0; g < 64; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			sh := s.shard()
-			for i := range s.shards {
-				if sh == &s.shards[i] {
-					hit[g] = i
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	first := hit[0]
-	for _, h := range hit {
-		if h != first {
-			return // at least two stripes used
-		}
-	}
-	t.Fatalf("all 64 goroutines hashed to shard %d of %d", first, len(s.shards))
 }
 
 func TestCounterAndEndNames(t *testing.T) {

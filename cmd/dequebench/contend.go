@@ -49,44 +49,49 @@ const (
 type contendVariant struct {
 	name     string
 	provider string
-	mk       func(st *dcas.Stats) *arraydeque.Deque
+	mk       func(st *dcas.AttrStats) *arraydeque.Deque
 }
 
 func contendVariants() []contendVariant {
-	wrap := func(p dcas.Provider, st *dcas.Stats) dcas.Provider {
+	// wrap and backoff attach the counters for the latency pass; the
+	// throughput trials pass nil and run the bare provider.
+	wrap := func(p dcas.Provider, st *dcas.AttrStats) dcas.Provider {
 		if st == nil {
 			return p
 		}
-		return dcas.Instrumented(p, st)
+		return dcas.InstrumentedAttr(p, st)
+	}
+	backoff := func(st *dcas.AttrStats) *dcas.BackoffPolicy {
+		bo := dcas.DefaultBackoff()
+		if st != nil {
+			bo.Stats = &st.Stats
+		}
+		return bo
 	}
 	return []contendVariant{
 		// The engineered cells keep the default packed cell layout: at 1
 		// CPU cell striding only grows the cache footprint (there is no
 		// cross-core line traffic to avoid), and the end indices already
 		// sit on private lines via the struct layout.
-		{"engineered", "endlock", func(st *dcas.Stats) *arraydeque.Deque {
-			bo := dcas.DefaultBackoff()
-			bo.Stats = st
+		{"engineered", "endlock", func(st *dcas.AttrStats) *arraydeque.Deque {
 			return arraydeque.New(contendCap,
 				arraydeque.WithProvider(wrap(new(dcas.EndLock), st)),
-				arraydeque.WithBackoff(bo))
+				arraydeque.WithBackoff(backoff(st)))
 		}},
-		{"bitlock", "bitlock", func(st *dcas.Stats) *arraydeque.Deque {
-			bo := dcas.DefaultBackoff()
-			bo.Stats = st
+		{"bitlock", "bitlock", func(st *dcas.AttrStats) *arraydeque.Deque {
 			return arraydeque.New(contendCap,
 				arraydeque.WithProvider(wrap(new(dcas.BitLock), st)),
-				arraydeque.WithBackoff(bo))
+				arraydeque.WithBackoff(backoff(st)))
 		}},
-		{"twolock-spin", "twolock", func(st *dcas.Stats) *arraydeque.Deque {
+		{"twolock-spin", "twolock", func(st *dcas.AttrStats) *arraydeque.Deque {
 			return arraydeque.New(contendCap,
 				arraydeque.WithProvider(wrap(new(dcas.TwoLock), st)))
 		}},
-		{"mutex-striped", "striped-mutex", func(st *dcas.Stats) *arraydeque.Deque {
+		{"mutex-striped", "striped-mutex", func(st *dcas.AttrStats) *arraydeque.Deque {
 			return arraydeque.New(contendCap,
 				arraydeque.WithProvider(wrap(new(dcas.StripedMutex), st)))
 		}},
-		{"global-lock", "global-mutex", func(st *dcas.Stats) *arraydeque.Deque {
+		{"global-lock", "global-mutex", func(st *dcas.AttrStats) *arraydeque.Deque {
 			return arraydeque.New(contendCap,
 				arraydeque.WithProvider(wrap(new(dcas.GlobalLock), st)))
 		}},
@@ -277,14 +282,15 @@ func expContend(o io, ops int, workers []int) {
 		for i, v := range vs {
 			cell := &cells[i]
 			cell.OpsPerSec = median(cell.Trials)
-			var st dcas.Stats
+			var st dcas.AttrStats
 			h := contendLatency(v.mk(&st), w, ops/4)
 			cell.P50Ns = h.Quantile(0.50)
 			cell.P99Ns = h.Quantile(0.99)
-			cell.DcasAttempts = st.Attempts.Load()
-			cell.DcasFailures = st.Failures.Load()
-			cell.BackoffSpins = st.BackoffSpins.Load()
-			cell.BackoffYields = st.BackoffYields.Load()
+			sn := st.Snapshot()
+			cell.DcasAttempts = sn.Attempts
+			cell.DcasFailures = sn.Failures
+			cell.BackoffSpins = sn.BackoffSpins
+			cell.BackoffYields = sn.BackoffYields
 			rep.Cells = append(rep.Cells, *cell)
 			switch v.name {
 			case "mutex-striped":

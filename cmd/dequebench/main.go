@@ -235,12 +235,12 @@ func expB6(o io, ops int, workers []int) {
 	t := metrics.NewTable("impl", "provider", "workers", "ops/s", "dcas", "dcas-failed")
 	for _, w := range workers {
 		for _, prov := range []string{"two-lock", "global"} {
-			var st dcas.Stats
+			var st dcas.AttrStats
 			var p dcas.Provider
 			if prov == "two-lock" {
-				p = dcas.Instrumented(new(dcas.TwoLock), &st)
+				p = dcas.InstrumentedAttr(new(dcas.TwoLock), &st)
 			} else {
-				p = dcas.Instrumented(new(dcas.GlobalLock), &st)
+				p = dcas.InstrumentedAttr(new(dcas.GlobalLock), &st)
 			}
 			impls := []struct {
 				name string
@@ -258,8 +258,9 @@ func expB6(o io, ops int, workers []int) {
 					fmt.Fprintln(os.Stderr, "b6:", err)
 					continue
 				}
+				sn := st.Snapshot()
 				t.AddRow(im.name, prov, w, res.Throughput.PerSecond(),
-					st.Attempts.Load(), st.Failures.Load())
+					sn.Attempts, sn.Failures)
 			}
 		}
 	}

@@ -11,8 +11,14 @@ import (
 // WithTelemetry enables per-end operation counters and DCAS contention
 // counters for the deque, readable through its Stats method.  Disabled
 // (the default) the hot path pays one nil check per operation; enabled,
-// counters are sharded and cache-line-padded so recording creates no new
-// contention between the two ends.
+// recording creates no new contention between the two ends.  Operation
+// counters are sharded and cache-line-padded per end.  DCAS attempts and
+// failures are counted per location in padded lanes chosen by each
+// DCAS's end word, so the two ends count into state of their own; the
+// aggregate DCAS totals are derived from those counts when Stats is
+// called.  Each lane names a bounded number of locations (the end word,
+// then the cells it finds room for) and folds the rest into an overflow
+// bucket, reported as location 0.
 //
 // For the array deque, enabling telemetry also routes DCAS through an
 // instrumented provider wrapper, which disables the inlined EndLock fast
@@ -94,7 +100,9 @@ type DCASStats struct {
 // LocationStats attribute DCAS traffic to one shared location word.  ID
 // is the location's internal ordering token — stable for the deque's
 // lifetime, so two snapshots can be diffed — with 0 identifying the
-// overflow bucket (locations beyond the attribution table's capacity).
+// overflow bucket (locations the attribution lanes had no room for).
+// Each end word claims its lane's entry on the end's first operation, so
+// it stays named however many cells the deque touches afterwards.
 type LocationStats struct {
 	ID       uint64 `json:"id"`
 	Attempts uint64 `json:"attempts"`
@@ -176,8 +184,8 @@ type instruments struct {
 }
 
 // newInstruments builds the enabled-telemetry state: a counter sink
-// (with latency histograms attached when requested) and a DCAS
-// attribution table.  Exporter registration is deferred to bind, which
+// (with latency histograms attached when requested) and the laned DCAS
+// attribution.  Exporter registration is deferred to bind, which
 // the constructor calls once the deque exists, so the registered entry
 // can include the deque's memory snapshotter.
 func newInstruments(name string, latency bool) *instruments {
@@ -196,7 +204,7 @@ func (in *instruments) bind(mem func() telemetry.MemSnapshot) {
 	if in == nil || in.name == "" {
 		return
 	}
-	in.unregister = telemetry.Register(in.name, in.sink, &in.dcas.Stats, mem)
+	in.unregister = telemetry.Register(in.name, in.sink, in.dcas.Snapshot, mem)
 }
 
 // stats assembles the public snapshot.

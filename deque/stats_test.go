@@ -3,6 +3,7 @@ package deque
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -84,13 +85,108 @@ func checkExercised(t *testing.T, st Stats, wantDCAS bool) {
 	if len(st.Locations) == 0 {
 		t.Fatal("no per-location attribution")
 	}
-	var locAttempts uint64
-	for _, l := range st.Locations {
-		locAttempts += l.Attempts
+}
+
+// completedOps is the sink's completed-operation total over both ends.
+func completedOps(st Stats) uint64 {
+	var n uint64
+	for _, e := range []EndStats{st.Left, st.Right} {
+		n += e.Pushes + e.Pops + e.FullHits + e.EmptyHits
 	}
-	// Every DCAS touches exactly two locations.
-	if locAttempts != 2*st.DCAS.Attempts {
-		t.Fatalf("location attempts = %d, want 2×%d", locAttempts, st.DCAS.Attempts)
+	return n
+}
+
+// TestStatsDCASMatchesOps cross-checks two independently counted layers.
+// The DCAS aggregates are derived from the per-location counts (so
+// "Σ per-location = 2 × attempts" holds by construction); the operation
+// counters come from the cores' commit sites.  On an uncontended array
+// history every operation — push, pop, full push and empty pop alike —
+// issues exactly one DCAS, and none fails.
+func TestStatsDCASMatchesOps(t *testing.T) {
+	d := NewArray[int](8, WithTelemetry())
+	for i := 0; i < 5; i++ {
+		if err := d.PushRight(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := d.PushLeft(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.PushLeft(9); err != ErrFull {
+		t.Fatalf("push onto a full deque: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := d.PopLeft(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.PopRight(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.PopRight(); err != ErrEmpty {
+		t.Fatalf("pop of a drained deque: %v", err)
+	}
+	st, _ := d.Stats()
+	if ops := completedOps(st); ops != 18 || st.DCAS.Attempts != ops {
+		t.Fatalf("DCAS attempts = %d, completed ops = %d, want both 18", st.DCAS.Attempts, ops)
+	}
+	if st.DCAS.Failures != 0 || st.DCAS.Successes != st.DCAS.Attempts {
+		t.Fatalf("uncontended history recorded DCAS failures: %+v", st.DCAS)
+	}
+}
+
+// TestStatsLocationsNameBothEnds: after one end has touched more cells
+// than an attribution table holds, both end words are still named in
+// Locations — the end that came second must not lose its anchor to the
+// overflow bucket.  An anchor's attempts cover every DCAS its end issued,
+// so each end's word is an entry with at least that end's op count.
+func TestStatsLocationsNameBothEnds(t *testing.T) {
+	const busy, quiet = 200, 50
+	for _, tc := range []struct {
+		name string
+		mk   func() Deque[int]
+	}{
+		{"array", func() Deque[int] { return NewArray[int](1024, WithTelemetry()) }},
+		{"list", func() Deque[int] { return NewList[int](WithTelemetry()) }},
+		{"dummy", func() Deque[int] { return NewList[int](WithDummyNodes(), WithTelemetry()) }},
+		{"lfrc", func() Deque[int] { return NewList[int](WithLFRC(), WithTelemetry()) }},
+	} {
+		for _, busyLeft := range []bool{false, true} {
+			name := tc.name + "/busy-right"
+			if busyLeft {
+				name = tc.name + "/busy-left"
+			}
+			t.Run(name, func(t *testing.T) {
+				d := tc.mk()
+				busyPush, quietPush := d.PushRight, d.PushLeft
+				if busyLeft {
+					busyPush, quietPush = d.PushLeft, d.PushRight
+				}
+				for i := 0; i < busy; i++ {
+					if err := busyPush(i); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < quiet; i++ {
+					if err := quietPush(i); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st, _ := d.(interface{ Stats() (Stats, bool) }).Stats()
+				var named []LocationStats
+				for _, l := range st.Locations {
+					if l.ID != 0 && l.Attempts >= quiet {
+						named = append(named, l)
+					}
+				}
+				if len(named) < 2 {
+					t.Fatalf("want both end words (≥%d attempts each) named, got %+v of %d locations",
+						quiet, named, len(st.Locations))
+				}
+			})
+		}
 	}
 }
 
@@ -306,6 +402,17 @@ func TestStatsExported(t *testing.T) {
 	body := rec.Body.String()
 	if !strings.Contains(body, "exported-test.right.pushes 1") {
 		t.Fatalf("handler output missing counter:\n%s", body)
+	}
+	// The exporter's DCAS lines come from the same derived snapshot as
+	// Stats().DCAS.
+	st, _ := d.Stats()
+	for _, want := range []string{
+		fmt.Sprintf("exported-test.dcas.attempts %d\n", st.DCAS.Attempts),
+		fmt.Sprintf("exported-test.dcas.failures %d\n", st.DCAS.Failures),
+	} {
+		if st.DCAS.Attempts == 0 || !strings.Contains(body, want) {
+			t.Fatalf("handler output missing %q (Stats().DCAS = %+v):\n%s", want, st.DCAS, body)
+		}
 	}
 	v := expvar.Get("dcasdeque")
 	if v == nil {

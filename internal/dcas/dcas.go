@@ -97,10 +97,25 @@ func (l *Loc) assignID() uint64 { return l.lk.setID(locIDs.Add(1)) }
 // Constructors call it on every location they create (end counters, array
 // cells, sentinels) so that token assignment — a contended global counter
 // plus a CAS — never runs inside an operation's DCAS.  Idempotent.
+//
+// One call reserves one block of consecutive tokens, and locs[i] gets the
+// block's i-th token (if it has none yet).  The spacing between a
+// constructor's locations is therefore fixed by argument position, and a
+// concurrent constructor cannot shift it: AttrStats relies on this to put
+// a deque's two end anchors in different lanes.
 func AssignIDs(locs ...*Loc) {
+	unassigned := false
 	for _, l := range locs {
+		unassigned = unassigned || l.lk.state.Load() == 0
+	}
+	if !unassigned {
+		return // recycled nodes keep their tokens: no global counter traffic
+	}
+	n := uint64(len(locs))
+	base := locIDs.Add(n) - n
+	for i, l := range locs {
 		if l.lk.state.Load() == 0 {
-			l.assignID()
+			l.lk.setID(base + 1 + uint64(i))
 		}
 	}
 }

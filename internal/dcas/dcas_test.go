@@ -295,8 +295,8 @@ func TestDCASEquivalentForms(t *testing.T) {
 }
 
 func TestInstrumentedCounts(t *testing.T) {
-	var st Stats
-	p := Instrumented(new(TwoLock), &st)
+	var st AttrStats
+	p := InstrumentedAttr(new(TwoLock), &st)
 	var a, b Loc
 	a.Init(1)
 	b.Init(2)
@@ -306,17 +306,18 @@ func TestInstrumentedCounts(t *testing.T) {
 	p.DCASView(&a, &b, 3, 4, 5, 6) // success
 	p.DCASView(&a, &b, 0, 0, 9, 9) // failure
 
-	if st.Attempts.Load() != 4 {
-		t.Fatalf("attempts = %d, want 4", st.Attempts.Load())
+	sn := st.Snapshot()
+	if sn.Attempts != 4 {
+		t.Fatalf("attempts = %d, want 4", sn.Attempts)
 	}
-	if st.Failures.Load() != 2 {
-		t.Fatalf("failures = %d, want 2", st.Failures.Load())
+	if sn.Failures != 2 {
+		t.Fatalf("failures = %d, want 2", sn.Failures)
 	}
-	if st.Successes() != 2 {
-		t.Fatalf("successes = %d, want 2", st.Successes())
+	if sn.Successes != 2 {
+		t.Fatalf("successes = %d, want 2", sn.Successes)
 	}
 	st.Reset()
-	if st.Attempts.Load() != 0 || st.Failures.Load() != 0 {
+	if sn := st.Snapshot(); sn.Attempts != 0 || sn.Failures != 0 {
 		t.Fatal("Reset did not zero counters")
 	}
 }

@@ -5,13 +5,23 @@ import (
 	"testing"
 )
 
+// TestStatsSnapshot: the aggregate counts are derived from the per-slot
+// counters, and the backoff counters are read from the embedded Stats.
 func TestStatsSnapshot(t *testing.T) {
-	var s Stats
-	s.Attempts.Add(10)
-	s.Failures.Add(3)
-	s.BackoffSpins.Add(40)
-	s.BackoffYields.Add(2)
-	sn := s.Snapshot()
+	var a, b Loc
+	a.Init(1)
+	b.Init(2)
+	var st AttrStats
+	p := InstrumentedAttr(&TwoLock{}, &st)
+	for i := 0; i < 7; i++ {
+		p.DCAS(&a, &b, 1, 2, 1, 2) // success, values unchanged
+	}
+	for i := 0; i < 3; i++ {
+		p.DCAS(&a, &b, 0, 0, 9, 9) // failure
+	}
+	st.BackoffSpins.Add(40)
+	st.BackoffYields.Add(2)
+	sn := st.Snapshot()
 	want := Snapshot{Attempts: 10, Failures: 3, Successes: 7, BackoffSpins: 40, BackoffYields: 2}
 	if sn != want {
 		t.Fatalf("Snapshot = %+v, want %+v", sn, want)
@@ -19,25 +29,26 @@ func TestStatsSnapshot(t *testing.T) {
 }
 
 // TestSuccessesClamped pins the underflow fix: when a Reset lands between
-// the Attempts and Failures loads, Failures can exceed Attempts and the
+// the attempts and failures loads, failures can exceed attempts and the
 // difference must clamp to zero, not wrap to ~2^64.
 func TestSuccessesClamped(t *testing.T) {
-	var s Stats
-	// Reproduce the interleaving directly: the reader has loaded
-	// Attempts=0 (post-Reset) while Failures still holds a pre-Reset
-	// value — equivalent to Failures > Attempts at the instant of the
-	// second load.
-	s.Failures.Add(5)
-	if got := s.Successes(); got != 0 {
-		t.Fatalf("Successes with Failures > Attempts = %d, want 0", got)
-	}
-	sn := s.Snapshot()
-	if sn.Successes != 0 {
-		t.Fatalf("Snapshot.Successes with Failures > Attempts = %d, want 0", sn.Successes)
+	var st AttrStats
+	// Reproduce the interleaving directly: the reader has loaded the
+	// attempts (zeroed by Reset) while a slot's failures still hold a
+	// pre-Reset value — equivalent to failures > attempts at the instant
+	// of the second load.
+	st.lane(1).slot(1).failures.Add(10)
+	if sn := st.Snapshot(); sn.Failures <= sn.Attempts || sn.Successes != 0 {
+		t.Fatalf("Snapshot with failures > attempts = %+v, want Successes 0", sn)
 	}
 
 	// And hammer the race for real: concurrent Resets while a reader
-	// spins on Successes must never observe a wrapped value.
+	// snapshots must never observe a wrapped value.
+	st.Reset()
+	var a, b Loc
+	a.Init(1)
+	b.Init(1)
+	p := InstrumentedAttr(&TwoLock{}, &st)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -48,14 +59,13 @@ func TestSuccessesClamped(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				s.Attempts.Add(1)
-				s.Failures.Add(1)
-				s.Reset()
+				p.DCAS(&a, &b, 0, 0, 0, 0) // always fails: values are 1
+				st.Reset()
 			}
 		}
 	}()
 	for i := 0; i < 100000; i++ {
-		if got := s.Successes(); got > 1<<32 {
+		if got := st.Snapshot().Successes; got > 1<<32 {
 			close(stop)
 			wg.Wait()
 			t.Fatalf("Successes wrapped: %d", got)
@@ -82,8 +92,8 @@ func TestAttrStats(t *testing.T) {
 		t.Fatal("matching DCASView failed")
 	}
 
-	if st.Attempts.Load() != 3 || st.Failures.Load() != 1 {
-		t.Fatalf("aggregate = %d/%d, want 3/1", st.Attempts.Load(), st.Failures.Load())
+	if sn := st.Snapshot(); sn.Attempts != 3 || sn.Failures != 1 {
+		t.Fatalf("aggregate = %d/%d, want 3/1", sn.Attempts, sn.Failures)
 	}
 	per := st.PerLocation()
 	if len(per) != 2 {
@@ -104,7 +114,7 @@ func TestAttrStats(t *testing.T) {
 	}
 
 	st.Reset()
-	if st.Attempts.Load() != 0 {
+	if st.Snapshot().Attempts != 0 {
 		t.Fatal("aggregate survived Reset")
 	}
 	for _, l := range st.PerLocation() {
@@ -114,12 +124,12 @@ func TestAttrStats(t *testing.T) {
 	}
 }
 
-// TestAttrStatsOverflow: more distinct locations than slots must fold
-// into the overflow bucket without losing counts.
+// TestAttrStatsOverflow: more distinct locations than the lanes have
+// slots must fold into the overflow buckets without losing counts.
 func TestAttrStatsOverflow(t *testing.T) {
 	var st AttrStats
 	p := InstrumentedAttr(&TwoLock{}, &st)
-	const locs = attrSlots + 16
+	const locs = attrLanes*attrSlots + 16
 	pairs := make([]Loc, 2*locs)
 	total := uint64(0)
 	for i := 0; i < locs; i++ {
@@ -147,7 +157,10 @@ func TestAttrStatsOverflow(t *testing.T) {
 		t.Fatalf("attributed %d attempts, want %d", sum, total)
 	}
 	if !sawOverflow {
-		t.Fatalf("%d locations through %d slots produced no overflow", 2*locs, attrSlots)
+		t.Fatalf("%d locations through %d slots produced no overflow", 2*locs, attrLanes*attrSlots)
+	}
+	if sn := st.Snapshot(); sn.Attempts != locs {
+		t.Fatalf("derived attempts = %d, want %d", sn.Attempts, locs)
 	}
 }
 
@@ -192,11 +205,12 @@ func TestPerLocationClampsResetRace(t *testing.T) {
 	var st AttrStats
 
 	// Model the mid-Reset state directly: attempts already zeroed,
-	// failures not yet.
-	s := st.slot(7)
+	// failures not yet.  The overflow bucket is reported as the sum over
+	// lanes, so its attempts and failures sit in different lanes.
+	s := st.lane(7).slot(7)
 	s.failures.Add(3)
-	st.overflow.attempts.Add(2)
-	st.overflow.failures.Add(5)
+	st.lane(0).overflow.attempts.Add(2)
+	st.lane(1).overflow.failures.Add(5)
 
 	locs := st.PerLocation()
 	if len(locs) != 2 {
@@ -257,4 +271,59 @@ func TestPerLocationClampsResetRace(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestLaneKey pins the lane key the external anchor test restates.
+func TestLaneKey(t *testing.T) {
+	for id := uint64(1); id < 3*attrLanes; id++ {
+		if got := laneOf(id); got != id%4 {
+			t.Fatalf("laneOf(%d) = %d, want %d: update lanes in lanes_test.go", id, got, id%4)
+		}
+	}
+}
+
+// TestAttrStatsLanes: two anchors in different lanes each keep their
+// home slot however many cells they are paired with, a miss past the
+// probe bound folds into the anchor's own lane, and a cell counted in
+// both lanes is reported once with its counts merged.
+func TestAttrStatsLanes(t *testing.T) {
+	var l, r Loc
+	AssignIDs(&l, &r)
+	if laneOf(l.ID()) == laneOf(r.ID()) {
+		t.Fatalf("anchors %d and %d share lane %d", l.ID(), r.ID(), laneOf(l.ID()))
+	}
+	var st AttrStats
+	p := InstrumentedAttr(&TwoLock{}, &st)
+	cells := make([]Loc, 4*attrSlots)
+	for i := range cells {
+		p.DCAS(&r, &cells[i], 0, 0, 0, 0) // right end sweeps every cell (all zero: succeeds)
+	}
+	for i := 0; i < 10; i++ {
+		p.DCAS(&l, &cells[0], 0, 0, 0, 0) // left end shares one cell
+	}
+	if n := len(cells); st.lane(r.ID()).overflow.attempts.Load() == 0 {
+		t.Fatalf("%d cells through one lane produced no overflow", n)
+	}
+	if got := st.lane(l.ID()).overflow.attempts.Load(); got != 0 {
+		t.Fatalf("left lane overflow = %d, want 0: the right end's misses leaked into it", got)
+	}
+	per := map[uint64]LocStats{}
+	for _, ls := range st.PerLocation() {
+		if _, dup := per[ls.ID]; dup {
+			t.Fatalf("location %d reported twice", ls.ID)
+		}
+		per[ls.ID] = ls
+	}
+	if got := per[r.ID()].Attempts; got != uint64(len(cells)) {
+		t.Fatalf("right anchor attempts = %d, want %d", got, len(cells))
+	}
+	if got := per[l.ID()].Attempts; got != 10 {
+		t.Fatalf("left anchor attempts = %d, want 10", got)
+	}
+	if got := per[cells[0].ID()].Attempts; got != 11 {
+		t.Fatalf("shared cell attempts = %d, want 11 merged across lanes", got)
+	}
+	if sn := st.Snapshot(); sn.Attempts != uint64(len(cells))+10 || sn.Failures != 0 {
+		t.Fatalf("derived aggregate = %+v, want %d attempts, none failed", sn, len(cells)+10)
+	}
 }

@@ -25,7 +25,7 @@ import (
 // entry identity rather than value equality.
 type entry struct {
 	sink  *Sink
-	dcas  *dcas.Stats
+	dcas  func() dcas.Snapshot
 	mem   func() MemSnapshot
 	sched *SchedSink
 	serve *ServeSink
@@ -38,17 +38,19 @@ var (
 )
 
 // Register exposes a deque's telemetry under the given name via the
-// expvar variable "dcasdeque" (and Handler).  st may be nil when the
-// deque has no instrumented DCAS provider; mem, when non-nil, is called
-// at snapshot time for the deque's memory-occupancy ledger and must be
-// safe to call concurrently.  Registering a name again replaces the
-// previous entry; the returned function unregisters it (idempotently, and
-// only while the entry is still the registered one).
-func Register(name string, sink *Sink, st *dcas.Stats, mem func() MemSnapshot) func() {
+// expvar variable "dcasdeque" (and Handler).  dcasSnap, when non-nil, is
+// called at snapshot time for the deque's DCAS counts (an
+// AttrStats.Snapshot, whose aggregates are derived rather than stored);
+// mem, when non-nil, is called at snapshot time for the deque's
+// memory-occupancy ledger.  Both must be safe to call concurrently.
+// Registering a name again replaces the previous entry; the returned
+// function unregisters it (idempotently, and only while the entry is
+// still the registered one).
+func Register(name string, sink *Sink, dcasSnap func() dcas.Snapshot, mem func() MemSnapshot) func() {
 	publishOnce.Do(func() {
 		expvar.Publish("dcasdeque", expvar.Func(exportAll))
 	})
-	return register(name, &entry{sink: sink, dcas: st, mem: mem})
+	return register(name, &entry{sink: sink, dcas: dcasSnap, mem: mem})
 }
 
 // RegisterSched exposes a scheduler's telemetry under the given name,
@@ -92,7 +94,7 @@ func snapshotAll() map[string]exportEntry {
 			ee.Telemetry = &sn
 		}
 		if e.dcas != nil {
-			sn := e.dcas.Snapshot()
+			sn := e.dcas()
 			ee.DCAS = &sn
 		}
 		if e.mem != nil {

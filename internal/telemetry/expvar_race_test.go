@@ -40,13 +40,15 @@ func TestExporterScrapeRace(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("race-deque-%d", g)
 			sink := telemetry.NewSink()
-			var st dcas.Stats
+			var st dcas.AttrStats
+			p := dcas.InstrumentedAttr(dcas.Default(), &st)
+			var a, b dcas.Loc
 			mem := func() telemetry.MemSnapshot { return telemetry.MemSnapshot{} }
 			for !stop.Load() {
-				unreg := telemetry.Register(name, sink, &st, mem)
+				unreg := telemetry.Register(name, sink, st.Snapshot, mem)
 				for i := 0; i < 64; i++ {
 					sink.Op(telemetry.Left, telemetry.Pushes, uint64(i%3))
-					st.Attempts.Add(1)
+					p.DCAS(&a, &b, 0, 0, 0, 0)
 				}
 				unreg()
 			}

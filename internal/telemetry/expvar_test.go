@@ -15,10 +15,8 @@ func TestExporter(t *testing.T) {
 	sink := NewSink()
 	sink.Op(Right, Pushes, 2)
 	sink.Op(Left, Pops, 0)
-	var st dcas.Stats
-	st.Attempts.Add(5)
-	st.Failures.Add(2)
-	unregister := Register("test_exporter_deque", sink, &st, nil)
+	st := func() dcas.Snapshot { return dcas.Snapshot{Attempts: 5, Failures: 2, Successes: 3} }
+	unregister := Register("test_exporter_deque", sink, st, nil)
 	defer unregister()
 
 	// The flat text endpoint.

@@ -159,6 +159,14 @@ type Server struct {
 // parks immediately; an idle server costs nothing until the first
 // request.  Call Shutdown to stop it.
 func New(opts ...Option) *Server {
+	s := newServer(opts...)
+	go s.pump()
+	return s
+}
+
+// newServer builds a server and starts its scheduler, but not its pump:
+// until the caller starts one, nothing else reads the tenant queues.
+func newServer(opts ...Option) *Server {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
@@ -201,7 +209,6 @@ func New(opts ...Option) *Server {
 	if cfg.name != "" {
 		s.unreg = telemetry.RegisterServe(cfg.name, s.sink)
 	}
-	go s.pump()
 	return s
 }
 

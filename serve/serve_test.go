@@ -272,14 +272,20 @@ func TestDrainDeadlineReleasesWaiters(t *testing.T) {
 }
 
 func TestWeightedRoundRobinSchedule(t *testing.T) {
-	s := New(WithTenants(
+	// No live pump while the test owns the queues: it fills them by hand
+	// and runs cycles with a capturing submit.  The pump starts only for
+	// Shutdown, once the leftovers are drained (they were never admitted,
+	// so the pump must not submit them).
+	s := newServer(WithTenants(
 		TenantConfig{Name: "gold", Weight: 3, QueueCap: 64},
 		TenantConfig{Name: "free", Weight: 1, QueueCap: 64},
 	))
-	defer shutdown(t, s)
-	// Stop the pump from racing this test's direct queue access: fill
-	// queues by hand and run cycles with a capturing submit.
-	// (The live pump is parked: nothing has pinged notify.)
+	defer func() {
+		for s.cycle(func(*pending) {}) {
+		}
+		go s.pump()
+		shutdown(t, s)
+	}()
 	for i := 0; i < 6; i++ {
 		for _, tn := range s.tenants {
 			if err := tn.queue.PushRight(&pending{t: tn, done: make(chan result, 1)}); err != nil {
@@ -304,9 +310,6 @@ func TestWeightedRoundRobinSchedule(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order %v, want %v", order, want)
 		}
-	}
-	// Drain the leftovers so shutdown's pump exit finds empty queues.
-	for s.cycle(func(*pending) {}) {
 	}
 }
 

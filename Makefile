@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race check vet-fixtures sched-stress sched-bench chaselev-bench latobs-bench soak-smoke soak serve-smoke serve-stress serve-bench
+.PHONY: all build lint test race check vet-fixtures sched-stress soak-smoke soak serve-smoke serve-stress serve-bench
 
 all: check
 
@@ -21,9 +21,11 @@ lint:
 vet-fixtures:
 	$(GO) test ./internal/analysis/... ./cmd/dequevet
 
+# Every test at one and two processors, then one iteration of every
+# benchmark family in bench_test.go so none of them rots.
 test:
-	$(GO) test ./...
-	$(GO) test -cpu 1,2 ./internal/arena ./deque
+	$(GO) test -cpu 1,2 ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu 1,2 .
 
 race:
 	$(GO) test -race -short ./...
@@ -32,22 +34,6 @@ race:
 # race-instrumented, the full certification is -sched-runs 10000).
 sched-stress:
 	$(GO) run -race ./cmd/dequestress -sched -sched-runs 300
-
-# Scheduler throughput benchmark: workloads × deque backends × worker
-# counts, written to BENCH_PR5.json.
-sched-bench:
-	$(GO) run ./cmd/dequebench -exp sched -workers 1,2,4,8 -json BENCH_PR5.json
-
-# Chase–Lev head-to-head: the same sched grid (the backend set includes
-# chaselev), committed as BENCH_PR6.json (EXPERIMENTS.md CHASELEV).
-chaselev-bench:
-	$(GO) run ./cmd/dequebench -exp sched -ops 50000 -workers 1,2,4,8 -json BENCH_PR6.json
-
-# Latency observability pricing: deque cells at off/telem/lat and sched
-# cells at off/lat/lat+trace, with the quantiles the lat cells buy,
-# written to BENCH_PR9.json (EXPERIMENTS.md LATOBS).
-latobs-bench:
-	$(GO) run ./cmd/dequebench -exp latobs -ops 30000 -workers 2,4 -json BENCH_PR9.json
 
 # Memory-bounded soak smoke (CI-required): 90 seconds of race-
 # instrumented churn split across every backend × workload cell, with
@@ -83,15 +69,14 @@ serve-smoke:
 	wait $$LOAD_PID || true; wait $$SERVE_PID
 
 # Randomized serve fault certification (CI runs 200 race-instrumented;
-# the full certificate is -serve-runs 1000, also embedded in the
-# dequebench serve report).
+# the full certificate is -serve-runs 1000).
 serve-stress:
 	$(GO) run -race ./cmd/dequestress -serve -serve-runs 200
 
-# Serving benchmark: closed-loop capacity calibration, open-loop sweep
-# at 0.5C/0.9C/1.5C per backend, and the fault certificate, written to
-# BENCH_SERVE.json (EXPERIMENTS.md SERVE).
+# Serve overload sweep: closed-loop capacity calibration, then open-loop
+# load at 0.5C/0.9C/1.5C per backend, printed as two tables
+# (EXPERIMENTS.md SERVE).
 serve-bench:
-	$(GO) run ./cmd/dequebench -exp serve -serve-duration 2s -serve-cert 1000 -json BENCH_SERVE.json
+	$(GO) run ./cmd/dequebench -duration 2s
 
 check: build lint test race

@@ -11,9 +11,15 @@
 //	B6  DCAS emulation ablation (two-lock vs global lock)
 //	B7  the optional-optimization ablation Section 3 calls for
 //	B8  reclamation ablation (gc / reuse / eager; bulk allocation [24])
+//
+// BenchmarkSched races the scheduler's deque backends on the fib(16)
+// fork-join tree.  End-to-end and per-layer speed claims rest on
+// perfbench (BENCHMARK.json); these families are the per-experiment
+// cells, run at -cpu 1,2.
 package dcasdeque_test
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,6 +34,7 @@ import (
 	"dcasdeque/internal/dcas"
 	"dcasdeque/internal/spec"
 	"dcasdeque/internal/workload"
+	"dcasdeque/sched"
 )
 
 // --- B1: primitive latencies -------------------------------------------
@@ -271,6 +278,22 @@ func BenchmarkDCASProviders(b *testing.B) {
 			}
 		})
 	}
+	// Every array provider on the disjoint-ends loop: a provider whose
+	// lock state is one shared word re-couples the two ends, which only
+	// shows with two processors (-cpu 2).
+	for _, p := range []struct {
+		name string
+		opts []deque.Option
+	}{
+		{"twolock", nil},
+		{"global", []deque.Option{deque.WithGlobalLockDCAS()}},
+		{"bitlock", []deque.Option{deque.WithBitLockDCAS()}},
+		{"endlock", []deque.Option{deque.WithEndLockDCAS()}},
+	} {
+		b.Run("ends2/"+p.name, func(b *testing.B) {
+			benchEnds2(b, deque.NewArray[int](1<<10, p.opts...))
+		})
+	}
 }
 
 // --- B7: the paper's optional-optimization ablation --------------------------
@@ -378,6 +401,36 @@ func BenchmarkReclamation(b *testing.B) {
 			}
 		})
 	})
+}
+
+// --- scheduler backends ------------------------------------------------------
+
+// BenchmarkSched runs one fib(16) fork-join tree per iteration on a
+// scheduler built with each deque backend, workers = GOMAXPROCS.
+func BenchmarkSched(b *testing.B) {
+	for _, bk := range []struct {
+		name string
+		opt  sched.Option
+	}{
+		{"chaselev", sched.WithChaseLev()},
+		{"array", sched.WithArrayDeques()},
+		{"list", sched.WithListDeques()},
+		{"mutex", sched.WithMutexDeques()},
+	} {
+		b.Run("fib16/"+bk.name, func(b *testing.B) {
+			s := sched.New(bk.opt)
+			defer func() {
+				if err := s.Shutdown(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}()
+			for i := 0; i < b.N; i++ {
+				if _, err := workload.RunSchedFib(s, 16); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // --- public API overhead --------------------------------------------------

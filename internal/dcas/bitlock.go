@@ -17,7 +17,8 @@ import "sync/atomic"
 // one word, so on large machines the mask line ping-pongs between cores
 // where TwoLock's per-location locks would stay core-local.  BitLock
 // therefore targets the low-core-count and oversubscribed regimes, TwoLock
-// the spatially-partitioned one; cmd/dequebench measures both.
+// the spatially-partitioned one; BenchmarkDCASProviders/ends2 measures
+// both on the array deque's two ends.
 //
 // The zero value is ready to use.  A BitLock value must not be copied
 // after first use.

@@ -121,8 +121,11 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Mode != "open" && cfg.Mode != "closed" {
 		return Result{}, fmt.Errorf("loadgen: mode must be open or closed, got %q", cfg.Mode)
 	}
-	if cfg.Mode == "open" && cfg.Rate <= 0 {
-		return Result{}, fmt.Errorf("loadgen: open loop needs -rate > 0")
+	// The open loop spaces arrivals a whole number of nanoseconds apart,
+	// so a rate it can schedule is finite, positive and at most 1e9/s.
+	// The negated comparison also rejects NaN.
+	if cfg.Mode == "open" && !(cfg.Rate > 0 && time.Duration(float64(time.Second)/cfg.Rate) > 0) {
+		return Result{}, fmt.Errorf("loadgen: open loop needs a rate in (0, 1e9] requests/s, got %v", cfg.Rate)
 	}
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 8

@@ -284,11 +284,4 @@ func TestTable(t *testing.T) {
 	if !strings.Contains(out, "123456.79") {
 		t.Fatalf("float formatting: %s", out)
 	}
-	csv := tb.CSV()
-	if !strings.HasPrefix(csv, "impl,threads,ops/s\n") {
-		t.Fatalf("CSV header: %s", csv)
-	}
-	if !strings.Contains(csv, "array,4,123456.79") {
-		t.Fatalf("CSV row: %s", csv)
-	}
 }

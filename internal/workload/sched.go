@@ -1,16 +1,9 @@
 package workload
 
-// Scheduler workloads: the three standard shapes the work-stealing
-// literature measures, self-checking (each verifies its exact task
-// count, so a benchmark run doubles as a conservation check).
-//
-//   - Fib: the exponential fork-join tree — deep spawn chains, LIFO
-//     locality, steals carrying large subtrees.  The ABP benchmark.
-//   - Fanout: N independent submissions — injector-heavy, embarrassing
-//     parallelism, measures distribution and parallel slack.
-//   - PingPong: chains of tasks each respawning its successor — no
-//     parallelism within a chain, so it measures spawn-to-run latency
-//     and park/wake churn when chains outnumber busy workers.
+// Scheduler workload: the fork-join fib tree, the standard shape the
+// work-stealing literature measures (deep spawn chains, LIFO locality,
+// steals carrying large subtrees; the ABP benchmark).  It verifies its
+// exact task count, so a benchmark run doubles as a conservation check.
 
 import (
 	"fmt"
@@ -25,14 +18,6 @@ import (
 type SchedResult struct {
 	Tasks   uint64 // tasks executed (verified against the exact expectation)
 	Elapsed time.Duration
-}
-
-// perSec reports task throughput.
-func (r SchedResult) PerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Tasks) / r.Elapsed.Seconds()
 }
 
 // RunSchedFib runs the fork-join fib(n) tree on s and verifies the
@@ -73,66 +58,4 @@ func fibOf(n int) uint64 {
 		a, b = b, a+b
 	}
 	return a
-}
-
-// RunSchedFanout submits n independent tasks, each spinning for `spin`
-// iterations, and verifies all n ran.
-func RunSchedFanout(s *sched.Scheduler, n, spin int) (SchedResult, error) {
-	var tasks atomic.Uint64
-	var sink atomic.Uint64
-	var wg sync.WaitGroup
-	start := time.Now()
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		if err := s.Submit(func(*sched.Worker) {
-			defer wg.Done()
-			var acc uint64
-			for j := 0; j < spin; j++ {
-				acc += uint64(j)
-			}
-			sink.Add(acc) // keep the spin from being optimized away
-			tasks.Add(1)
-		}); err != nil {
-			return SchedResult{}, err
-		}
-	}
-	wg.Wait()
-	res := SchedResult{Tasks: tasks.Load(), Elapsed: time.Since(start)}
-	if res.Tasks != uint64(n) {
-		return res, fmt.Errorf("fanout(%d): ran %d tasks", n, res.Tasks)
-	}
-	return res, nil
-}
-
-// RunSchedPingPong runs `chains` independent chains of `hops` tasks,
-// each task respawning its successor, and verifies chains·hops tasks
-// ran.
-func RunSchedPingPong(s *sched.Scheduler, chains, hops int) (SchedResult, error) {
-	var tasks atomic.Uint64
-	var wg sync.WaitGroup
-	var hop func(left int) sched.Task
-	hop = func(left int) sched.Task {
-		return func(w *sched.Worker) {
-			defer wg.Done()
-			tasks.Add(1)
-			if left > 1 {
-				wg.Add(1)
-				w.Spawn(hop(left - 1))
-			}
-		}
-	}
-	start := time.Now()
-	for c := 0; c < chains; c++ {
-		wg.Add(1)
-		if err := s.Submit(hop(hops)); err != nil {
-			return SchedResult{}, err
-		}
-	}
-	wg.Wait()
-	res := SchedResult{Tasks: tasks.Load(), Elapsed: time.Since(start)}
-	if want := uint64(chains) * uint64(hops); res.Tasks != want {
-		return res, fmt.Errorf("pingpong(%d×%d): ran %d tasks, want %d",
-			chains, hops, res.Tasks, want)
-	}
-	return res, nil
 }

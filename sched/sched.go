@@ -19,8 +19,8 @@
 // array deque of Section 3, the list deques of Section 4 (all three
 // reclamation variants), the native Chase–Lev work-stealing deque
 // (WithChaseLev — no DCAS emulation, the throughput backend) and the
-// mutex baseline all slot in — the sched experiment of dequebench
-// races them against each other under identical scheduling load.
+// mutex baseline all slot in — BenchmarkSched races them against each
+// other under identical scheduling load.
 //
 // Worker lifecycle is spin → yield → park: a worker that misses finds
 // work a few times retries hot, then yields the processor, then parks

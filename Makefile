@@ -21,10 +21,13 @@ lint:
 vet-fixtures:
 	$(GO) test ./internal/analysis/... ./cmd/dequevet
 
-# Every test at one and two processors, then one iteration of every
-# benchmark family in bench_test.go so none of them rots.
+# Every test at one and two processors, the scheduler's tests race-
+# instrumented at both (the CI step of the same name), then one
+# iteration of every benchmark family in bench_test.go so none of them
+# rots.
 test:
 	$(GO) test -cpu 1,2 ./...
+	$(GO) test -race -cpu 1,2 ./sched/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu 1,2 .
 
 race:

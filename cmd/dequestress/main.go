@@ -18,6 +18,9 @@
 // replayed through the checker as an end-to-end certification that the
 // recorded evidence itself linearizes.
 //
+// Every mode first prints one "env: num_cpu=… gomaxprocs=… go=…" line,
+// so a recorded certificate carries the parallelism it was earned at.
+//
 // -watch prints a live per-end telemetry line per implementation while
 // it is being stressed (DCAS-core implementations only; the baselines
 // carry no telemetry).
@@ -27,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -157,6 +161,9 @@ func certify(fr *telemetry.FlightRecorder, path string) error {
 
 func main() {
 	flag.Parse()
+	// A certificate is only as good as the parallelism it ran under:
+	// name it before any certificate line, in every mode.
+	fmt.Printf("env: num_cpu=%d gomaxprocs=%d go=%s\n", runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version())
 	if *schedFlag {
 		os.Exit(schedStress())
 	}

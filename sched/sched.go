@@ -32,10 +32,22 @@
 // side always observes the other and no wakeup is lost.
 //
 // Submission and shutdown linearize on a single "life" word holding a
-// drain bit and the count of accepted-but-unfinished tasks: Submit
-// joins via CAS (failing once the drain bit is set), tasks spawned by
-// running tasks join via unconditional increment (their parent's count
-// keeps the word live), and the decrement that moves the word to
+// drain bit and a pending count: Submit joins via CAS (failing once the
+// drain bit is set), and the state "draining, zero pending" is
+// quiescence, the workers' exit condition.  The running tasks do not
+// touch that shared word per task.  Each worker banks every task it
+// completes as one unit of owner-only credit; Spawn spends a credit
+// when it has one and only otherwise increments the word (the parent's
+// count keeps the word live, so no drain check is needed), and a worker
+// returns its whole credit in one subtraction each time it misses
+// finding work.  The invariant is
+//
+//	pending = unfinished tasks + Σ worker credits
+//
+// and since a worker flushes before it checks for quiescence, and
+// before it spins, yields or parks, credit is only ever held by a
+// worker that is still looking for work.  Quiescence therefore stays
+// one load of one word.  The subtraction that moves the word to
 // "draining, zero pending" wakes every parked worker so they observe
 // quiescence and exit.  Shutdown(ctx) therefore drains: every task
 // accepted before shutdown — and everything those tasks transitively
@@ -227,8 +239,12 @@ type Scheduler struct {
 	injector deque.Deque[Task]
 	sizes    []paddedCount // sizes[i] ≈ len(worker i's deque), for victim selection
 	injSize  atomic.Int64  // ≈ len(injector)
+	_        dcas.CacheLinePad
+	//dequevet:contended written by Submit, credit-less Spawns and credit flushes; padded off the lines every Spawn reads
 	//dequevet:packed pending:63 drain:1
-	life     atomic.Uint64
+	life atomic.Uint64
+	_    dcas.CacheLinePad
+	//dequevet:contended the block every Spawn reads: the idle stack head, sink, lat and tracing
 	idle     idleStack
 	sink     *telemetry.SchedSink
 	lat      bool // sink non-nil with latency enabled: stamp lifecycles
@@ -320,11 +336,12 @@ func (s *Scheduler) acquire() bool {
 	}
 }
 
-// release retires one pending task.  The decrement that lands the word
-// on exactly drainBit is the moment of quiescence — it wakes every
+// release retires n pending units: a rejected submission's acquire
+// (n = 1), or a worker's banked credit.  The subtraction that lands the
+// word on exactly drainBit is the moment of quiescence — it wakes every
 // parked worker so they observe it and exit.
-func (s *Scheduler) release() {
-	if s.life.Add(^uint64(0)) == drainBit {
+func (s *Scheduler) release(n uint64) {
+	if s.life.Add(-n) == drainBit {
 		s.wakeAll()
 	}
 }
@@ -349,7 +366,7 @@ func (s *Scheduler) TrySubmit(t Task) error {
 		// (WithInjector).  The release undoes acquire's pending count, so
 		// a rejected submission leaves nothing behind for Shutdown to
 		// drain.
-		s.release()
+		s.release(1)
 		return ErrSaturated
 	}
 	// Publish the work (size increment), then look for a parked worker:
@@ -382,7 +399,7 @@ func (s *Scheduler) Submit(t Task) error {
 func (s *Scheduler) Shutdown(ctx context.Context) error {
 	s.stopping.Do(func() {
 		// Raise the drain bit, observing the pending count of the same
-		// instant: if nothing was pending right then, no release() will
+		// instant: if nothing was pending right then, no release will
 		// ever run to announce quiescence, so announce it here.
 		//
 		// This stays a CAS loop instead of the one-line

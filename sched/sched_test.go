@@ -275,7 +275,9 @@ func TestKeepWakeParked(t *testing.T) {
 	// Simulate the tail of a batch steal: surplus re-pushed through
 	// keep(), exactly as a thief would.  The task is "already pending"
 	// from keep's point of view, so account for it on the life word the
-	// way the original Submit/Spawn would have.
+	// way Submit (or a Spawn with no credit) would have; the worker that
+	// runs it banks the unit as credit and returns it when it next
+	// misses work.
 	ran := make(chan int, 1)
 	s.life.Add(1)
 	s.workers[0].keep([]Task{func(w *Worker) { ran <- w.ID() }})

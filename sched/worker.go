@@ -18,6 +18,11 @@ type Worker struct {
 	dq   deque.Deque[Task]
 	rng  *rand.Rand
 	wake chan struct{}
+	// credit is the pending units this worker has banked from the tasks
+	// it completed and not yet returned to the life word (see the
+	// package comment's invariant).  Owner-only, like the right end of
+	// a Chase–Lev deque: only this worker's goroutine touches it.
+	credit uint64
 }
 
 func newWorker(s *Scheduler, id int, dq deque.Deque[Task]) *Worker {
@@ -44,15 +49,23 @@ func (w *Worker) size() *atomic.Int64 { return &w.s.sizes[w.id].v }
 
 // Spawn schedules a subtask from a running task: push to the owner's
 // right end (LIFO), overflowing to the injector and finally to inline
-// execution — a spawned task is never dropped.  The parent task's
-// pending count covers the life-word increment, so Spawn needs no
-// drain check: work spawned during a drain is part of the drain.
+// execution — a spawned task is never dropped.  Spawn may only be
+// called from a task that is running on w, because it spends w's
+// owner-only credit: the child's pending unit is a banked credit when
+// w holds one, and a life-word increment only when it does not.  The
+// parent task's pending count keeps the word live either way, so Spawn
+// needs no drain check: work spawned during a drain is part of the
+// drain.
 func (w *Worker) Spawn(t Task) {
 	if t == nil {
 		panic("sched: nil task")
 	}
 	s := w.s
-	s.life.Add(1)
+	if w.credit > 0 {
+		w.credit--
+	} else {
+		s.life.Add(1)
+	}
 	s.note(w.id, telemetry.SchedSpawns)
 	t = s.stamp(t, telemetry.SchedSubmitRun)
 	if err := w.dq.PushRight(t); err == nil {
@@ -68,15 +81,19 @@ func (w *Worker) Spawn(t Task) {
 	w.runTask(t) // everything full: run inline, the standard overflow response
 }
 
-// runTask executes one task and retires its pending count.
+// runTask executes one task and banks its pending unit as credit; the
+// loop returns the credit to the life word when it next misses work.
 func (w *Worker) runTask(t Task) {
 	w.s.note(w.id, telemetry.SchedRuns)
 	t(w)
-	w.s.release()
+	w.credit++
 }
 
 // loop is the worker lifecycle: run work while it lasts, then
-// spin → yield → park, and exit at quiescence.
+// spin → yield → park, and exit at quiescence.  Each miss first
+// returns the banked credit: a worker that spins, yields or parks
+// holds none, so no quiescence check, here or on another worker, waits
+// on credit that nobody is about to return.
 func (w *Worker) loop() {
 	defer w.s.wg.Done()
 	spin := w.s.cfg.spinRounds
@@ -86,6 +103,10 @@ func (w *Worker) loop() {
 			misses = 0
 			w.runTask(t)
 			continue
+		}
+		if w.credit > 0 {
+			w.s.release(w.credit)
+			w.credit = 0
 		}
 		if w.s.quiesced() {
 			w.s.wakeAll() // chain the announcement to still-parked workers
@@ -138,11 +159,12 @@ func (w *Worker) fromInjector() (Task, bool) {
 
 // keep queues surplus tasks (from a batch steal or injector drain) on
 // the worker's own deque, overflowing like Spawn but without touching
-// the life word — these tasks are already pending.  Locally queued
-// surplus is advertised with one wake: a parked worker whose only way
-// to this work is stealing it back must hear that it exists (the wake
-// then propagates — each woken thief keeps and advertises its own
-// surplus in turn, fanning one wakeup out across the backlog).
+// the life word or the credit — these tasks are already pending.
+// Locally queued surplus is advertised with one wake: a parked worker
+// whose only way to this work is stealing it back must hear that it
+// exists (the wake then propagates — each woken thief keeps and
+// advertises its own surplus in turn, fanning one wakeup out across
+// the backlog).
 func (w *Worker) keep(ts []Task) {
 	queued := false
 	for _, t := range ts {

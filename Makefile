@@ -21,13 +21,14 @@ lint:
 vet-fixtures:
 	$(GO) test ./internal/analysis/... ./cmd/dequevet
 
-# Every test at one and two processors, the scheduler's tests race-
-# instrumented at both (the CI step of the same name), then one
-# iteration of every benchmark family in bench_test.go so none of them
-# rots.
+# Every test at one and two processors, the scheduler's, the arena's and
+# the deques' tests race-instrumented at both (the CI steps of the same
+# names), then one iteration of every benchmark family in bench_test.go
+# so none of them rots.
 test:
 	$(GO) test -cpu 1,2 ./...
 	$(GO) test -race -cpu 1,2 ./sched/...
+	$(GO) test -race -cpu 1,2 ./internal/arena/... ./deque/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu 1,2 .
 
 race:

@@ -12,6 +12,8 @@
 //	B7  the optional-optimization ablation Section 3 calls for
 //	B8  reclamation ablation (gc / reuse / eager; bulk allocation [24])
 //
+// BenchmarkArena prices the slot arena's Put/Take round trip under the
+// public deques.
 // BenchmarkSched races the scheduler's deque backends on the fib(16)
 // fork-join tree.  End-to-end and per-layer speed claims rest on
 // perfbench (BENCHMARK.json); these families are the per-experiment
@@ -400,6 +402,42 @@ func BenchmarkReclamation(b *testing.B) {
 				}
 			}
 		})
+	})
+}
+
+// BenchmarkArena prices the slot arena's element round trip, Put then
+// Take, which every public push+pop pair pays on top of its DCASes.
+// roundtrip runs it on one lane; ends2 runs two goroutines, one per lane,
+// as the two ends of a deque would, and with the lanes on disjoint cache
+// lines it stays near roundtrip on two processors.  slot-B/elem is the
+// arena's footprint per element: the value plus its freelist link and
+// generation.
+func BenchmarkArena(b *testing.B) {
+	b.Run("roundtrip", func(b *testing.B) {
+		a := arena.New[int](1 << 10)
+		for i := 0; i < b.N; i++ {
+			if h, ok := a.Put(arena.Right, i); ok {
+				a.Take(arena.Right, h)
+			}
+		}
+		b.ReportMetric(float64(a.SlotBytes()), "slot-B/elem")
+	})
+	b.Run("ends2", func(b *testing.B) {
+		a := arena.New[int](1 << 10)
+		var wg sync.WaitGroup
+		for _, l := range []arena.Lane{arena.Left, arena.Right} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < b.N; i++ {
+					if h, ok := a.Put(l, i); ok {
+						a.Take(l, h)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		b.ReportMetric(float64(a.SlotBytes()), "slot-B/elem")
 	})
 }
 

@@ -86,41 +86,17 @@ func (d *Array[T]) CloseTelemetry() { d.inst.close() }
 // Cap reports the deque's capacity.
 func (d *Array[T]) Cap() int { return d.core.Cap() }
 
-// box stores v in a fresh slot and returns its non-zero handle word.
-func (d *Array[T]) box(l arena.Lane, v T) (uint64, bool) {
-	idx, ok := d.slots.Alloc(l)
-	if !ok {
-		return 0, false
-	}
-	*d.slots.Get(idx) = v
-	return d.slots.Handle(idx), true
-}
-
-// unbox retrieves and releases the slot behind a popped handle.
-func (d *Array[T]) unbox(l arena.Lane, h uint64) T {
-	idx, ok := d.slots.Resolve(h)
-	if !ok {
-		panic("deque: popped handle does not resolve (corrupt state)")
-	}
-	p := d.slots.Get(idx)
-	v := *p
-	var zero T
-	*p = zero // do not retain references in recycled slots
-	d.slots.Free(l, idx)
-	return v
-}
-
 // PushLeft implements Deque.
 func (d *Array[T]) PushLeft(v T) error {
 	if err := d.admit(); err != nil {
 		return err
 	}
-	h, ok := d.box(arena.Left, v)
+	h, ok := d.slots.Put(arena.Left, v)
 	if !ok {
 		return ErrFull
 	}
 	if d.core.PushLeft(h) == spec.Full {
-		d.releaseUnpushed(arena.Left, h)
+		take(d.slots, arena.Left, h)
 		return ErrFull
 	}
 	return nil
@@ -131,26 +107,15 @@ func (d *Array[T]) PushRight(v T) error {
 	if err := d.admit(); err != nil {
 		return err
 	}
-	h, ok := d.box(arena.Right, v)
+	h, ok := d.slots.Put(arena.Right, v)
 	if !ok {
 		return ErrFull
 	}
 	if d.core.PushRight(h) == spec.Full {
-		d.releaseUnpushed(arena.Right, h)
+		take(d.slots, arena.Right, h)
 		return ErrFull
 	}
 	return nil
-}
-
-// releaseUnpushed frees the slot of a handle that never entered the deque.
-func (d *Array[T]) releaseUnpushed(l arena.Lane, h uint64) {
-	idx, ok := d.slots.Resolve(h)
-	if !ok {
-		panic("deque: unpushed handle does not resolve")
-	}
-	var zero T
-	*d.slots.Get(idx) = zero
-	d.slots.Free(l, idx)
 }
 
 // PopLeft implements Deque.
@@ -160,7 +125,7 @@ func (d *Array[T]) PopLeft() (T, error) {
 		var zero T
 		return zero, ErrEmpty
 	}
-	return d.unbox(arena.Left, h), nil
+	return take(d.slots, arena.Left, h), nil
 }
 
 // PopRight implements Deque.
@@ -170,7 +135,7 @@ func (d *Array[T]) PopRight() (T, error) {
 		var zero T
 		return zero, ErrEmpty
 	}
-	return d.unbox(arena.Right, h), nil
+	return take(d.slots, arena.Right, h), nil
 }
 
 // Items returns the deque's contents left to right.  It must only be
@@ -180,15 +145,7 @@ func (d *Array[T]) Items() ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, 0, len(hs))
-	for _, h := range hs {
-		idx, ok := d.slots.Resolve(h)
-		if !ok {
-			panic("deque: stored handle does not resolve")
-		}
-		out = append(out, *d.slots.Get(idx))
-	}
-	return out, nil
+	return peekAll(d.slots, hs), nil
 }
 
 var _ Deque[int] = (*Array[int])(nil)

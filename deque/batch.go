@@ -10,11 +10,35 @@ import (
 // proportionally huge allocation; the drain loops in chunks instead.
 const popManyChunk = 256
 
+// take returns the element behind a handle the core handed back and
+// frees its slot through lane l.  A handle that does not resolve means
+// the deque's state is corrupt.
+func take[T any](slots *arena.Arena[T], l arena.Lane, h uint64) T {
+	v, ok := slots.Take(l, h)
+	if !ok {
+		panic("deque: handle does not resolve (corrupt state)")
+	}
+	return v
+}
+
+// peekAll returns the elements behind a core's handle snapshot, freeing
+// nothing.
+func peekAll[T any](slots *arena.Arena[T], hs []uint64) []T {
+	out := make([]T, 0, len(hs))
+	for _, h := range hs {
+		idx, ok := slots.Resolve(h)
+		if !ok {
+			panic("deque: stored handle does not resolve")
+		}
+		out = append(out, *slots.Get(idx))
+	}
+	return out
+}
+
 // popMany implements the PopLMany/PopRMany contract over a core-level
-// batch pop and the implementation's unboxer: transfer up to max
-// handles, unbox each on the popping end's arena lane, stop early at
-// empty.
-func popMany[T any](max int, pop func([]uint64) int, l arena.Lane, unbox func(arena.Lane, uint64) T) []T {
+// batch pop: transfer up to max handles, take each from the slot arena
+// on the popping end's lane, stop early at empty.
+func popMany[T any](max int, pop func([]uint64) int, slots *arena.Arena[T], l arena.Lane) []T {
 	if max <= 0 {
 		return nil
 	}
@@ -30,7 +54,7 @@ func popMany[T any](max int, pop func([]uint64) int, l arena.Lane, unbox func(ar
 			out = make([]T, 0, n)
 		}
 		for _, h := range buf[:n] {
-			out = append(out, unbox(l, h))
+			out = append(out, take(slots, l, h))
 		}
 		if n < want {
 			break // the deque went empty mid-chunk
@@ -41,22 +65,22 @@ func popMany[T any](max int, pop func([]uint64) int, l arena.Lane, unbox func(ar
 
 // PopLMany implements Deque.
 func (d *Array[T]) PopLMany(max int) []T {
-	return popMany(max, d.core.PopLeftMany, arena.Left, d.unbox)
+	return popMany(max, d.core.PopLeftMany, d.slots, arena.Left)
 }
 
 // PopRMany implements Deque.
 func (d *Array[T]) PopRMany(max int) []T {
-	return popMany(max, d.core.PopRightMany, arena.Right, d.unbox)
+	return popMany(max, d.core.PopRightMany, d.slots, arena.Right)
 }
 
 // PopLMany implements Deque.
 func (d *List[T]) PopLMany(max int) []T {
-	return popMany(max, d.core.PopLeftMany, arena.Left, d.unbox)
+	return popMany(max, d.core.PopLeftMany, d.slots, arena.Left)
 }
 
 // PopRMany implements Deque.
 func (d *List[T]) PopRMany(max int) []T {
-	return popMany(max, d.core.PopRightMany, arena.Right, d.unbox)
+	return popMany(max, d.core.PopRightMany, d.slots, arena.Right)
 }
 
 // PopLMany implements Deque.  The whole batch drains under a single

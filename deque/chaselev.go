@@ -95,30 +95,6 @@ func (d *ChaseLev[T]) CloseTelemetry() { d.inst.close() }
 // hold before pushes fail with ErrFull.
 func (d *ChaseLev[T]) Cap() int { return d.slots.Cap() }
 
-// box stores v in a fresh slot and returns its non-zero handle word.
-func (d *ChaseLev[T]) box(l arena.Lane, v T) (uint64, bool) {
-	idx, ok := d.slots.Alloc(l)
-	if !ok {
-		return 0, false
-	}
-	*d.slots.Get(idx) = v
-	return d.slots.Handle(idx), true
-}
-
-// unbox retrieves and releases the slot behind a popped handle.
-func (d *ChaseLev[T]) unbox(l arena.Lane, h uint64) T {
-	idx, ok := d.slots.Resolve(h)
-	if !ok {
-		panic("deque: popped handle does not resolve (corrupt state)")
-	}
-	p := d.slots.Get(idx)
-	v := *p
-	var zero T
-	*p = zero // do not retain references in recycled slots
-	d.slots.Free(l, idx)
-	return v
-}
-
 // PushLeft implements Deque.  Chase–Lev has no left push (the paper's
 // deque is single-ended-push); it always returns ErrUnsupported without
 // touching the deque.
@@ -131,7 +107,7 @@ func (d *ChaseLev[T]) PushRight(v T) error {
 	if err := d.admit(); err != nil {
 		return err
 	}
-	h, ok := d.box(arena.Right, v)
+	h, ok := d.slots.Put(arena.Right, v)
 	if !ok {
 		return ErrFull
 	}
@@ -146,7 +122,7 @@ func (d *ChaseLev[T]) PopLeft() (T, error) {
 		var zero T
 		return zero, ErrEmpty
 	}
-	return d.unbox(arena.Left, h), nil
+	return take(d.slots, arena.Left, h), nil
 }
 
 // PopRight implements Deque.  OWNER-ONLY: see the type comment.
@@ -156,7 +132,7 @@ func (d *ChaseLev[T]) PopRight() (T, error) {
 		var zero T
 		return zero, ErrEmpty
 	}
-	return d.unbox(arena.Right, h), nil
+	return take(d.slots, arena.Right, h), nil
 }
 
 // PopLMany implements Deque, strengthening its contract: each core
@@ -176,12 +152,12 @@ func (d *ChaseLev[T]) PopLMany(max int) []T {
 			n += k
 		}
 		return n
-	}, arena.Left, d.unbox)
+	}, d.slots, arena.Left)
 }
 
 // PopRMany implements Deque.  OWNER-ONLY: a batch of owner pops.
 func (d *ChaseLev[T]) PopRMany(max int) []T {
-	return popMany(max, d.core.PopRightMany, arena.Right, d.unbox)
+	return popMany(max, d.core.PopRightMany, d.slots, arena.Right)
 }
 
 // Items returns the deque's contents left to right.  It must only be
@@ -191,15 +167,7 @@ func (d *ChaseLev[T]) Items() ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, 0, len(hs))
-	for _, h := range hs {
-		idx, ok := d.slots.Resolve(h)
-		if !ok {
-			panic("deque: stored handle does not resolve")
-		}
-		out = append(out, *d.slots.Get(idx))
-	}
-	return out, nil
+	return peekAll(d.slots, hs), nil
 }
 
 var _ Deque[int] = (*ChaseLev[int])(nil)

@@ -257,3 +257,41 @@ func TestMemoryBoundCompaction(t *testing.T) {
 		}
 	}
 }
+
+// TestMutexLedgerAudit seeds the two halves a release can drop in the
+// Mutex baseline — a slot lost from the free channel, and a release
+// counted without its slot coming back — and checks that Mem's audit
+// (slots − free == Live) rejects each while a clean history passes.
+func TestMutexLedgerAudit(t *testing.T) {
+	d := NewMutex[int](8)
+	held := 0
+	for i := 0; i < 100; i++ {
+		if d.PushRight(i) == nil { // ErrFull once 8 are held
+			held++
+		}
+		if i%3 != 0 {
+			continue
+		}
+		if _, err := d.PopLeft(); err == nil {
+			held--
+		}
+	}
+	m := d.Mem()
+	if err := m.Conserved(); err != nil {
+		t.Fatalf("clean history: %v", err)
+	}
+	if m.Slots.Live != int64(held) {
+		t.Fatalf("Live = %d, want the deque's length %d", m.Slots.Live, held)
+	}
+
+	lost := <-d.free // neither free nor counted live
+	if err := d.Mem().Conserved(); err == nil {
+		t.Fatal("audit accepted a slot lost from the free channel")
+	}
+	d.free <- lost
+
+	d.memFrees.Add(1) // a release counted, its slot never returned
+	if err := d.Mem().Conserved(); err == nil {
+		t.Fatal("audit accepted a release whose slot never came back")
+	}
+}

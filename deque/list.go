@@ -24,6 +24,8 @@ type listCore interface {
 	Compact()
 	// Occupancy returns the node arena's allocation ledger.
 	Occupancy() arena.Occupancy
+	// LiveNodes reports the node arena's live count in O(1).
+	LiveNodes() int
 }
 
 // List is the unbounded linked-list DCAS deque of Section 4, carrying
@@ -131,49 +133,17 @@ func (d *List[T]) Stats() (Stats, bool) {
 // exporter entry is dropped.  Safe to call regardless of configuration.
 func (d *List[T]) CloseTelemetry() { d.inst.close() }
 
-func (d *List[T]) box(l arena.Lane, v T) (uint64, bool) {
-	idx, ok := d.slots.Alloc(l)
-	if !ok {
-		return 0, false
-	}
-	*d.slots.Get(idx) = v
-	return d.slots.Handle(idx), true
-}
-
-func (d *List[T]) unbox(l arena.Lane, h uint64) T {
-	idx, ok := d.slots.Resolve(h)
-	if !ok {
-		panic("deque: popped handle does not resolve (corrupt state)")
-	}
-	p := d.slots.Get(idx)
-	v := *p
-	var zero T
-	*p = zero
-	d.slots.Free(l, idx)
-	return v
-}
-
-func (d *List[T]) releaseUnpushed(l arena.Lane, h uint64) {
-	idx, ok := d.slots.Resolve(h)
-	if !ok {
-		panic("deque: unpushed handle does not resolve")
-	}
-	var zero T
-	*d.slots.Get(idx) = zero
-	d.slots.Free(l, idx)
-}
-
 // PushLeft implements Deque.
 func (d *List[T]) PushLeft(v T) error {
 	if err := d.admit(); err != nil {
 		return err
 	}
-	h, ok := d.box(arena.Left, v)
+	h, ok := d.slots.Put(arena.Left, v)
 	if !ok {
 		return ErrFull
 	}
 	if d.core.PushLeft(h) == spec.Full {
-		d.releaseUnpushed(arena.Left, h)
+		take(d.slots, arena.Left, h)
 		return ErrFull
 	}
 	return nil
@@ -184,12 +154,12 @@ func (d *List[T]) PushRight(v T) error {
 	if err := d.admit(); err != nil {
 		return err
 	}
-	h, ok := d.box(arena.Right, v)
+	h, ok := d.slots.Put(arena.Right, v)
 	if !ok {
 		return ErrFull
 	}
 	if d.core.PushRight(h) == spec.Full {
-		d.releaseUnpushed(arena.Right, h)
+		take(d.slots, arena.Right, h)
 		return ErrFull
 	}
 	return nil
@@ -202,7 +172,7 @@ func (d *List[T]) PopLeft() (T, error) {
 		var zero T
 		return zero, ErrEmpty
 	}
-	return d.unbox(arena.Left, h), nil
+	return take(d.slots, arena.Left, h), nil
 }
 
 // PopRight implements Deque.
@@ -212,7 +182,7 @@ func (d *List[T]) PopRight() (T, error) {
 		var zero T
 		return zero, ErrEmpty
 	}
-	return d.unbox(arena.Right, h), nil
+	return take(d.slots, arena.Right, h), nil
 }
 
 // Compact completes the deque's deferred physical deletions on both
@@ -230,15 +200,7 @@ func (d *List[T]) Items() ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, 0, len(hs))
-	for _, h := range hs {
-		idx, ok := d.slots.Resolve(h)
-		if !ok {
-			panic("deque: stored handle does not resolve")
-		}
-		out = append(out, *d.slots.Get(idx))
-	}
-	return out, nil
+	return peekAll(d.slots, hs), nil
 }
 
 var _ Deque[int] = (*List[int])(nil)

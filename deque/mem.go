@@ -1,18 +1,22 @@
 package deque
 
 import (
+	"fmt"
+
 	"dcasdeque/internal/arena"
 	"dcasdeque/internal/telemetry"
 )
 
 // ArenaStats is one internal arena's allocation ledger: the occupancy
-// counters behind the conservation invariant
+// counters, with Live derived from them as
 //
-//	Allocs == Live + Frees + Retired
+//	Live == Allocs − Frees − Retired
 //
-// plus the live high-water mark and slab footprint.  Snapshots taken
-// while operations are in flight may straddle one (the counters are read
-// individually); quiescent snapshots are exact.
+// plus the live high-water mark, the slab footprint and the verdict of a
+// structural audit that checks Live against the arena's freelists or slot
+// generations (see Conserved).  Snapshots taken while operations are in
+// flight may straddle one (the counters are read individually); quiescent
+// snapshots are exact.
 //
 // The counters are sums over the arena's two lanes, one per deque end.
 // HighWater in reuse mode is the number of slots ever carved fresh: an
@@ -21,15 +25,16 @@ import (
 // it is an upper bound on that peak.  In gc mode (no recycling) it is
 // the maximum of Live observed at allocations.
 type ArenaStats struct {
-	Allocs    uint64 `json:"allocs"`     // successful allocations
-	Frees     uint64 `json:"frees"`      // slots recycled through the freelist
-	Retired   uint64 `json:"retired"`    // slots permanently retired (gc mode)
-	Live      int64  `json:"live"`       // currently allocated slots
-	HighWater int64  `json:"high_water"` // peak Live: slots carved (reuse mode), max Live (gc mode)
-	Slabs     uint64 `json:"slabs"`      // storage blocks published (monotone)
-	SlabBytes uint64 `json:"slab_bytes"` // bytes held by published blocks
-	SlotBytes uint64 `json:"slot_bytes"` // per-slot footprint
-	Cap       uint64 `json:"cap"`        // slot capacity
+	Allocs    uint64 `json:"allocs"`          // successful allocations
+	Frees     uint64 `json:"frees"`           // slots recycled through the freelist
+	Retired   uint64 `json:"retired"`         // slots permanently retired (gc mode)
+	Live      int64  `json:"live"`            // currently allocated slots: Allocs − Frees − Retired
+	HighWater int64  `json:"high_water"`      // peak Live: slots carved (reuse mode), max Live (gc mode)
+	Slabs     uint64 `json:"slabs"`           // storage blocks published (monotone)
+	SlabBytes uint64 `json:"slab_bytes"`      // bytes held by published blocks
+	SlotBytes uint64 `json:"slot_bytes"`      // per-slot footprint
+	Cap       uint64 `json:"cap"`             // slot capacity
+	Audit     string `json:"audit,omitempty"` // where the structure disagreed with Live; "" when it agreed
 }
 
 // RingStats is the Chase–Lev backend's ring-chain ledger.  Rings retire
@@ -54,7 +59,9 @@ type MemStats struct {
 }
 
 // Conserved checks every component's conservation invariant, returning
-// nil when all hold.  Exact only on quiescent snapshots; see ArenaStats.
+// nil when all hold: each arena's structural audit accounts for its Live,
+// and the ring chain is whole.  Exact only on quiescent snapshots; see
+// ArenaStats.
 func (m MemStats) Conserved() error { return m.snapshot().Conserved() }
 
 // LiveBytes estimates the bytes held live: live slots across every arena
@@ -131,8 +138,7 @@ func (d *Array[T]) memSnapshot() telemetry.MemSnapshot {
 }
 
 func (d *Array[T]) liveBytes() uint64 {
-	o := d.slots.Occupancy()
-	return o.LiveBytes()
+	return uint64(d.slots.Live()) * d.slots.SlotBytes()
 }
 
 // admit applies the memory bound, if armed, before a push boxes its
@@ -161,9 +167,7 @@ func (d *List[T]) memSnapshot() telemetry.MemSnapshot {
 }
 
 func (d *List[T]) liveBytes() uint64 {
-	so := d.slots.Occupancy()
-	no := d.core.Occupancy()
-	return so.LiveBytes() + no.LiveBytes()
+	return uint64(d.slots.Live())*d.slots.SlotBytes() + uint64(d.core.LiveNodes())*d.nodeBytes
 }
 
 // admit applies the memory bound, if armed.  Over budget the list deque
@@ -188,8 +192,7 @@ func (d *ChaseLev[T]) memSnapshot() telemetry.MemSnapshot {
 }
 
 func (d *ChaseLev[T]) liveBytes() uint64 {
-	o := d.slots.Occupancy()
-	return o.LiveBytes() + d.core.Rings().Bytes
+	return uint64(d.slots.Live())*d.slots.SlotBytes() + d.core.Rings().Bytes
 }
 
 // admit applies the memory bound, if armed.  Rings retire and never
@@ -208,20 +211,26 @@ func (d *ChaseLev[T]) admit() error {
 func (d *Mutex[T]) Mem() MemStats { return memStatsOf(d.memSnapshot()) }
 
 func (d *Mutex[T]) memSnapshot() telemetry.MemSnapshot {
-	return telemetry.MemSnapshot{Slots: arena.Occupancy{
+	o := arena.Occupancy{
 		Frees:     d.memFrees.Load(),
-		Live:      d.memLive.Load(),
 		HighWater: d.memHW.Load(),
-		Allocs:    d.memAllocs.Load(),
 		Slabs:     1,
 		SlabBytes: uint64(len(d.slots)) * d.slotBytes,
 		SlotBytes: d.slotBytes,
 		Cap:       uint64(len(d.slots)),
-	}}
+	}
+	o.Allocs = d.memAllocs.Load() // after the frees, as in memLive
+	o.Live = int64(o.Allocs - o.Frees)
+	// The audit: every slot is either on the free channel or held.
+	if held := int64(len(d.slots) - len(d.free)); held != o.Live {
+		o.Audit = fmt.Sprintf("%d slots, %d free, so %d held, but live=%d",
+			len(d.slots), len(d.free), held, o.Live)
+	}
+	return telemetry.MemSnapshot{Slots: o}
 }
 
 func (d *Mutex[T]) liveBytes() uint64 {
-	return uint64(d.memLive.Load()) * d.slotBytes
+	return uint64(d.memLive()) * d.slotBytes
 }
 
 // admit applies the memory bound, if armed; the mutex baseline has no

@@ -24,13 +24,12 @@ type Mutex[T any] struct {
 
 	bound     uint64 // WithMemoryBound budget; 0 = unbounded
 	slotBytes uint64
-	// Wrapper-level slot ledger, mirroring the arena counters so the
-	// baseline reports Mem in the same shape (there is no arena
-	// underneath).  live is independent of allocs−frees, keeping the
-	// conservation invariant a real crosscheck here too.
+	// Wrapper-level slot ledger, kept like the arena's so the baseline
+	// reports Mem in the same shape (there is no arena underneath): Live
+	// is derived as allocs − frees, and Mem's audit checks it against the
+	// slots missing from the free channel.
 	memAllocs atomic.Uint64
 	memFrees  atomic.Uint64
-	memLive   atomic.Int64
 	memHW     atomic.Int64
 }
 
@@ -114,7 +113,7 @@ func (d *Mutex[T]) box(v T) (uint64, bool) {
 	case i := <-d.free:
 		d.slots[i] = v
 		d.memAllocs.Add(1)
-		if l := d.memLive.Add(1); l > d.memHW.Load() {
+		if l := d.memLive(); l > d.memHW.Load() {
 			d.memHW.Store(l) // racy max, same discipline as the arena's
 		}
 		return uint64(i) + 1, true
@@ -123,12 +122,18 @@ func (d *Mutex[T]) box(v T) (uint64, bool) {
 	}
 }
 
+// memLive derives the held-slot count.  Frees are loaded first, as in
+// the arena, so the count is never negative.
+func (d *Mutex[T]) memLive() int64 {
+	f := d.memFrees.Load()
+	return int64(d.memAllocs.Load() - f)
+}
+
 func (d *Mutex[T]) unbox(h uint64) T {
 	i := int(h - 1)
 	v := d.slots[i]
 	var zero T
 	d.slots[i] = zero
-	d.memLive.Add(-1)
 	d.memFrees.Add(1)
 	d.free <- i
 	return v

@@ -32,6 +32,11 @@
 // serves, so two goroutines working opposite ends of a deque touch no
 // common written cache line in the allocator: the disjoint-ends property
 // the paper proves for the deque's own words holds for its storage too.
+//
+// Put and Take are the deques' element round trip: Put allocates a slot,
+// stores a value and returns its handle; Take checks the handle's
+// generation, reads the value, zeroes the slot and frees it.  Each locates
+// the slot's block once.
 package arena
 
 import (
@@ -72,13 +77,13 @@ type block[T any] struct {
 const tagShift = 32
 
 // laneWords is the number of 8-byte words a lane carries before padding.
-const laneWords = 5
+const laneWords = 4
 
 // lane is one end's share of the arena: a Treiber freelist and the ledger
 // counters of the operations that end performs.  A slot freed on one lane
-// may be allocated on the other, so a lane's live count can go negative;
-// only the sum over lanes is meaningful.  Padded to a full false-sharing
-// range so the two lanes can never share a line.
+// may be allocated on the other, so only sums over lanes are meaningful.
+// Padded to a full false-sharing range so the two lanes can never share a
+// line.
 type lane struct {
 	// free is the Treiber head: idx+1 of the top slot (0 = empty) below a
 	// tag that every successful CAS bumps, so a head popped and pushed
@@ -88,7 +93,6 @@ type lane struct {
 	allocs  atomic.Uint64 // successful allocations on this lane
 	frees   atomic.Uint64 // slots freed to this lane's freelist (reuse mode)
 	retired atomic.Uint64 // slots retired through this lane (gc mode)
-	live    atomic.Int64  // slots allocated here minus slots released here
 	_       [dcas.FalseSharingRange - 8*laneWords]byte
 }
 
@@ -124,13 +128,10 @@ type Arena[T any] struct {
 	// after New; the pad keeps the left lane's writes off their line.
 	_ dcas.CacheLinePad
 
-	// Occupancy ledger, per lane.  live is an independent counter, NOT
-	// derived from allocs−frees, so the conservation invariant
-	//
-	//	allocs == live + frees + retired   (each summed over lanes)
-	//
-	// is a real crosscheck on the allocator (a lost or double count on any
-	// path breaks it) rather than a tautology.
+	// Occupancy ledger, per lane: one counter add per Alloc or Free.  Live
+	// is derived when read, as allocs − frees − retired summed over the
+	// lanes; the structural audit in Occupancy checks it against the
+	// freelists (reuse mode) or the slot generations (gc mode).
 	lanes lanes
 
 	// Carve state, written only when an allocation finds both freelists
@@ -141,38 +142,43 @@ type Arena[T any] struct {
 	// ends of the index space instead of sharing cache lines.
 	//dequevet:packed lo:32 hi:32
 	fresh atomic.Uint64
-	// highWater is gc mode's racy maximum of the summed live count: exact
-	// when quiescent, a close lower bound under concurrency.  Reuse mode
+	// highWater is gc mode's racy maximum of the derived Live: exact when
+	// quiescent, a close lower bound under concurrency.  Reuse mode
 	// derives HighWater from the carve word instead (see Occupancy).
 	highWater atomic.Int64
 	slabs     atomic.Uint64 // published blocks; only grows
 }
 
-// Occupancy is a point-in-time snapshot of an arena's ledger.  Taken while
-// the arena is quiescent it is exact and Conserved reports nil; taken
-// mid-churn the counters may straddle an in-flight Alloc or Free.
+// Occupancy is a point-in-time snapshot of an arena's ledger, with the
+// verdict of a structural audit taken at the same time.  Taken while the
+// arena is quiescent it is exact and Conserved reports nil; taken
+// mid-churn the counters may straddle an in-flight Alloc or Free, and the
+// audit may trip over a freelist in motion.
 type Occupancy struct {
 	Allocs    uint64 // successful Alloc calls
 	Frees     uint64 // slots recycled through the freelist (reuse mode)
 	Retired   uint64 // slots permanently retired (gc mode)
-	Live      int64  // currently allocated slots
+	Live      int64  // currently allocated slots: Allocs − Frees − Retired
 	HighWater int64  // peak Live bound; see Arena.Occupancy
 	Slabs     uint64 // blocks published (monotone: slabs are never unmapped)
 	SlabBytes uint64 // bytes held by published blocks (items+next+gen)
 	SlotBytes uint64 // per-slot footprint: sizeof(T) + per-slot metadata
 	Cap       uint64 // slot capacity
+	// Audit is where the allocator's structure disagreed with Live when
+	// the snapshot was taken; "" when it agreed.  See Arena.Occupancy.
+	Audit string
 }
 
-// Conserved checks the conservation invariant allocs == live + frees +
-// retired, returning a descriptive error when it does not hold.  Only
-// meaningful on quiescent snapshots.
+// Conserved reports the snapshot's audit verdict: nil when Live is
+// non-negative and the allocator's structure accounts for it, else a
+// descriptive error.  Only meaningful on quiescent snapshots.
 func (o Occupancy) Conserved() error {
 	if o.Live < 0 {
-		return fmt.Errorf("arena: negative live count %d", o.Live)
+		return fmt.Errorf("arena: negative live count %d (allocs=%d frees=%d retired=%d)",
+			o.Live, o.Allocs, o.Frees, o.Retired)
 	}
-	if got := uint64(o.Live) + o.Frees + o.Retired; got != o.Allocs {
-		return fmt.Errorf("arena: conservation violated: allocs=%d live=%d frees=%d retired=%d (live+frees+retired=%d)",
-			o.Allocs, o.Live, o.Frees, o.Retired, got)
+	if o.Audit != "" {
+		return fmt.Errorf("arena: %s", o.Audit)
 	}
 	return nil
 }
@@ -245,9 +251,17 @@ func (a *Arena[T]) Cap() int { return a.capacity }
 func (a *Arena[T]) Reusing() bool { return a.reuse }
 
 // Live reports the number of currently allocated slots (approximate under
-// concurrency, exact when quiescent).
-func (a *Arena[T]) Live() int {
-	return int(a.lanes.left.live.Load() + a.lanes.right.live.Load())
+// concurrency, exact when quiescent).  It is derived from the ledger in
+// O(1), without the audit Occupancy runs.
+func (a *Arena[T]) Live() int { return int(a.live()) }
+
+// live derives the allocated-slot count: allocations minus releases,
+// summed over both lanes.  Releases are loaded first: every release
+// counted then follows an allocation the later loads count, so the
+// result is never negative and under churn errs high, never low.
+func (a *Arena[T]) live() int64 {
+	f := a.Frees()
+	return int64(a.Allocs() - f)
 }
 
 // Allocs reports the total number of successful Alloc calls.
@@ -257,8 +271,8 @@ func (a *Arena[T]) Allocs() uint64 {
 
 // Frees reports the total number of Free calls (recycled plus retired).
 func (a *Arena[T]) Frees() uint64 {
-	o := a.Occupancy()
-	return o.Frees + o.Retired
+	l, r := &a.lanes.left, &a.lanes.right
+	return l.frees.Load() + r.frees.Load() + l.retired.Load() + r.retired.Load()
 }
 
 // SlotBytes reports the per-slot footprint in bytes: sizeof(T) plus the
@@ -266,9 +280,20 @@ func (a *Arena[T]) Frees() uint64 {
 func (a *Arena[T]) SlotBytes() uint64 { return a.slotBytes }
 
 // Occupancy returns a snapshot of the arena's ledger, summed over both
-// lanes.  The counters are loaded individually, so a snapshot taken
-// mid-churn may straddle an in-flight operation; quiescent snapshots are
-// exact and satisfy Occupancy.Conserved.
+// lanes, and audits the allocator's structure against it.  The counters
+// are loaded individually, so a snapshot taken mid-churn may straddle an
+// in-flight operation; quiescent snapshots are exact and, unless a slot
+// was lost or released twice, satisfy Occupancy.Conserved.  The audit
+// walks the carved slots, so a snapshot costs O(HighWater); Live is the
+// O(1) read.
+//
+// The audit is independent of the ledger's arithmetic.  In reuse mode it
+// walks both freelists, bounded by the number of slots carved: an index
+// outside the carved region or met twice (a cycle, or a slot freed twice)
+// is a fault, and the slots carved minus the slots listed must equal Live.
+// In gc mode nothing is listed, and the number of carved slots whose
+// generation has advanced must equal Retired.  Slots a Cache holds are
+// neither listed nor live, so Drain caches before auditing.
 //
 // HighWater in reuse mode is the number of slots carved from the
 // never-allocated region.  An allocation carves only after finding both
@@ -280,22 +305,76 @@ func (a *Arena[T]) SlotBytes() uint64 { return a.slotBytes }
 // instead the racy maximum of Live maintained on every allocation.
 func (a *Arena[T]) Occupancy() Occupancy {
 	l, r := &a.lanes.left, &a.lanes.right
+	w := a.fresh.Load() // carved: [0, lo) and [hi, capacity)
+	lo, hi := uint32(w), uint32(w>>32)
 	o := Occupancy{
-		Allocs:    l.allocs.Load() + r.allocs.Load(),
 		Frees:     l.frees.Load() + r.frees.Load(),
 		Retired:   l.retired.Load() + r.retired.Load(),
-		Live:      l.live.Load() + r.live.Load(),
 		HighWater: a.highWater.Load(),
 		Slabs:     a.slabs.Load(),
 		SlotBytes: a.slotBytes,
 		Cap:       uint64(a.capacity),
 	}
+	o.Allocs = l.allocs.Load() + r.allocs.Load() // after the releases, as in live
+	o.Live = int64(o.Allocs - o.Frees - o.Retired)
 	if a.reuse {
-		w := a.fresh.Load() // carved: [0, lo) and [hi, capacity)
-		o.HighWater = int64(uint32(w)) + int64(a.capacity) - int64(w>>32)
+		o.HighWater = int64(lo) + int64(a.capacity) - int64(hi)
 	}
 	o.SlabBytes = o.Slabs * uint64(a.blockSize) * a.slotBytes
+	o.Audit = a.audit(lo, hi, o)
 	return o
+}
+
+// audit checks the allocator's structure against snapshot o, whose carved
+// region is [0, lo) and [hi, capacity); see Occupancy.
+func (a *Arena[T]) audit(lo, hi uint32, o Occupancy) string {
+	if !a.reuse {
+		var advanced uint64
+		for _, r := range [][2]uint32{{0, lo}, {hi, uint32(a.capacity)}} {
+			for idx := r[0]; idx < r[1]; idx++ {
+				if blk, off := a.lookup(idx); blk != nil && blk.gen[off].Load() != 1 {
+					advanced++
+				}
+			}
+		}
+		if advanced != o.Retired {
+			return fmt.Sprintf("%d carved slots have advanced generations, but retired=%d", advanced, o.Retired)
+		}
+		return ""
+	}
+	// One bit per carved slot: [0, lo) maps to itself and [hi, capacity)
+	// follows it.  Reuse mode's HighWater is the carved count.
+	carved := o.HighWater
+	seen := make([]uint64, (carved+63)/64)
+	var listed int64
+	for _, l := range []Lane{Left, Right} {
+		next := uint32(a.lanes.at(l).free.Load())
+		for next != 0 {
+			idx := next - 1
+			bit := idx
+			switch {
+			case idx >= uint32(a.capacity) || (idx >= lo && idx < hi):
+				return fmt.Sprintf("lane %d freelist holds uncarved index %d", l, idx)
+			case idx >= hi:
+				bit = lo + idx - hi
+			}
+			if seen[bit/64]&(1<<(bit%64)) != 0 {
+				return fmt.Sprintf("slot %d listed twice on the freelists (a double free or a cycle)", idx)
+			}
+			seen[bit/64] |= 1 << (bit % 64)
+			listed++
+			blk, off := a.lookup(idx)
+			if blk == nil {
+				return fmt.Sprintf("lane %d freelist holds slot %d of an unpublished block", l, idx)
+			}
+			next = blk.next[off].Load()
+		}
+	}
+	if carved-listed != o.Live {
+		return fmt.Sprintf("%d slots carved, %d listed free, so %d held, but live=%d",
+			carved, listed, carved-listed, o.Live)
+	}
+	return ""
 }
 
 // countAlloc records one successful allocation in lane ln's ledger.  In
@@ -305,10 +384,8 @@ func (a *Arena[T]) Occupancy() Occupancy {
 // exact when quiescent.
 func (a *Arena[T]) countAlloc(ln *lane) {
 	ln.allocs.Add(1)
-	ln.live.Add(1)
 	if !a.reuse {
-		l := a.lanes.left.live.Load() + a.lanes.right.live.Load()
-		if hw := a.highWater.Load(); l > hw {
+		if l := a.live(); l > a.highWater.Load() {
 			a.highWater.Store(l)
 		}
 	}
@@ -317,7 +394,6 @@ func (a *Arena[T]) countAlloc(ln *lane) {
 // countFree records one Free in lane ln's ledger, splitting by
 // reclamation class: recycled (reuse mode) vs retired (gc mode).
 func (a *Arena[T]) countFree(ln *lane) {
-	ln.live.Add(-1)
 	if a.reuse {
 		ln.frees.Add(1)
 	} else {
@@ -350,36 +426,44 @@ func (a *Arena[T]) ensureBlock(b int) *block[T] {
 
 // locate returns the block and in-block offset for idx.
 func (a *Arena[T]) locate(idx uint32) (*block[T], int) {
-	b := int(idx) >> a.blockShift
-	blk := a.blocks[b].Load()
+	blk, off := a.lookup(idx)
 	if blk == nil {
-		panic(fmt.Sprintf("arena: access to unallocated block %d (idx %d)", b, idx))
+		panic(fmt.Sprintf("arena: access to unallocated block %d (idx %d)", int(idx)>>a.blockShift, idx))
 	}
-	return blk, int(idx) & (a.blockSize - 1)
+	return blk, off
 }
 
-// popFree removes one slot from lane ln's freelist, or returns (Nil,
-// false).
-func (a *Arena[T]) popFree(ln *lane) (uint32, bool) {
+// lookup is locate without the panic: blk is nil when idx is out of range
+// or its block is unpublished.
+func (a *Arena[T]) lookup(idx uint32) (*block[T], int) {
+	if int(idx) >= a.capacity {
+		return nil, 0
+	}
+	return a.blocks[int(idx)>>a.blockShift].Load(), int(idx) & (a.blockSize - 1)
+}
+
+// popFree removes one slot from lane ln's freelist and returns it with
+// the block and offset it located; blk is nil when the list is empty.
+func (a *Arena[T]) popFree(ln *lane) (idx uint32, blk *block[T], off int) {
 	for {
 		h := ln.free.Load()
 		idxPlus1 := uint32(h)
 		if idxPlus1 == 0 {
-			return Nil, false
+			return Nil, nil, 0
 		}
-		idx := idxPlus1 - 1
-		blk, off := a.locate(idx)
+		idx = idxPlus1 - 1
+		blk, off = a.locate(idx)
 		nxt := blk.next[off].Load()
 		tag := h >> tagShift
 		if ln.free.CompareAndSwap(h, (tag+1)<<tagShift|uint64(nxt)) {
-			return idx, true
+			return idx, blk, off
 		}
 	}
 }
 
-// pushFree adds one slot to lane ln's freelist.
-func (a *Arena[T]) pushFree(ln *lane, idx uint32) {
-	blk, off := a.locate(idx)
+// pushFree adds slot idx, at offset off of block blk, to lane ln's
+// freelist.
+func (a *Arena[T]) pushFree(ln *lane, idx uint32, blk *block[T], off int) {
 	for {
 		h := ln.free.Load()
 		blk.next[off].Store(uint32(h))
@@ -428,41 +512,85 @@ func (a *Arena[T]) carve(l Lane, n int) (uint32, int) {
 // are whatever the previous user left there (or the zero value for a
 // fresh slot); callers initialize all fields before publishing the slot.
 func (a *Arena[T]) Alloc(l Lane) (uint32, bool) {
+	idx, blk, _ := a.alloc(l)
+	return idx, blk != nil
+}
+
+// alloc is Alloc returning the slot's block and offset too; blk is nil
+// when the arena is exhausted.
+func (a *Arena[T]) alloc(l Lane) (idx uint32, blk *block[T], off int) {
 	ln := a.lanes.at(l)
 	if a.reuse {
-		idx, ok := a.popFree(ln)
-		if !ok {
+		idx, blk, off = a.popFree(ln)
+		if blk == nil {
 			// Traffic that allocates on one end and frees on the other (a
 			// FIFO queue, a stolen task) leaves its slots on the other lane.
-			idx, ok = a.popFree(a.lanes.at(l ^ 1))
+			idx, blk, off = a.popFree(a.lanes.at(l ^ 1))
 		}
-		if ok {
+		if blk != nil {
 			a.countAlloc(ln)
-			return idx, true
+			return idx, blk, off
 		}
 	}
 	idx, n := a.carve(l, 1)
 	if n == 0 {
-		return Nil, false
+		return Nil, nil, 0
 	}
 	a.countAlloc(ln)
-	return idx, true
+	blk, off = a.locate(idx)
+	return idx, blk, off
 }
 
 // Free returns a slot to the arena through lane l, the lane of the
 // operation releasing it, and bumps the slot's generation so that stale
 // tagged references can never match it again.  In gc mode the slot's
 // storage is retired rather than recycled.  Freeing a slot twice without
-// an intervening Alloc is a caller bug; it is detectable via Gen in tests
-// but not checked here.
+// an intervening Alloc is a caller bug; it is not checked here, but the
+// audit behind Occupancy.Conserved reports it.
 func (a *Arena[T]) Free(l Lane, idx uint32) {
 	blk, off := a.locate(idx)
 	blk.gen[off].Add(1)
+	a.release(l, idx, blk, off)
+}
+
+// release counts a free of slot idx (at offset off of block blk) on lane
+// l and, in reuse mode, lists the slot on l's freelist.  The caller has
+// already advanced the slot's generation.
+func (a *Arena[T]) release(l Lane, idx uint32, blk *block[T], off int) {
 	ln := a.lanes.at(l)
 	a.countFree(ln)
 	if a.reuse {
-		a.pushFree(ln, idx)
+		a.pushFree(ln, idx, blk, off)
 	}
+}
+
+// Put allocates a slot on lane l, stores v in it and returns the slot's
+// handle (see Handle); ok is false when the arena is exhausted.
+func (a *Arena[T]) Put(l Lane, v T) (uint64, bool) {
+	idx, blk, off := a.alloc(l)
+	if blk == nil {
+		return 0, false
+	}
+	blk.items[off] = v
+	return uint64(blk.gen[off].Load())<<32 | uint64(idx+1), true
+}
+
+// Take returns the value behind handle h and frees its slot through lane
+// l, zeroing the slot so it retains no references.  The generation check
+// and bump are one CompareAndSwap, so a handle is taken at most once; ok
+// is false, with nothing changed, when h is zero, out of range, names an
+// unpublished block or no longer matches its slot's generation.
+func (a *Arena[T]) Take(l Lane, h uint64) (v T, ok bool) {
+	idx := uint32(h) - 1
+	blk, off := a.lookup(idx) // uint32(h) == 0 wraps idx out of range
+	if blk == nil || !blk.gen[off].CompareAndSwap(uint32(h>>32), uint32(h>>32)+1) {
+		return v, false
+	}
+	v = blk.items[off]
+	var zero T
+	blk.items[off] = zero
+	a.release(l, idx, blk, off)
+	return v, true
 }
 
 // Get returns a pointer to the slot's object.  The pointer remains valid
@@ -491,16 +619,10 @@ func (a *Arena[T]) Handle(idx uint32) uint64 {
 // handle's generation still matches the slot (i.e. the slot has not been
 // freed since the handle was made).
 func (a *Arena[T]) Resolve(h uint64) (uint32, bool) {
-	if uint32(h) == 0 {
-		return Nil, false
-	}
 	idx := uint32(h) - 1
-	if int(idx) >= a.capacity {
+	blk, off := a.lookup(idx) // uint32(h) == 0 wraps idx out of range
+	if blk == nil {
 		return Nil, false
 	}
-	b := int(idx) >> a.blockShift
-	if a.blocks[b].Load() == nil {
-		return Nil, false
-	}
-	return idx, a.Gen(idx) == uint32(h>>32)
+	return idx, blk.gen[off].Load() == uint32(h>>32)
 }

@@ -55,8 +55,8 @@ func (c *Cache[T]) Alloc() (uint32, bool) {
 	if c.a.reuse {
 		for _, from := range []*lane{ln, c.a.lanes.at(c.lane ^ 1)} {
 			for len(c.local) < c.batch {
-				idx, ok := c.a.popFree(from)
-				if !ok {
+				idx, blk, _ := c.a.popFree(from)
+				if blk == nil {
 					break
 				}
 				c.local = append(c.local, idx)
@@ -87,7 +87,7 @@ func (c *Cache[T]) Free(idx uint32) {
 	if len(c.local) >= 2*c.batch {
 		for i := 0; i < c.batch; i++ {
 			n := len(c.local)
-			c.a.pushFree(ln, c.local[n-1])
+			c.a.spill(ln, c.local[n-1])
 			c.local = c.local[:n-1]
 		}
 	}
@@ -101,10 +101,16 @@ func (c *Cache[T]) Drain() {
 		return
 	}
 	for _, idx := range c.local {
-		c.a.pushFree(c.a.lanes.at(c.lane), idx)
+		c.a.spill(c.a.lanes.at(c.lane), idx)
 	}
 	c.local = c.local[:0]
 }
 
 // Cached reports how many slots are currently held locally.
 func (c *Cache[T]) Cached() int { return len(c.local) }
+
+// spill lists a cached slot on lane ln's freelist.
+func (a *Arena[T]) spill(ln *lane, idx uint32) {
+	blk, off := a.locate(idx)
+	a.pushFree(ln, idx, blk, off)
+}

@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -12,6 +13,32 @@ import (
 // reuse-mode HighWater (slots carved) equals the peak of Live on any
 // sequential history.
 
+// roundTrips are the two ways a slot makes its round trip: by index
+// through Alloc and Free, and by handle through Put and Take, as the
+// deques use it.  get stores v in a fresh slot on lane l and returns a
+// token for it; release frees the token's slot on lane l and returns the
+// value it held.
+var roundTrips = []struct {
+	name    string
+	get     func(a *Arena[uint64], l Lane, v uint64) (uint64, bool)
+	release func(a *Arena[uint64], l Lane, tok uint64) (uint64, bool)
+}{
+	{"alloc-free",
+		func(a *Arena[uint64], l Lane, v uint64) (uint64, bool) {
+			idx, ok := a.Alloc(l)
+			if ok {
+				*a.Get(idx) = v
+			}
+			return uint64(idx), ok
+		},
+		func(a *Arena[uint64], l Lane, tok uint64) (uint64, bool) {
+			v := *a.Get(uint32(tok))
+			a.Free(l, uint32(tok))
+			return v, true
+		}},
+	{"put-take", (*Arena[uint64]).Put, (*Arena[uint64]).Take},
+}
+
 // TestCrossLaneFIFOChurn allocates every slot on the right lane and frees
 // it on the left, the traffic of a FIFO queue (push right, pop left).
 // Every freed slot must be recycled, so the number of slots carved stays
@@ -21,72 +48,95 @@ func TestCrossLaneFIFOChurn(t *testing.T) {
 		depth  = 16
 		rounds = 20000
 	)
-	a := New[uint64](4*depth, WithBlockSize(8))
-	var fifo []uint32
-	for i := 0; i < rounds; i++ {
-		if len(fifo) < depth {
-			idx, ok := a.Alloc(Right)
-			if !ok {
-				t.Fatalf("round %d: Alloc failed with %d live of cap %d", i, a.Live(), a.Cap())
+	for _, rt := range roundTrips {
+		t.Run(rt.name, func(t *testing.T) {
+			a := New[uint64](4*depth, WithBlockSize(8))
+			var fifo []uint64
+			next := uint64(0)
+			for i := 0; i < rounds; i++ {
+				if len(fifo) < depth {
+					tok, ok := rt.get(a, Right, uint64(i))
+					if !ok {
+						t.Fatalf("round %d: allocation failed with %d live of cap %d", i, a.Live(), a.Cap())
+					}
+					fifo = append(fifo, tok)
+					continue
+				}
+				v, ok := rt.release(a, Left, fifo[0])
+				if !ok || v < next {
+					t.Fatalf("round %d: released %d, %v; want a value ≥ %d", i, v, ok, next)
+				}
+				next = v + 1
+				fifo = fifo[1:]
 			}
-			fifo = append(fifo, idx)
-			continue
-		}
-		a.Free(Left, fifo[0])
-		fifo = fifo[1:]
-	}
-	o := a.Occupancy()
-	if err := o.Conserved(); err != nil {
-		t.Fatal(err)
-	}
-	if o.Live != int64(len(fifo)) {
-		t.Fatalf("Live = %d, want %d", o.Live, len(fifo))
-	}
-	if o.HighWater != depth {
-		t.Fatalf("HighWater = %d slots carved, want the peak depth %d", o.HighWater, depth)
+			o := a.Occupancy()
+			if err := o.Conserved(); err != nil {
+				t.Fatal(err)
+			}
+			if o.Live != int64(len(fifo)) {
+				t.Fatalf("Live = %d, want %d", o.Live, len(fifo))
+			}
+			if o.HighWater != depth {
+				t.Fatalf("HighWater = %d slots carved, want the peak depth %d", o.HighWater, depth)
+			}
+		})
 	}
 }
 
 // TestCrossLaneFIFOChurnConcurrent runs the FIFO pattern with a producer
 // goroutine on the right lane and a consumer on the left.  A carve happens
 // only with both freelists empty, when every carved slot is in the queue,
-// held by the consumer, or in flight inside its Free — so the carved count
-// stays within depth+2.
+// held by the consumer, or in flight inside its release — so the carved
+// count stays within depth+2.  The consumer checks that every value comes
+// out in the order it went in.
 func TestCrossLaneFIFOChurnConcurrent(t *testing.T) {
 	const (
 		depth  = 16
 		rounds = 50000
 	)
-	a := New[uint64](1024, WithBlockSize(16))
-	q := make(chan uint32, depth)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for idx := range q {
-			a.Free(Left, idx)
-		}
-	}()
-	for i := 0; i < rounds; i++ {
-		idx, ok := a.Alloc(Right)
-		if !ok {
+	for _, rt := range roundTrips {
+		t.Run(rt.name, func(t *testing.T) {
+			a := New[uint64](1024, WithBlockSize(16))
+			q := make(chan uint64, depth)
+			bad := make(chan string, 1)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				want := uint64(0)
+				for tok := range q {
+					if v, ok := rt.release(a, Left, tok); (!ok || v != want) && len(bad) == 0 {
+						bad <- fmt.Sprintf("released %d, %v; want %d", v, ok, want)
+					}
+					want++
+				}
+			}()
+			for i := 0; i < rounds; i++ {
+				tok, ok := rt.get(a, Right, uint64(i))
+				if !ok {
+					close(q)
+					wg.Wait()
+					t.Fatalf("round %d: allocation failed", i)
+				}
+				q <- tok
+			}
 			close(q)
 			wg.Wait()
-			t.Fatalf("round %d: Alloc failed", i)
-		}
-		q <- idx
-	}
-	close(q)
-	wg.Wait()
-	o := a.Occupancy()
-	if err := o.Conserved(); err != nil {
-		t.Fatal(err)
-	}
-	if o.Live != 0 {
-		t.Fatalf("Live = %d after the queue drained", o.Live)
-	}
-	if o.HighWater > depth+2 {
-		t.Fatalf("carved %d slots for a queue of depth %d", o.HighWater, depth)
+			close(bad)
+			if msg, ok := <-bad; ok {
+				t.Fatal(msg)
+			}
+			o := a.Occupancy()
+			if err := o.Conserved(); err != nil {
+				t.Fatal(err)
+			}
+			if o.Live != 0 {
+				t.Fatalf("Live = %d after the queue drained", o.Live)
+			}
+			if o.HighWater > depth+2 {
+				t.Fatalf("carved %d slots for a queue of depth %d", o.HighWater, depth)
+			}
+		})
 	}
 }
 

@@ -42,3 +42,13 @@ func (d *DummyDeque) Occupancy() arena.Occupancy { return d.ar.Occupancy() }
 
 // Occupancy returns the reference-counted node arena's allocation ledger.
 func (d *LFRCDeque) Occupancy() arena.Occupancy { return d.ar.Occupancy() }
+
+// LiveNodes reports the node arena's live count, derived in O(1) without
+// the audit Occupancy runs.
+func (d *Deque) LiveNodes() int { return d.ar.Live() }
+
+// LiveNodes reports the node arena's live count (nodes and dummies).
+func (d *DummyDeque) LiveNodes() int { return d.ar.Live() }
+
+// LiveNodes reports the reference-counted node arena's live count.
+func (d *LFRCDeque) LiveNodes() int { return d.ar.Live() }

@@ -118,8 +118,8 @@ func (p *Pool[T]) Live() int { return p.ar.Live() }
 
 // Occupancy returns the pool's allocation ledger: live/free/retired object
 // counts, the live high-water mark, and slab footprint.  Quiescent
-// snapshots satisfy the conservation invariant (allocs == live + frees +
-// retired); see arena.Occupancy.Conserved.
+// snapshots pass the arena's structural audit; see
+// arena.Occupancy.Conserved.
 func (p *Pool[T]) Occupancy() arena.Occupancy { return p.ar.Occupancy() }
 
 // New allocates an object holding v with reference count 1 (the caller's

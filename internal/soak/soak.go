@@ -2,9 +2,10 @@
 // backend with a sustained workload for a configurable duration,
 // periodically quiescing the workers to sample memory occupancy
 // (deque.MemStats) and runtime.MemStats, and then asserts a bounded
-// steady state — the conservation invariant (allocs == live + retired +
-// freed) must hold at every sample, nothing may leak across a full
-// drain, and no occupancy series may grow monotonically past warmup.
+// steady state — every arena's structural audit must account for its
+// Live at every sample (see arena.Arena.Occupancy), nothing may leak
+// across a full drain, and no occupancy series may grow monotonically
+// past warmup.
 //
 // This is the property PR-level unit tests cannot certify: that
 // logically deleted nodes, retired dummies, LFRC counts and arena slabs

@@ -43,9 +43,9 @@ type MemSnapshot struct {
 	Rings *RingCounts      `json:"rings,omitempty"`
 }
 
-// Conserved checks every component ledger's conservation invariant
-// (allocs == live + frees + retired for arenas, rings == retired+1 for the
-// ring chain).  Exact only on quiescent snapshots.
+// Conserved checks every component ledger's conservation invariant (each
+// arena's structural audit accounts for its Live; rings == retired+1 for
+// the ring chain).  Exact only on quiescent snapshots.
 func (m MemSnapshot) Conserved() error {
 	if err := m.Slots.Conserved(); err != nil {
 		return fmt.Errorf("slots: %w", err)

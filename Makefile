@@ -58,10 +58,12 @@ soak:
 
 # Serve smoke (CI-mirrored): dequeserve + dequeload race-instrumented,
 # SIGTERM delivered mid-load; dequeserve exits nonzero if the drain
-# violates the admission conservation laws.
+# violates the admission conservation laws.  Under the load, dequetop
+# must parse /metrics and print the dequeserve.sched row.
 serve-smoke:
 	$(GO) build -race -o /tmp/dequeserve ./cmd/dequeserve
 	$(GO) build -race -o /tmp/dequeload ./cmd/dequeload
+	$(GO) build -o /dev/null ./cmd/dequetop
 	rm -f /tmp/serve.addr; \
 	/tmp/dequeserve -listen 127.0.0.1:0 -addr-file /tmp/serve.addr -drain 10s & \
 	SERVE_PID=$$!; \
@@ -69,8 +71,12 @@ serve-smoke:
 	/tmp/dequeload -url "http://$$(cat /tmp/serve.addr)/jobs" -mode open -rate 300 \
 	  -duration 6s -kind fib -n 25 -verify -tenants free:1,gold:3 & \
 	LOAD_PID=$$!; \
-	sleep 3; kill -TERM $$SERVE_PID; \
-	wait $$LOAD_PID || true; wait $$SERVE_PID
+	sleep 1; \
+	$(GO) run ./cmd/dequetop -once -url "http://$$(cat /tmp/serve.addr)/metrics" > /tmp/dequetop.txt; \
+	TOP=$$?; cat /tmp/dequetop.txt; \
+	grep -q '^dequeserve\.sched ' /tmp/dequetop.txt || TOP=1; \
+	sleep 2; kill -TERM $$SERVE_PID; \
+	wait $$LOAD_PID || true; wait $$SERVE_PID && [ $$TOP -eq 0 ]
 
 # Randomized serve fault certification (CI runs 200 race-instrumented;
 # the full certificate is -serve-runs 1000).

@@ -289,7 +289,6 @@ func BenchmarkDCASProviders(b *testing.B) {
 	}{
 		{"twolock", nil},
 		{"global", []deque.Option{deque.WithGlobalLockDCAS()}},
-		{"bitlock", []deque.Option{deque.WithBitLockDCAS()}},
 		{"endlock", []deque.Option{deque.WithEndLockDCAS()}},
 	} {
 		b.Run("ends2/"+p.name, func(b *testing.B) {

@@ -1,25 +1,28 @@
-// Dequetop is a polling terminal dashboard over the flat-text telemetry
-// endpoint (deque.TelemetryHandler): live per-deque and per-scheduler
-// operation rates and latency quantiles, rendered top-style in place.
+// Dequetop is a polling terminal dashboard over the Prometheus text
+// exposition (deque.PrometheusHandler): live per-deque and
+// per-scheduler operation rates and latency quantiles, rendered
+// top-style in place.
 //
-//	dequetop -url http://localhost:8080/telemetry [-interval 1s] [-once]
+//	dequetop -url http://localhost:8080/metrics [-interval 1s] [-once]
 //
 // Each frame fetches the endpoint, diffs counters against the previous
 // frame for rates, and prints one row per registered deque end plus one
 // per scheduler latency kind.  Latency columns (p50/p99/p999, from the
-// WithLatency histograms) show "-" for components registered without
-// latency enabled — the dashboard degrades to a rate monitor.  -once
-// prints a single frame without clearing the screen, for scripts and
-// smoke tests.
+// WithLatency histograms' quantile gauges) show "-" for components
+// registered without latency enabled — the dashboard degrades to a rate
+// monitor.  -once prints a single frame without clearing the screen,
+// for scripts and smoke tests.
 //
-// The endpoint is whatever the observed process mounted: examples wire
-// deque.TelemetryHandler at /telemetry (see examples/worksteal -listen).
+// The endpoint is whatever the observed process mounted: the serving
+// binaries mount serve.ExpositionMux, which serves /metrics (see
+// cmd/dequeserve and examples/worksteal -listen).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -29,7 +32,7 @@ import (
 )
 
 var (
-	urlFlag      = flag.String("url", "http://localhost:8080/telemetry", "flat-text telemetry endpoint to poll")
+	urlFlag      = flag.String("url", "http://localhost:8080/metrics", "Prometheus text exposition endpoint to poll")
 	intervalFlag = flag.Duration("interval", time.Second, "polling interval")
 	onceFlag     = flag.Bool("once", false, "print one frame and exit (no screen clearing)")
 )
@@ -38,7 +41,7 @@ func main() {
 	flag.Parse()
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	var prev counters
+	var prev scrape
 	var prevAt time.Time
 	for {
 		cur, err := fetch(client, *urlFlag)
@@ -65,11 +68,18 @@ func main() {
 	}
 }
 
-// counters is one scrape: flat key → value.
-type counters map[string]uint64
+// sample is one exposition sample's labels and value.
+type sample struct {
+	labels map[string]string
+	value  float64
+}
 
-// fetch scrapes the endpoint and parses its `key value` lines.
-func fetch(client *http.Client, url string) (counters, error) {
+// scrape is one fetch of the exposition: its samples by metric name
+// (a histogram's series keep their _bucket, _sum and _count suffixes).
+type scrape map[string][]sample
+
+// fetch scrapes the endpoint and parses the exposition.
+func fetch(client *http.Client, url string) (scrape, error) {
 	resp, err := client.Get(url)
 	if err != nil {
 		return nil, err
@@ -85,55 +95,130 @@ func fetch(client *http.Client, url string) (counters, error) {
 	return parse(string(body)), nil
 }
 
-// parse reads the flat text form: one `key value` pair per line,
-// skipping anything that does not parse (forward compatibility with new
-// line shapes).
-func parse(text string) counters {
-	c := counters{}
+// parse reads the text exposition format: one `name{labels} value`
+// sample per line.  Comments (# HELP, # TYPE) and anything that does
+// not parse are skipped (forward compatibility with new line shapes).
+func parse(text string) scrape {
+	s := scrape{}
 	for _, line := range strings.Split(text, "\n") {
-		key, val, ok := strings.Cut(strings.TrimSpace(line), " ")
-		if !ok {
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
 			continue
 		}
-		v, err := strconv.ParseUint(val, 10, 64)
-		if err != nil {
-			continue
+		if name, sm, ok := parseSample(line); ok {
+			s[name] = append(s[name], sm)
 		}
-		c[key] = v
 	}
-	return c
+	return s
 }
 
-// names returns the registered component names, split into deques
-// (entries with per-end counters) and schedulers (entries with
-// .sched. counters).  One name can be both (a scheduler and a deque
-// registered under the same name are distinct registry entries, but the
-// flat text merges on name).
-func names(c counters) (deques, scheds []string) {
-	dset, sset := map[string]bool{}, map[string]bool{}
-	for k := range c {
-		if name, ok := strings.CutSuffix(k, ".right.pushes"); ok {
-			dset[name] = true
+// parseSample splits one sample line into its name, labels and value.
+// Label values are unescaped as the format escapes them: \\, \" and \n.
+// A trailing timestamp is ignored.
+func parseSample(line string) (string, sample, bool) {
+	sm := sample{labels: map[string]string{}}
+	i := strings.IndexAny(line, "{ ")
+	if i <= 0 {
+		return "", sm, false
+	}
+	name, rest := line[:i], line[i:]
+	if rest[0] == '{' {
+		rest = rest[1:]
+		for {
+			if strings.HasPrefix(rest, "}") {
+				rest = rest[1:]
+				break
+			}
+			key, after, ok := strings.Cut(rest, `="`)
+			if !ok || key == "" {
+				return "", sm, false
+			}
+			var val strings.Builder
+			j := 0
+			for ; j < len(after) && after[j] != '"'; j++ {
+				if after[j] != '\\' {
+					val.WriteByte(after[j])
+					continue
+				}
+				if j++; j == len(after) {
+					return "", sm, false
+				}
+				switch after[j] {
+				case '\\', '"':
+					val.WriteByte(after[j])
+				case 'n':
+					val.WriteByte('\n')
+				default:
+					return "", sm, false
+				}
+			}
+			if j == len(after) {
+				return "", sm, false
+			}
+			sm.labels[key] = val.String()
+			rest = strings.TrimPrefix(after[j+1:], ",")
 		}
-		if name, ok := strings.CutSuffix(k, ".sched.runs"); ok {
-			sset[name] = true
+	}
+	fields := strings.Fields(rest)
+	if len(fields) == 0 {
+		return "", sm, false
+	}
+	v, err := strconv.ParseFloat(fields[0], 64)
+	if err != nil {
+		return "", sm, false
+	}
+	sm.value = v
+	return name, sm, true
+}
+
+// sum adds the values of the name samples whose labels include every
+// given pair — PromQL's sum by — and reports whether any matched.
+func (s scrape) sum(name string, match ...string) (float64, bool) {
+	var total float64
+	found := false
+next:
+	for _, sm := range s[name] {
+		for i := 0; i+1 < len(match); i += 2 {
+			if sm.labels[match[i]] != match[i+1] {
+				continue next
+			}
+		}
+		total += sm.value
+		found = true
+	}
+	return total, found
+}
+
+// count is sum for integer-valued counters.
+func (s scrape) count(name string, match ...string) uint64 {
+	v, _ := s.sum(name, match...)
+	return uint64(v)
+}
+
+// labelValues returns the distinct values of one label across a
+// family's samples, sorted.
+func (s scrape) labelValues(name, label string) []string {
+	set := map[string]bool{}
+	for _, sm := range s[name] {
+		if v, ok := sm.labels[label]; ok {
+			set[v] = true
 		}
 	}
-	for n := range dset {
-		deques = append(deques, n)
+	out := make([]string, 0, len(set))
+	for v := range set {
+		out = append(out, v)
 	}
-	for n := range sset {
-		scheds = append(scheds, n)
-	}
-	sort.Strings(deques)
-	sort.Strings(scheds)
-	return deques, scheds
+	sort.Strings(out)
+	return out
 }
 
 // opsOf sums one end's completed operations (the four outcome classes).
-func opsOf(c counters, name, end string) uint64 {
-	p := name + "." + end + "."
-	return c[p+"pushes"] + c[p+"pops"] + c[p+"full_hits"] + c[p+"empty_hits"]
+func opsOf(s scrape, name, end string) uint64 {
+	var n uint64
+	for _, c := range []string{"pushes", "pops", "full_hits", "empty_hits"} {
+		n += s.count("dcasdeque_ops_total", "deque", name, "end", end, "counter", c)
+	}
+	return n
 }
 
 // rate renders a per-second delta, or "-" when no previous frame exists.
@@ -147,19 +232,21 @@ func rate(cur, prev uint64, elapsed time.Duration) string {
 	return fmt.Sprintf("%.0f", float64(cur-prev)/elapsed.Seconds())
 }
 
-// dur renders a nanosecond quantile compactly, "-" when the histogram
-// is absent or empty.
-func dur(c counters, key string, present bool) string {
+// dur renders one quantile gauge (seconds) as a compact duration, "-"
+// when the histogram is absent or empty.
+func dur(s scrape, family, q string, present bool, match ...string) string {
 	if !present {
 		return "-"
 	}
-	return time.Duration(c[key]).Round(10 * time.Nanosecond).String()
+	v, _ := s.sum(family, append(match, "quantile", q)...)
+	return time.Duration(math.Round(v * 1e9)).Round(10 * time.Nanosecond).String()
 }
 
 // render draws one frame: a deque table (one row per end) and a
 // scheduler table (one row per lifecycle latency kind).
-func render(b *strings.Builder, cur, prev counters, elapsed time.Duration) {
-	deques, scheds := names(cur)
+func render(b *strings.Builder, cur, prev scrape, elapsed time.Duration) {
+	deques := cur.labelValues("dcasdeque_ops_total", "deque")
+	scheds := cur.labelValues("dcasdeque_sched_events_total", "sched")
 	fmt.Fprintf(b, "dequetop  %s  deques=%d scheds=%d\n\n",
 		time.Now().Format("15:04:05"), len(deques), len(scheds))
 
@@ -168,19 +255,19 @@ func render(b *strings.Builder, cur, prev counters, elapsed time.Duration) {
 			"DEQUE", "END", "OPS", "OPS/S", "RETRIES", "P50", "P99", "P999", "SPIN-P99")
 		for _, n := range deques {
 			for _, end := range []string{"left", "right"} {
-				lat := n + "." + end + ".lat.op."
-				hasLat := cur[lat+"n"] > 0
-				spin := n + "." + end + ".lat.spin."
-				hasSpin := cur[spin+"n"] > 0
+				l := []string{"deque", n, "end", end}
+				hasLat := cur.count("dcasdeque_op_latency_seconds_count", l...) > 0
+				hasSpin := cur.count("dcasdeque_op_spin_latency_seconds_count", l...) > 0
+				const q = "dcasdeque_op_latency_quantile_seconds"
 				fmt.Fprintf(b, "%-20s %-6s %10d %10s %10d %10s %10s %10s %10s\n",
 					n, end,
 					opsOf(cur, n, end),
 					rate(opsOf(cur, n, end), opsOf(prev, n, end), elapsed),
-					cur[n+"."+end+".retries"],
-					dur(cur, lat+"p50", hasLat),
-					dur(cur, lat+"p99", hasLat),
-					dur(cur, lat+"p999", hasLat),
-					dur(cur, spin+"p99", hasSpin))
+					cur.count("dcasdeque_ops_total", append(l, "counter", "retries")...),
+					dur(cur, q, "0.5", hasLat, l...),
+					dur(cur, q, "0.99", hasLat, l...),
+					dur(cur, q, "0.999", hasLat, l...),
+					dur(cur, "dcasdeque_op_spin_latency_quantile_seconds", "0.99", hasSpin, l...))
 			}
 		}
 		b.WriteByte('\n')
@@ -190,19 +277,23 @@ func render(b *strings.Builder, cur, prev counters, elapsed time.Duration) {
 		fmt.Fprintf(b, "%-20s %10s %10s %10s %10s %10s\n",
 			"SCHED", "RUNS", "RUNS/S", "STEALS", "PARKS", "WAKES")
 		for _, n := range scheds {
-			p := n + ".sched."
+			ev := func(s scrape, event string) uint64 {
+				return s.count("dcasdeque_sched_events_total", "sched", n, "event", event)
+			}
 			fmt.Fprintf(b, "%-20s %10d %10s %10d %10d %10d\n",
-				n, cur[p+"runs"], rate(cur[p+"runs"], prev[p+"runs"], elapsed),
-				cur[p+"steals"], cur[p+"parks"], cur[p+"wakes"])
+				n, ev(cur, "runs"), rate(ev(cur, "runs"), ev(prev, "runs"), elapsed),
+				ev(cur, "steals"), ev(cur, "parks"), ev(cur, "wakes"))
 			for _, kind := range []string{"submit_run", "steal_run", "park_wake"} {
-				lp := p + "lat." + kind + "."
-				if _, tracked := cur[lp+"n"]; !tracked {
+				l := []string{"sched", n, "kind", kind}
+				cnt, tracked := cur.sum("dcasdeque_sched_latency_seconds_count", l...)
+				if !tracked {
 					continue
 				}
-				has := cur[lp+"n"] > 0
+				const q = "dcasdeque_sched_latency_quantile_seconds"
+				has := cnt > 0
 				fmt.Fprintf(b, "  %-18s %10d %10s %10s %10s %10s\n",
-					kind, cur[lp+"n"], "",
-					dur(cur, lp+"p50", has), dur(cur, lp+"p99", has), dur(cur, lp+"p999", has))
+					kind, uint64(cnt), "",
+					dur(cur, q, "0.5", has, l...), dur(cur, q, "0.99", has, l...), dur(cur, q, "0.999", has, l...))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,12 +13,53 @@ import (
 )
 
 func TestParse(t *testing.T) {
-	c := parse("a.left.pushes 10\na.left.pops 3\n\njunk line with no value\nb.sched.runs 7\nbad.value x\n")
+	c := parse(`# HELP a_total Things.
+# TYPE a_total counter
+a_total{deque="a",end="left"} 10
+a_total{deque="a",end="right"} 3
+
+junk line with no value
+b_seconds_sum{sched="b"} 7.5e-06
+c 7 1700000000000
+bad{deque="x"} x
+unterminated{deque="x} 1
+badescape{deque="\t"} 1
+`)
 	if len(c) != 3 {
-		t.Fatalf("parsed %d keys, want 3: %v", len(c), c)
+		t.Fatalf("parsed %d families, want 3: %v", len(c), c)
 	}
-	if c["a.left.pushes"] != 10 || c["b.sched.runs"] != 7 {
-		t.Fatalf("values: %v", c)
+	if v, _ := c.sum("a_total", "deque", "a"); v != 13 {
+		t.Fatalf("sum by deque = %v, want 13", v)
+	}
+	if v, _ := c.sum("a_total", "deque", "a", "end", "left"); v != 10 {
+		t.Fatalf("left = %v, want 10", v)
+	}
+	if v, _ := c.sum("b_seconds_sum"); v != 7.5e-06 {
+		t.Fatalf("float value = %v", v)
+	}
+	if v, _ := c.sum("c"); v != 7 {
+		t.Fatalf("unlabelled sample with timestamp = %v, want 7", v)
+	}
+	if _, ok := c.sum("a_total", "deque", "nope"); ok {
+		t.Fatal("sum matched a label value that is not there")
+	}
+}
+
+// TestParseUnescapes: label values come back exactly as the exporter
+// was given them, through its escaping of \\, \" and \n.
+func TestParseUnescapes(t *testing.T) {
+	const name = "q\"uo\\te\nnew\tline"
+	sink := telemetry.NewSink()
+	sink.Op(telemetry.Left, telemetry.Pushes, 0)
+	defer telemetry.Register(name, sink, nil, nil)()
+	var b strings.Builder
+	telemetry.WritePrometheus(&b)
+	c := parse(b.String())
+	if got := c.count("dcasdeque_ops_total", "deque", name, "end", "left", "counter", "pushes"); got != 1 {
+		t.Fatalf("escaped name did not round-trip (pushes = %d):\n%s", got, b.String())
+	}
+	if got := c.labelValues("dcasdeque_ops_total", "deque"); !slices.Contains(got, name) {
+		t.Fatalf("deque names %q lack %q", got, name)
 	}
 }
 
@@ -49,19 +91,20 @@ func TestRenderLive(t *testing.T) {
 	unSched := telemetry.RegisterSched("topsched", ss)
 	defer unSched()
 
-	srv := httptest.NewServer(deque.TelemetryHandler())
+	srv := httptest.NewServer(deque.PrometheusHandler())
 	defer srv.Close()
 
 	cur, err := fetch(&http.Client{}, srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur["topdeque.right.pushes"] != 1 || cur["topsched.sched.runs"] != 1 {
+	if cur.count("dcasdeque_ops_total", "deque", "topdeque", "end", "right", "counter", "pushes") != 1 ||
+		cur.count("dcasdeque_sched_events_total", "sched", "topsched", "event", "runs") != 1 {
 		t.Fatalf("fetch missed counters: %v", cur)
 	}
 
 	var b strings.Builder
-	render(&b, cur, counters{"topdeque.right.pushes": 0}, time.Second)
+	render(&b, cur, scrape{}, time.Second)
 	out := b.String()
 	for _, want := range []string{
 		"DEQUE", "SCHED",
@@ -114,7 +157,7 @@ func TestRenderLive(t *testing.T) {
 // notice rather than a bare header.
 func TestRenderEmpty(t *testing.T) {
 	var b strings.Builder
-	render(&b, counters{}, counters{}, time.Second)
+	render(&b, scrape{}, scrape{}, time.Second)
 	if !strings.Contains(b.String(), "no registered deques or schedulers") {
 		t.Fatalf("empty frame:\n%s", b.String())
 	}

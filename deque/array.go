@@ -34,20 +34,13 @@ func NewArray[T any](capacity int, opts ...Option) *Array[T] {
 		prov = new(dcas.GlobalLock)
 	case cfg.endLockDCAS:
 		prov = new(dcas.EndLock)
-	case cfg.bitLockDCAS:
-		prov = new(dcas.BitLock)
 	}
 	var inst *instruments
 	if cfg.telemetry {
 		inst = newInstruments(cfg.telemetryName, cfg.latency)
 		prov, cfg.backoff = inst.instrument(prov, cfg.backoff)
 	}
-	coreOpts := []arraydeque.Option{
-		arraydeque.WithStrongDCAS(cfg.strongDCAS),
-		arraydeque.WithRecheckIndex(cfg.recheckIndex),
-		arraydeque.WithPaddedCells(cfg.paddedCells),
-		arraydeque.WithBackoff(cfg.backoff),
-	}
+	coreOpts := []arraydeque.Option{arraydeque.WithBackoff(cfg.backoff)}
 	if prov != nil {
 		coreOpts = append(coreOpts, arraydeque.WithProvider(prov))
 	}

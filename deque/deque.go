@@ -86,15 +86,11 @@ type Option func(*config)
 
 type config struct {
 	globalLockDCAS bool
-	bitLockDCAS    bool
 	endLockDCAS    bool
-	strongDCAS     bool
-	recheckIndex   bool
 	nodeReuse      bool
 	eagerDelete    bool
 	dummyNodes     bool
 	lfrc           bool
-	paddedCells    bool
 	maxNodes       int
 	memBound       uint64
 	backoff        *dcas.BackoffPolicy
@@ -105,10 +101,8 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		strongDCAS:   true,
-		recheckIndex: true,
-		nodeReuse:    true,
-		maxNodes:     1 << 20,
+		nodeReuse: true,
+		maxNodes:  1 << 20,
 	}
 }
 
@@ -119,30 +113,18 @@ func WithGlobalLockDCAS() Option {
 	return func(c *config) { c.globalLockDCAS = true }
 }
 
-// WithBitLockDCAS selects the bit-table DCAS emulation: all locations
-// share a single 64-bit lock word and a DCAS acquires both of its
-// locations' bits in one CAS.  It halves the locked read-modify-write
-// operations per DCAS versus the default per-location spinlocks, which is
-// the dominant cost at low core counts, at the price of coarsening the
-// lock space to 64 bits (about one accidental collision per 16 concurrent
-// pairs).  Ignored for LFRC deques, whose reference-count words require
-// the per-location emulation.
-func WithBitLockDCAS() Option {
-	return func(c *config) { c.bitLockDCAS = true }
-}
-
 // WithEndLockDCAS selects the anchored in-word DCAS emulation for the
 // array deque: a DCAS validates and locks the end index with one CAS of
 // the index word itself (marking its spare top bit), arbitrates the cell
 // with a second CAS, and commits with one store — three locked
-// read-modify-writes per DCAS, against four for the bit-table emulation
-// and six for the lock-pair ones.  It is the fastest substrate this
-// library has on the contended two-ends workload.
+// read-modify-writes per DCAS, against six for the lock-pair
+// emulations.  It is the fastest substrate this library has on the
+// contended two-ends workload.
 //
 // The emulation requires that one location of every DCAS pair is an
 // always-anchor word with a spare bit, which only the array deque's
-// (end, cell) pairs provide; list deques fall back to the bit-table
-// emulation (LFRC to the per-location one, as with WithBitLockDCAS).
+// (end, cell) pairs provide; list deques keep the default per-location
+// emulation.
 func WithEndLockDCAS() Option {
 	return func(c *config) { c.endLockDCAS = true }
 }
@@ -174,27 +156,6 @@ func WithBackoff(cfg BackoffConfig) Option {
 			MaxSpins: uint32(cfg.MaxSpins),
 		}
 	}
-}
-
-// WithPaddedCells spaces the array deque's cells so no two logical cells
-// share a false-sharing range, at the cost of 8× the array storage.  No
-// effect on the list deques, which already keep their always-hot sentinel
-// words on separate cache lines.
-func WithPaddedCells() Option {
-	return func(c *config) { c.paddedCells = true }
-}
-
-// WithoutStrongDCAS restricts the array deque to the weak (boolean) form
-// of DCAS, eliding the optional early-return optimization of lines 17–18
-// of the paper's Figures 2/3/30/31.  No effect on the list deque.
-func WithoutStrongDCAS() Option {
-	return func(c *config) { c.strongDCAS = false }
-}
-
-// WithoutIndexRecheck elides the optional line-7 index re-read of the
-// array algorithm.  No effect on the list deque.
-func WithoutIndexRecheck() Option {
-	return func(c *config) { c.recheckIndex = false }
 }
 
 // WithoutNodeReuse puts the list deque's node arena in gc mode: node

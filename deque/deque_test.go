@@ -14,7 +14,6 @@ import (
 func implementations(capacity int) map[string]Deque[int] {
 	return map[string]Deque[int]{
 		"Array":            NewArray[int](capacity),
-		"Array/weak":       NewArray[int](capacity, WithoutStrongDCAS()),
 		"Array/globalLock": NewArray[int](capacity, WithGlobalLockDCAS()),
 		"List":             NewList[int](WithMaxNodes(capacity * 100)),
 		"List/gc":          NewList[int](WithoutNodeReuse(), WithMaxNodes(1<<16)),

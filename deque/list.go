@@ -61,6 +61,17 @@ func WithLFRC() Option {
 	return func(c *config) { c.lfrc = true }
 }
 
+// listProvider picks a list deque's DCAS emulation; nil selects the
+// core's default, the per-location TwoLock.  WithEndLockDCAS is
+// ignored: list-deque link words appear on both sides of DCAS pairs,
+// outside EndLock's anchored-pair contract.
+func listProvider(cfg config) dcas.Provider {
+	if cfg.globalLockDCAS {
+		return new(dcas.GlobalLock)
+	}
+	return nil
+}
+
 // NewList returns an empty list-based deque.  Pushes fail with ErrFull
 // only if the internal node arena is exhausted (see WithMaxNodes).
 func NewList[T any](opts ...Option) *List[T] {
@@ -68,18 +79,7 @@ func NewList[T any](opts ...Option) *List[T] {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var prov dcas.Provider
-	switch {
-	case cfg.globalLockDCAS:
-		prov = new(dcas.GlobalLock)
-	case (cfg.bitLockDCAS || cfg.endLockDCAS) && !cfg.lfrc:
-		// LFRC mixes per-location CAS on reference counts with DCAS on the
-		// same locations, which only the per-location emulation linearizes.
-		// EndLock falls back to the bit table here: list-deque link words
-		// appear on both sides of DCAS pairs, outside EndLock's
-		// anchored-pair contract.
-		prov = new(dcas.BitLock)
-	}
+	prov := listProvider(cfg)
 	var inst *instruments
 	if cfg.telemetry {
 		inst = newInstruments(cfg.telemetryName, cfg.latency)

@@ -3,6 +3,8 @@ package deque
 import (
 	"sync"
 	"testing"
+
+	"dcasdeque/internal/dcas"
 )
 
 // hammer drives a deque from both ends concurrently and checks the popped
@@ -62,36 +64,37 @@ func hammer(t *testing.T, d Deque[int]) {
 }
 
 // TestEngineeredOptions exercises the contention-engineering options —
-// bit-table DCAS, padded cells, and retry backoff — through the public
+// the anchored EndLock DCAS and retry backoff — through the public
 // constructors under concurrent load.
 func TestEngineeredOptions(t *testing.T) {
-	t.Run("ArrayBitLockPaddedBackoff", func(t *testing.T) {
-		hammer(t, NewArray[int](64,
-			WithBitLockDCAS(), WithPaddedCells(), WithBackoff(BackoffConfig{})))
-	})
 	t.Run("ArrayEndLockBackoff", func(t *testing.T) {
 		hammer(t, NewArray[int](64, WithEndLockDCAS(), WithBackoff(BackoffConfig{})))
 	})
-	t.Run("ListEndLockFallsBackToBitLock", func(t *testing.T) {
+	t.Run("ListEndLockFallsBackToTwoLock", func(t *testing.T) {
 		// List deques cannot satisfy EndLock's anchored-pair contract; the
-		// option must degrade to the bit-table emulation, not misbehave.
+		// option must leave them on the default per-location TwoLock, not
+		// misbehave.
+		cfg := defaultConfig()
+		WithEndLockDCAS()(&cfg)
+		if p := listProvider(cfg); p != nil {
+			t.Fatalf("list provider under WithEndLockDCAS = %T, want the default", p)
+		}
+		if _, ok := dcas.Default().(*dcas.TwoLock); !ok {
+			t.Fatalf("default provider is %T, want *dcas.TwoLock", dcas.Default())
+		}
 		hammer(t, NewList[int](WithEndLockDCAS(), WithBackoff(BackoffConfig{})))
 	})
 	t.Run("ArrayExplicitBackoff", func(t *testing.T) {
 		hammer(t, NewArray[int](64,
 			WithBackoff(BackoffConfig{MinSpins: 4, MaxSpins: 256})))
 	})
-	t.Run("ListBitLockBackoff", func(t *testing.T) {
-		hammer(t, NewList[int](WithBitLockDCAS(), WithBackoff(BackoffConfig{})))
-	})
-	t.Run("ListDummyBitLockBackoff", func(t *testing.T) {
-		hammer(t, NewList[int](WithDummyNodes(), WithBitLockDCAS(),
-			WithBackoff(BackoffConfig{})))
+	t.Run("ListDummyBackoff", func(t *testing.T) {
+		hammer(t, NewList[int](WithDummyNodes(), WithBackoff(BackoffConfig{})))
 	})
 	t.Run("ListLFRCBackoff", func(t *testing.T) {
-		// WithBitLockDCAS must be ignored for LFRC (reference counts need
-		// the per-location emulation); the combination must still be safe.
-		hammer(t, NewList[int](WithLFRC(), WithBitLockDCAS(),
+		// WithEndLockDCAS must be ignored for LFRC too (reference counts
+		// need the per-location emulation); the combination must be safe.
+		hammer(t, NewList[int](WithLFRC(), WithEndLockDCAS(),
 			WithBackoff(BackoffConfig{})))
 	})
 }

@@ -29,10 +29,9 @@ func WithTelemetry() Option {
 }
 
 // WithTelemetryName enables telemetry (as WithTelemetry) and additionally
-// registers the deque's counters under name with the process-wide
-// exporter: the "dcasdeque" expvar variable and the TelemetryHandler HTTP
-// endpoint.  Registering a second deque under the same name replaces the
-// first.
+// registers the deque's counters and memory ledgers under name with the
+// process-wide exporter, PrometheusHandler, as the deque="name" series.
+// Registering a second deque under the same name replaces the first.
 func WithTelemetryName(name string) Option {
 	return func(c *config) {
 		c.telemetry = true
@@ -46,7 +45,7 @@ func WithTelemetryName(name string) Option {
 // recorded into a per-end sharded histogram, and the durations of
 // contended operations (those that retried) additionally into a
 // separate spin histogram, both readable through Stats().Latency and
-// the exporters.  The enabled cost is two monotonic clock reads plus
+// /metrics.  The enabled cost is two monotonic clock reads plus
 // one or two sharded histogram records per operation (see EXPERIMENTS.md
 // LATOBS for the measured overhead); disabled, the deque never reads
 // the clock.
@@ -162,16 +161,13 @@ type Stats struct {
 	Latency *LatencyStats `json:"latency,omitempty"`
 }
 
-// TelemetryHandler serves every deque registered with WithTelemetryName
-// as flat "name.end.counter value" text, one counter per line.  The same
-// data is published as the "dcasdeque" expvar variable, so it also
-// appears under the standard /debug/vars endpoint.
-func TelemetryHandler() http.Handler { return telemetry.Handler() }
-
-// PrometheusHandler serves the same registry in the Prometheus text
-// exposition format: counters as *_total families, the WithLatency
-// histograms as native `le`-bucketed histograms in seconds plus
-// pre-computed quantile gauges.  Mount at /metrics for scraping.
+// PrometheusHandler serves every deque, scheduler and server registered
+// by name in the Prometheus text exposition format, the one way
+// telemetry leaves a process: counters as *_total families, the
+// WithLatency histograms as native `le`-bucketed histograms in seconds
+// plus quantile gauges (min through max), and the memory ledgers as
+// arena and ring-chain families.  Mount at /metrics for scraping and
+// for cmd/dequetop.
 func PrometheusHandler() http.Handler { return telemetry.PrometheusHandler() }
 
 // instruments is the per-deque telemetry state the public wrappers carry

@@ -1,8 +1,6 @@
 package deque
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http/httptest"
 	"runtime"
@@ -389,46 +387,40 @@ func TestStatsLatencyAbsentWithoutOption(t *testing.T) {
 	}
 }
 
-// TestStatsExported: WithTelemetryName surfaces the deque through the
-// text handler and the expvar variable.
+// TestStatsExported: WithTelemetryName surfaces the deque, with its
+// memory ledgers, through PrometheusHandler until CloseTelemetry.
 func TestStatsExported(t *testing.T) {
 	d := NewList[int](WithTelemetryName("exported-test"))
 	defer d.CloseTelemetry()
 	if err := d.PushRight(7); err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	TelemetryHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	body := rec.Body.String()
-	if !strings.Contains(body, "exported-test.right.pushes 1") {
-		t.Fatalf("handler output missing counter:\n%s", body)
+	scrape := func() string {
+		rec := httptest.NewRecorder()
+		PrometheusHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		return rec.Body.String()
 	}
-	// The exporter's DCAS lines come from the same derived snapshot as
+	body := scrape()
+	// The exporter's DCAS series come from the same derived snapshot as
 	// Stats().DCAS.
 	st, _ := d.Stats()
+	if st.DCAS.Attempts == 0 {
+		t.Fatalf("Stats().DCAS = %+v, want attempts", st.DCAS)
+	}
 	for _, want := range []string{
-		fmt.Sprintf("exported-test.dcas.attempts %d\n", st.DCAS.Attempts),
-		fmt.Sprintf("exported-test.dcas.failures %d\n", st.DCAS.Failures),
+		`dcasdeque_ops_total{deque="exported-test",end="right",counter="pushes"} 1` + "\n",
+		fmt.Sprintf(`dcasdeque_dcas_total{deque="exported-test",event="attempts"} %d`+"\n", st.DCAS.Attempts),
+		fmt.Sprintf(`dcasdeque_dcas_total{deque="exported-test",event="failures"} %d`+"\n", st.DCAS.Failures),
+		`dcasdeque_arena_events_total{deque="exported-test",arena="slots",event="allocs"} 1` + "\n",
+		`dcasdeque_arena_occupancy{deque="exported-test",arena="slots",gauge="live"} 1` + "\n",
+		`dcasdeque_arena_occupancy{deque="exported-test",arena="nodes",gauge="live"} `,
 	} {
-		if st.DCAS.Attempts == 0 || !strings.Contains(body, want) {
-			t.Fatalf("handler output missing %q (Stats().DCAS = %+v):\n%s", want, st.DCAS, body)
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q:\n%s", want, body)
 		}
 	}
-	v := expvar.Get("dcasdeque")
-	if v == nil {
-		t.Fatal("dcasdeque expvar not published")
-	}
-	var decoded map[string]struct {
-		Telemetry struct {
-			Right struct {
-				Pushes uint64 `json:"pushes"`
-			} `json:"right"`
-		} `json:"telemetry"`
-	}
-	if err := json.Unmarshal([]byte(v.String()), &decoded); err != nil {
-		t.Fatalf("expvar JSON: %v", err)
-	}
-	if decoded["exported-test"].Telemetry.Right.Pushes != 1 {
-		t.Fatalf("expvar missing push count: %s", v.String())
+	d.CloseTelemetry()
+	if strings.Contains(scrape(), `"exported-test"`) {
+		t.Fatal("deque still exported after CloseTelemetry")
 	}
 }

@@ -25,13 +25,12 @@
 // Run with: go run ./examples/worksteal [-workers 4] [-depth 18]
 //
 // With -listen the example becomes a live observability target: it
-// serves the flat-text endpoint at /telemetry (poll it with dequetop),
-// the Prometheus exposition at /metrics, and net/http/pprof under
-// /debug/pprof, then re-runs the tree sum forever so the counters and
-// latency histograms keep moving:
+// serves the Prometheus exposition at /metrics (poll it with dequetop)
+// and net/http/pprof under /debug/pprof, then re-runs the tree sum
+// forever so the counters and latency histograms keep moving:
 //
 //	go run ./examples/worksteal -listen :8080 &
-//	go run ./cmd/dequetop -url http://localhost:8080/telemetry
+//	go run ./cmd/dequetop -url http://localhost:8080/metrics
 package main
 
 import (
@@ -54,7 +53,7 @@ import (
 var (
 	workersFlag = flag.Int("workers", 4, "number of workers")
 	depthFlag   = flag.Int("depth", 18, "task-tree depth (2^depth leaves)")
-	listenFlag  = flag.String("listen", "", "serve /telemetry, /metrics and /debug/pprof on this address and loop the workload (e.g. :8080)")
+	listenFlag  = flag.String("listen", "", "serve /metrics and /debug/pprof on this address and loop the workload (e.g. :8080)")
 )
 
 var sum atomic.Uint64 // Σ leaf values
@@ -174,23 +173,23 @@ func printTelemetry(st sched.Stats, deques []*deque.Array[sched.Task]) {
 }
 
 // probeExporter checks that both the scheduler's counters and the worker
-// deques' counters are visible through the HTTP endpoint with the same
-// totals the snapshots reported.
+// deques' counters are visible through the /metrics exposition with the
+// same values the snapshots reported.
 func probeExporter(st sched.Stats, deques []*deque.Array[sched.Task]) {
 	rr := httptest.NewRecorder()
-	deque.TelemetryHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/telemetry", nil))
+	deque.PrometheusHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	body := rr.Body.String()
 	ds, _ := deques[0].Stats()
 	for _, wantLine := range []string{
-		fmt.Sprintf("worksteal.sched.runs %d", st.Total.Runs),
-		fmt.Sprintf("worker0.right.pushes %d", ds.Right.Pushes),
+		fmt.Sprintf(`dcasdeque_sched_events_total{sched="worksteal",worker="0",event="runs"} %d`, st.Workers[0].Runs),
+		fmt.Sprintf(`dcasdeque_ops_total{deque="worker0",end="right",counter="pushes"} %d`, ds.Right.Pushes),
 	} {
 		if !strings.Contains(body, wantLine) {
 			log.Fatalf("exporter missing %q in:\n%s", wantLine, body)
 		}
 		fmt.Printf("exporter: %q verified\n", wantLine)
 	}
-	fmt.Printf("exporter: %d counters served\n", strings.Count(body, "\n"))
+	fmt.Printf("exporter: %d lines served\n", strings.Count(body, "\n"))
 }
 
 func okStr(ok bool) string {
@@ -202,12 +201,11 @@ func okStr(ok bool) string {
 
 // serveLoop mounts the observability endpoints and re-runs the tree sum
 // forever, so a dashboard pointed at the process sees live counters and
-// latency quantiles.  The endpoint wiring (/telemetry, /metrics,
-// /debug/pprof) is the shared serve.ExpositionMux — the same surface
-// dequeserve mounts.
+// latency quantiles.  The endpoint wiring (/metrics, /debug/pprof) is
+// the shared serve.ExpositionMux — the same surface dequeserve mounts.
 func serveLoop(s *sched.Scheduler, addr string, depth int) {
 	go func() {
-		log.Printf("serving /telemetry, /metrics, /debug/pprof on %s", addr)
+		log.Printf("serving /metrics, /debug/pprof on %s", addr)
 		log.Fatal(http.ListenAndServe(addr, serve.ExpositionMux()))
 	}()
 	for round := uint64(1); ; round++ {

@@ -13,9 +13,6 @@
 //   - mutex style: Lock/TryLock/Unlock (and RLock/RUnlock) on sync.Mutex,
 //     sync.RWMutex, or any type whose name contains "spinlock"
 //     (case-insensitive).  Spinlock windows are "spin windows".
-//   - bitmask style: acquire(bits)/release(bits) on a type whose name
-//     contains "bitlock"; the lock identity is (receiver, bits
-//     expression).  Spin window.
 //   - anchor-mark style: the EndLock protocol.  A conditional acquire is
 //     either a mark(a1, o1) call on a type whose name contains "endlock",
 //     or an inlined X.RawCAS(o, o|EndLockBit) / X.CompareAndSwap(o,
@@ -65,7 +62,7 @@ import (
 // Analyzer is the lockpath analyzer.
 var Analyzer = &framework.Analyzer{
 	Name: "lockpath",
-	Doc: "check that every spinlock/bitlock/endlock acquire is released on all " +
+	Doc: "check that every spinlock/endlock acquire is released on all " +
 		"control-flow paths and that spin windows contain only raw atomic operations",
 	Run: run,
 }
@@ -678,16 +675,6 @@ func (c *checker) classifyCall(call *ast.CallExpr) lockOp {
 			return lockOp{kind: opCondAcquire, keys: []string{recvStr + "#r"}, spin: spinMutex}
 		case "RUnlock":
 			return lockOp{kind: opRelease, keys: []string{recvStr + "#r"}}
-		}
-	}
-
-	if strings.Contains(strings.ToLower(tn), "bitlock") && len(call.Args) == 1 {
-		key := recvStr + "#" + types.ExprString(call.Args[0])
-		switch name {
-		case "acquire", "Acquire":
-			return lockOp{kind: opAcquire, keys: []string{key}, spin: true}
-		case "release", "Release":
-			return lockOp{kind: opRelease, keys: []string{key}}
 		}
 	}
 

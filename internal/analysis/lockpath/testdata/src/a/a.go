@@ -1,5 +1,5 @@
 // Fixture with deliberate lock-discipline violations, modeled on the
-// spinlock, bitlock, and inlined end-lock shapes of internal/dcas and
+// spinlock and inlined end-lock shapes of internal/dcas and
 // internal/core/arraydeque.
 package a
 
@@ -20,30 +20,9 @@ func (s *spinLock) Lock() {
 func (s *spinLock) TryLock() bool { return s.state.CompareAndSwap(0, 1) }
 func (s *spinLock) Unlock()       { s.state.Store(0) }
 
-type bitLock struct{ mask atomic.Uint64 }
-
-func (p *bitLock) acquire(bits uint64) {
-	for {
-		m := p.mask.Load()
-		if m&bits == 0 && p.mask.CompareAndSwap(m, m|bits) {
-			return
-		}
-	}
-}
-
-func (p *bitLock) release(bits uint64) {
-	for {
-		m := p.mask.Load()
-		if p.mask.CompareAndSwap(m, m&^bits) {
-			return
-		}
-	}
-}
-
 type box struct {
-	lk   spinLock
-	v    atomic.Uint64
-	bits bitLock
+	lk spinLock
+	v  atomic.Uint64
 }
 
 func (b *box) leakOnError(fail bool) int {
@@ -85,15 +64,6 @@ func (b *box) allocInWindow(n int) []int {
 func (b *box) tryDiscard() {
 	b.lk.TryLock() // want `conditional acquire with discarded result`
 	b.lk.Unlock()
-}
-
-func (b *box) bitLeak(bits uint64, fail bool) bool {
-	b.bits.acquire(bits)
-	if fail {
-		return false // want `return leaves lock b\.bits#bits held`
-	}
-	b.bits.release(bits)
-	return true
 }
 
 func (b *box) anchorLeak(o uint64) bool {

@@ -12,7 +12,6 @@ import (
 func providers() map[string]Provider {
 	return map[string]Provider{
 		"TwoLock":    new(TwoLock),
-		"BitLock":    new(BitLock),
 		"GlobalLock": new(GlobalLock),
 	}
 }

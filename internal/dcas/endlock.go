@@ -21,11 +21,11 @@ package dcas
 //	a2 mismatch:        CAS(a1) + CAS(a2) + Store(a1)   3 locked RMWs
 //	a1 mismatch:        CAS(a1)                         1 locked RMW
 //
-// against four for BitLock and six for the mutex-based emulations — and
-// the common failure mode of a contended retry loop, "the end moved under
-// me", is detected by the very CAS that would have locked it.  Because
-// each anchor is its own lock, operations on the two deque ends share no
-// lock state whatsoever, not even BitLock's single mask word.
+// against six for the lock-pair emulations — and the common failure mode
+// of a contended retry loop, "the end moved under me", is detected by
+// the very CAS that would have locked it.  Because each anchor is its
+// own lock, operations on the two deque ends share no lock state
+// whatsoever.
 //
 // Atomicity: a successful DCAS linearizes at the a2 CAS.  The anchor is
 // marked throughout, so its logical value is pinned at o1 while a2 is
@@ -43,7 +43,7 @@ package dcas
 // of a concurrent pair.  The array deque satisfies all three — ends are
 // indices in [0, n), are mutated only by DCAS, and are never a pair's
 // second location.  The list deques do not (their link words appear on
-// both sides of pairs), so they keep BitLock/TwoLock.
+// both sides of pairs), so they keep TwoLock.
 //
 // The strong form's failure view is atomic exactly when v1 == o1 — the
 // case where the view was taken under the anchor's mark.  When v1 != o1

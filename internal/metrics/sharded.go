@@ -195,7 +195,7 @@ type Bucket struct {
 }
 
 // HistogramSnapshot is a point-in-time summary of a histogram, the
-// shape the exporters (flat text, expvar JSON, Prometheus) all render
+// shape Stats snapshots carry and the Prometheus exporter renders
 // from.  Values are nanoseconds; quantiles are the bucket upper bounds
 // Quantile reports.  Buckets carries the non-empty buckets for
 // full-distribution exposition and is excluded from JSON (the summary

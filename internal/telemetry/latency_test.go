@@ -148,8 +148,15 @@ func TestWritePrometheus(t *testing.T) {
 	ss := NewSchedSink(2).EnableLatency()
 	ss.Inc(0, SchedRuns)
 	ss.Latency(0, SchedSubmitRun, 1500)
+	ss.Latency(1, SchedParkWake, 4096)
 	unSched := RegisterSched("test_prom_sched", ss)
 	defer unSched()
+
+	// Without latency enabled, no latency series appear for the entry.
+	plain := NewSink()
+	plain.Op(Left, Pushes, 0)
+	unPlain := Register("test_prom_nolat", plain, nil, nil)
+	defer unPlain()
 
 	var b strings.Builder
 	WritePrometheus(&b)
@@ -160,16 +167,26 @@ func TestWritePrometheus(t *testing.T) {
 		`dcasdeque_ops_total{deque="test_prom_deque",end="right",counter="retries"} 2`,
 		"# TYPE dcasdeque_op_latency_seconds histogram",
 		`dcasdeque_op_latency_seconds_count{deque="test_prom_deque",end="right"} 2`,
+		`dcasdeque_op_latency_seconds_count{deque="test_prom_deque",end="left"} 0`,
 		`dcasdeque_op_spin_latency_seconds_count{deque="test_prom_deque",end="right"} 1`,
 		`dcasdeque_op_latency_quantile_seconds{deque="test_prom_deque",end="right",quantile="0.99"}`,
-		`dcasdeque_sched_events_total{sched="test_prom_sched",event="runs"} 1`,
+		`dcasdeque_op_spin_latency_quantile_seconds{deque="test_prom_deque",end="right",quantile="0.99"}`,
+		`dcasdeque_ops_total{deque="test_prom_nolat",end="left",counter="pushes"} 1`,
+		`dcasdeque_sched_events_total{sched="test_prom_sched",worker="0",event="runs"} 1`,
 		`dcasdeque_sched_latency_seconds_count{sched="test_prom_sched",kind="submit_run"} 1`,
 		`dcasdeque_sched_latency_seconds_bucket{sched="test_prom_sched",kind="submit_run",le="+Inf"} 1`,
 		`dcasdeque_sched_latency_quantile_seconds{sched="test_prom_sched",kind="submit_run",quantile="0.5"}`,
+		`dcasdeque_sched_latency_seconds_count{sched="test_prom_sched",kind="park_wake"} 1`,
+		`dcasdeque_sched_latency_quantile_seconds{sched="test_prom_sched",kind="park_wake",quantile="0"} 4.096e-06`,
+		`dcasdeque_sched_latency_quantile_seconds{sched="test_prom_sched",kind="park_wake",quantile="1"} 4.096e-06`,
+		`dcasdeque_sched_latency_seconds_count{sched="test_prom_sched",kind="steal_run"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	if strings.Contains(body, `latency_seconds_count{deque="test_prom_nolat"`) {
+		t.Error("latency series for a latency-disabled deque")
 	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", body)

@@ -1,35 +1,38 @@
 package telemetry
 
-// The Prometheus text-exposition exporter: the same registry the expvar
-// and flat-text paths read, rendered in the Prometheus 0.0.4 text
-// format so a scrape target needs nothing beyond net/http.  Counters
-// become *_total families labelled by deque and end; the latency
+// The exporter: the registry rendered in the Prometheus 0.0.4 text
+// format, the one way telemetry leaves a process, so a scrape target
+// needs nothing beyond net/http.  Counters become *_total families
+// labelled by component and end, worker, tenant or arena; the latency
 // histograms become native Prometheus histograms (cumulative
-// `le`-bucketed counts in seconds) plus quantile gauges, so both
-// histogram_quantile over buckets and the pre-computed p99s are
-// available to dashboards.
+// `le`-bucketed counts in seconds) plus quantile gauges (min, p50, p90,
+// p99, p999, max), so both histogram_quantile over buckets and the
+// pre-computed quantiles are available to dashboards; the memory
+// ledgers become a counter family and two gauge families.
 //
 // Bucket exposition collapses the 8 log-linear sub-buckets per
 // power-of-two exponent into one `le` bound: Prometheus stores every
 // series a scrape exposes, and 512 buckets per histogram × 4 histograms
 // per deque is cardinality no scrape config would thank us for.  The
 // collapse only widens buckets (relative error 100% at the exponent
-// scale instead of 12.5%); the flat-text/JSON quantiles keep the full
+// scale instead of 12.5%); the quantile gauges keep the full
 // resolution.
 
 import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 
+	"dcasdeque/internal/arena"
 	"dcasdeque/internal/metrics"
 )
 
 // PrometheusHandler returns an http.Handler serving every registered
-// deque's and scheduler's telemetry in the Prometheus text exposition
-// format.  Mount it wherever the scrape config points (conventionally
-// /metrics).
+// deque's, scheduler's and server's telemetry in the Prometheus text
+// exposition format.  Mount it wherever the scrape config points
+// (conventionally /metrics).
 func PrometheusHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -47,8 +50,29 @@ type promFamily struct {
 	samples         []string
 }
 
-func (f *promFamily) addf(format string, args ...any) {
-	f.samples = append(f.samples, fmt.Sprintf(format, args...))
+// add appends the sample name+suffix{labels} v (suffix is a histogram's
+// _bucket, _sum or _count, else empty).
+func (f *promFamily) add(suffix, labels string, v any) {
+	f.samples = append(f.samples, fmt.Sprintf("%s%s{%s} %v", f.name, suffix, labels, v))
+}
+
+// labelEscaper escapes a label value as the exposition format requires:
+// backslash, double quote and line feed, and nothing else.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// labels renders name/value pairs as the inside of a sample's braces.
+func labels(kv ...string) string {
+	var b strings.Builder
+	for i := 0; i+1 < len(kv); i += 2 {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(kv[i])
+		b.WriteString(`="`)
+		_, _ = labelEscaper.WriteString(&b, kv[i+1])
+		b.WriteByte('"')
+	}
+	return b.String()
 }
 
 // WritePrometheus renders the full exposition into b.
@@ -72,8 +96,16 @@ func WritePrometheus(b *strings.Builder) {
 		help: "Latency of contended deque operations (>=1 retry) by end.", typ: "histogram"}
 	opQ := &promFamily{name: "dcasdeque_op_latency_quantile_seconds",
 		help: "Pre-computed deque operation latency quantiles.", typ: "gauge"}
+	spinQ := &promFamily{name: "dcasdeque_op_spin_latency_quantile_seconds",
+		help: "Pre-computed contended deque operation latency quantiles.", typ: "gauge"}
+	arenaF := &promFamily{name: "dcasdeque_arena_events_total",
+		help: "Arena slot allocations, recycled frees and gc-mode retirements.", typ: "counter"}
+	arenaG := &promFamily{name: "dcasdeque_arena_occupancy",
+		help: "Arena occupancy: live slots, their high-water mark, published slabs and their bytes.", typ: "gauge"}
+	rings := &promFamily{name: "dcasdeque_ring_chain",
+		help: "Chase-Lev ring chain: rings allocated and retired, active-ring cells, bytes retained.", typ: "gauge"}
 	schedF := &promFamily{name: "dcasdeque_sched_events_total",
-		help: "Scheduler lifecycle events, summed over workers.", typ: "counter"}
+		help: "Scheduler lifecycle events by worker (worker=\"external\": outside any worker).", typ: "counter"}
 	schedLat := &promFamily{name: "dcasdeque_sched_latency_seconds",
 		help: "Scheduler task-lifecycle latencies (submit->run, steal->run, park->wake).", typ: "histogram"}
 	schedQ := &promFamily{name: "dcasdeque_sched_latency_quantile_seconds",
@@ -91,26 +123,25 @@ func WritePrometheus(b *strings.Builder) {
 			for _, end := range [NumEnds]End{Left, Right} {
 				oc := e.Telemetry.End(end)
 				for c := Counter(0); c < NumCounters; c++ {
-					ops.addf("%s{deque=%q,end=%q,counter=%q} %d",
-						ops.name, n, end.String(), c.String(), oc.get(c))
+					ops.add("", labels("deque", n, "end", end.String(), "counter", c.String()), oc.get(c))
 				}
 			}
 			r := e.Telemetry.Ref
-			ref.addf("%s{deque=%q,event=\"incs\"} %d", ref.name, n, r.Incs)
-			ref.addf("%s{deque=%q,event=\"decs\"} %d", ref.name, n, r.Decs)
-			ref.addf("%s{deque=%q,event=\"frees\"} %d", ref.name, n, r.Frees)
+			ref.add("", labels("deque", n, "event", "incs"), r.Incs)
+			ref.add("", labels("deque", n, "event", "decs"), r.Decs)
+			ref.add("", labels("deque", n, "event", "frees"), r.Frees)
 			if l := e.Telemetry.Latency; l != nil {
 				for _, end := range [NumEnds]End{Left, Right} {
 					el := l.End(end)
-					labels := fmt.Sprintf("deque=%q,end=%q", n, end.String())
-					promHistogram(opLat, labels, el.Op)
-					promHistogram(spinLat, labels, el.Spin)
-					promQuantiles(opQ, labels, el.Op)
+					ls := labels("deque", n, "end", end.String())
+					promHistogram(opLat, ls, el.Op)
+					promHistogram(spinLat, ls, el.Spin)
+					promQuantiles(opQ, ls, el.Op)
+					promQuantiles(spinQ, ls, el.Spin)
 				}
 			}
 		}
-		if e.DCAS != nil {
-			d := e.DCAS
+		if d := e.DCAS; d != nil {
 			for _, s := range []struct {
 				ev string
 				v  uint64
@@ -118,37 +149,57 @@ func WritePrometheus(b *strings.Builder) {
 				{"attempts", d.Attempts}, {"failures", d.Failures}, {"successes", d.Successes},
 				{"backoff_spins", d.BackoffSpins}, {"backoff_yields", d.BackoffYields},
 			} {
-				dcasF.addf("%s{deque=%q,event=%q} %d", dcasF.name, n, s.ev, s.v)
+				dcasF.add("", labels("deque", n, "event", s.ev), s.v)
+			}
+		}
+		if m := e.Mem; m != nil {
+			promArena(arenaF, arenaG, n, "slots", m.Slots)
+			if m.Nodes != nil {
+				promArena(arenaF, arenaG, n, "nodes", *m.Nodes)
+			}
+			if m.Lfrc != nil {
+				promArena(arenaF, arenaG, n, "lfrc", *m.Lfrc)
+			}
+			if r := m.Rings; r != nil {
+				rings.add("", labels("deque", n, "gauge", "rings"), r.Rings)
+				rings.add("", labels("deque", n, "gauge", "retired"), r.Retired)
+				rings.add("", labels("deque", n, "gauge", "cells"), r.Cells)
+				rings.add("", labels("deque", n, "gauge", "bytes"), r.Bytes)
 			}
 		}
 		if e.Sched != nil {
+			for w, oc := range e.Sched.Workers {
+				for c := SchedCounter(0); c < NumSchedCounters; c++ {
+					schedF.add("", labels("sched", n, "worker", strconv.Itoa(w), "event", c.String()), oc.get(c))
+				}
+			}
 			for c := SchedCounter(0); c < NumSchedCounters; c++ {
-				schedF.addf("%s{sched=%q,event=%q} %d", schedF.name, n, c.String(), e.Sched.Total.get(c))
+				schedF.add("", labels("sched", n, "worker", "external", "event", c.String()), e.Sched.External.get(c))
 			}
 			if l := e.Sched.Latencies; l != nil {
 				for k := SchedLatency(0); k < NumSchedLatencies; k++ {
-					labels := fmt.Sprintf("sched=%q,kind=%q", n, k.String())
-					promHistogram(schedLat, labels, l.Get(k))
-					promQuantiles(schedQ, labels, l.Get(k))
+					ls := labels("sched", n, "kind", k.String())
+					promHistogram(schedLat, ls, l.Get(k))
+					promQuantiles(schedQ, ls, l.Get(k))
 				}
 			}
 		}
 		if e.Serve != nil {
 			for _, tc := range e.Serve.Tenants {
 				for c := ServeCounter(0); c < NumServeCounters; c++ {
-					serveF.addf("%s{server=%q,tenant=%q,outcome=%q} %d",
-						serveF.name, n, tc.Tenant, c.String(), tc.get(c))
+					serveF.add("", labels("server", n, "tenant", tc.Tenant, "outcome", c.String()), tc.get(c))
 				}
 			}
 			for st := ServeStage(0); st < NumServeStages; st++ {
-				labels := fmt.Sprintf("server=%q,stage=%q", n, st.String())
-				promHistogram(serveLat, labels, e.Serve.Stages.Get(st))
-				promQuantiles(serveQ, labels, e.Serve.Stages.Get(st))
+				ls := labels("server", n, "stage", st.String())
+				promHistogram(serveLat, ls, e.Serve.Stages.Get(st))
+				promQuantiles(serveQ, ls, e.Serve.Stages.Get(st))
 			}
 		}
 	}
 
-	for _, f := range []*promFamily{ops, ref, dcasF, opLat, spinLat, opQ, schedF, schedLat, schedQ, serveF, serveLat, serveQ} {
+	for _, f := range []*promFamily{ops, ref, dcasF, opLat, spinLat, opQ, spinQ, arenaF, arenaG, rings,
+		schedF, schedLat, schedQ, serveF, serveLat, serveQ} {
 		if len(f.samples) == 0 {
 			continue
 		}
@@ -158,6 +209,18 @@ func WritePrometheus(b *strings.Builder) {
 			b.WriteByte('\n')
 		}
 	}
+}
+
+// promArena renders one arena ledger: its monotone counts into the
+// counter family, its occupancy into the gauge family.
+func promArena(counts, gauges *promFamily, deque, kind string, o arena.Occupancy) {
+	counts.add("", labels("deque", deque, "arena", kind, "event", "allocs"), o.Allocs)
+	counts.add("", labels("deque", deque, "arena", kind, "event", "frees"), o.Frees)
+	counts.add("", labels("deque", deque, "arena", kind, "event", "retired"), o.Retired)
+	gauges.add("", labels("deque", deque, "arena", kind, "gauge", "live"), o.Live)
+	gauges.add("", labels("deque", deque, "arena", kind, "gauge", "high_water"), o.HighWater)
+	gauges.add("", labels("deque", deque, "arena", kind, "gauge", "slabs"), o.Slabs)
+	gauges.add("", labels("deque", deque, "arena", kind, "gauge", "slab_bytes"), o.SlabBytes)
 }
 
 // promHistogram renders one snapshot as a Prometheus histogram:
@@ -184,21 +247,22 @@ func promHistogram(f *promFamily, labels string, h metrics.HistogramSnapshot) {
 	var cum uint64
 	for _, bd := range bounds {
 		cum += bd.count
-		f.addf("%s_bucket{%s,le=%q} %d", f.name, labels, formatLe(bd.le), cum)
+		f.add("_bucket", fmt.Sprintf("%s,le=\"%g\"", labels, bd.le), cum)
 	}
-	f.addf("%s_bucket{%s,le=\"+Inf\"} %d", f.name, labels, h.N)
-	f.addf("%s_sum{%s} %g", f.name, labels, float64(h.Sum)/1e9)
-	f.addf("%s_count{%s} %d", f.name, labels, h.N)
+	f.add("_bucket", labels+`,le="+Inf"`, h.N)
+	f.add("_sum", labels, float64(h.Sum)/1e9)
+	f.add("_count", labels, h.N)
 }
 
-// promQuantiles renders the snapshot's pre-computed quantiles (and max)
-// as gauges labelled by quantile, in seconds.
+// promQuantiles renders the snapshot's minimum, pre-computed quantiles
+// and maximum as gauges labelled by quantile (0 and 1 for the extremes),
+// in seconds.
 func promQuantiles(f *promFamily, labels string, h metrics.HistogramSnapshot) {
 	for _, q := range []struct {
 		q string
 		v uint64
-	}{{"0.5", h.P50}, {"0.9", h.P90}, {"0.99", h.P99}, {"0.999", h.P999}, {"1", h.Max}} {
-		f.addf("%s{%s,quantile=%q} %g", f.name, labels, q.q, float64(q.v)/1e9)
+	}{{"0", h.Min}, {"0.5", h.P50}, {"0.9", h.P90}, {"0.99", h.P99}, {"0.999", h.P999}, {"1", h.Max}} {
+		f.add("", labels+`,quantile="`+q.q+`"`, float64(q.v)/1e9)
 	}
 }
 
@@ -213,10 +277,4 @@ func ceilPow2(v uint64) uint64 {
 		p <<= 1
 	}
 	return p
-}
-
-// formatLe renders a bucket bound compactly (%g keeps 1.024e-05-style
-// bounds stable across runs, which scrape diffing wants).
-func formatLe(le float64) string {
-	return fmt.Sprintf("%g", le)
 }

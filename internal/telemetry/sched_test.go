@@ -1,9 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"expvar"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -78,50 +75,29 @@ func TestSchedExporter(t *testing.T) {
 	unregister := RegisterSched("test_exporter_sched", s)
 	defer unregister()
 
-	rec := httptest.NewRecorder()
-	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	body := rec.Body.String()
+	body := scrape(t)
 	for _, want := range []string{
-		"test_exporter_sched.sched.runs 1",
-		"test_exporter_sched.sched.steals 1",
-		"test_exporter_sched.sched.stolen 3",
-		"test_exporter_sched.sched.submits 1",
-		"test_exporter_sched.sched.w0.runs 1",
-		"test_exporter_sched.sched.w1.stolen 3",
+		`dcasdeque_sched_events_total{sched="test_exporter_sched",worker="0",event="runs"} 1`,
+		`dcasdeque_sched_events_total{sched="test_exporter_sched",worker="1",event="runs"} 0`,
+		`dcasdeque_sched_events_total{sched="test_exporter_sched",worker="1",event="steals"} 1`,
+		`dcasdeque_sched_events_total{sched="test_exporter_sched",worker="1",event="stolen"} 3`,
+		`dcasdeque_sched_events_total{sched="test_exporter_sched",worker="external",event="submits"} 1`,
 	} {
 		if !strings.Contains(body, want) {
-			t.Errorf("exporter text missing %q:\n%s", want, body)
+			t.Errorf("exposition missing %q:\n%s", want, body)
 		}
 	}
-	// A scheduler entry must not emit deque counter lines.
-	if strings.Contains(body, "test_exporter_sched.left.") ||
-		strings.Contains(body, "test_exporter_sched.ref.") {
-		t.Errorf("scheduler entry leaked deque lines:\n%s", body)
+	// Two workers plus the external bank, one series per counter each.
+	if got, want := strings.Count(body, `{sched="test_exporter_sched",worker=`), 3*int(NumSchedCounters); got != want {
+		t.Errorf("%d scheduler event series, want %d:\n%s", got, want, body)
 	}
-
-	v := expvar.Get("dcasdeque")
-	if v == nil {
-		t.Fatal("expvar \"dcasdeque\" not published")
-	}
-	var decoded map[string]exportEntry
-	if err := json.Unmarshal([]byte(v.String()), &decoded); err != nil {
-		t.Fatalf("expvar JSON: %v\n%s", err, v.String())
-	}
-	e, ok := decoded["test_exporter_sched"]
-	if !ok {
-		t.Fatalf("expvar JSON missing scheduler entry: %s", v.String())
-	}
-	if e.Sched == nil || e.Sched.Total.Stolen != 3 || len(e.Sched.Workers) != 2 {
-		t.Fatalf("expvar sched = %+v", e.Sched)
-	}
-	if e.Telemetry != nil {
-		t.Fatalf("scheduler entry carries deque telemetry: %+v", e.Telemetry)
+	// A scheduler entry must not emit deque series.
+	if strings.Contains(body, `deque="test_exporter_sched"`) {
+		t.Errorf("scheduler entry leaked deque series:\n%s", body)
 	}
 
 	unregister()
-	rec = httptest.NewRecorder()
-	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	if strings.Contains(rec.Body.String(), "test_exporter_sched") {
+	if strings.Contains(scrape(t), "test_exporter_sched") {
 		t.Fatal("entry still exported after unregister")
 	}
 }

@@ -26,7 +26,7 @@ import (
 )
 
 func TestExporterScrapeRace(t *testing.T) {
-	srv := httptest.NewServer(telemetry.Handler())
+	srv := httptest.NewServer(telemetry.PrometheusHandler())
 	defer srv.Close()
 
 	var stop atomic.Bool
@@ -84,7 +84,7 @@ func TestExporterScrapeRace(t *testing.T) {
 		}
 	}()
 
-	// Scrapers: full-body HTTP reads of the flat-text export.
+	// Scrapers: full-body HTTP reads of the exposition.
 	const scrapes = 15
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -102,9 +102,9 @@ func TestExporterScrapeRace(t *testing.T) {
 					t.Errorf("scrape body: %v", err)
 					return
 				}
-				if i == 0 && !strings.Contains(string(body), "race-live.arena.slots.allocs") {
+				if i == 0 && !strings.Contains(string(body), `dcasdeque_arena_events_total{deque="race-live",arena="slots",event="allocs"}`) {
 					// The named live deque must appear with its memory block.
-					t.Errorf("scrape missing the live deque's arena lines:\n%.200s", body)
+					t.Errorf("scrape missing the live deque's arena series:\n%.200s", body)
 				}
 			}
 		}()

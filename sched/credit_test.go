@@ -72,7 +72,9 @@ func TestCreditReturnedAfterJoin(t *testing.T) {
 // spawn tree is still growing, and single-task steals spread the tree
 // so that tasks finish on workers other than the one that spawned them
 // — the spawner paid the unit, a different worker banks it.  Every task
-// must run exactly once and the word must end at exactly drainBit.
+// must run exactly once and the word must end at exactly drainBit.  The
+// root holds its worker after spawning until some task has run
+// elsewhere, so the steal the test is about always happens.
 func TestCreditDrainRacesSpawnTree(t *testing.T) {
 	for name, backend := range backends() {
 		t.Run(name, func(t *testing.T) {
@@ -92,6 +94,13 @@ func TestCreditDrainRacesSpawnTree(t *testing.T) {
 					}
 					w.Spawn(node(2*id, w.ID()))
 					w.Spawn(node(2*id+1, w.ID()))
+					if id == 1 {
+						// The root's own count is the first foreign run;
+						// wait, bounded, for a thief to add the second.
+						for deadline := time.Now().Add(10 * time.Second); foreign.Load() < 2 && time.Now().Before(deadline); {
+							runtime.Gosched()
+						}
+					}
 					// Let woken thieves run even at one processor.
 					runtime.Gosched()
 				}

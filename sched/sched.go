@@ -209,8 +209,8 @@ func WithTelemetry() Option {
 }
 
 // WithTelemetryName enables telemetry and registers it under the given
-// name with the process-wide exporter (expvar "dcasdeque" and
-// deque.TelemetryHandler), like deque.WithTelemetryName.
+// name with the process-wide exporter (deque.PrometheusHandler, as the
+// sched="name" series), like deque.WithTelemetryName.
 func WithTelemetryName(name string) Option {
 	return func(c *config) { c.telemetry = true; c.telemetryName = name }
 }

@@ -34,7 +34,7 @@ import (
 // WithLatency enables task-lifecycle latency histograms on top of the
 // counters (implying WithTelemetry): submit→first-run, steal→run and
 // park→wake intervals, per worker, readable through Stats().Latencies
-// and the exporters.  Costs one closure allocation plus two clock reads
+// and /metrics.  Costs one closure allocation plus two clock reads
 // per submitted/spawned/stolen task.
 func WithLatency() Option {
 	return func(c *config) {

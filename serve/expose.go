@@ -8,15 +8,14 @@ import (
 )
 
 // ExpositionMux returns a mux with the repository's full observability
-// surface mounted: the flat-text exporter at /telemetry (dequetop's
-// scrape target), the Prometheus text exposition at /metrics, and the
-// pprof handlers under /debug/pprof — the wiring every serving binary
-// (dequeserve, examples/worksteal -listen) shares instead of
-// hand-rolling.  Handlers are mounted on a fresh mux, not
+// surface mounted: one registry, one rendering — the Prometheus text
+// exposition at /metrics, which Prometheus and cmd/dequetop both
+// scrape — and the pprof handlers under /debug/pprof.  Every serving
+// binary (dequeserve, examples/worksteal -listen) shares this wiring
+// instead of hand-rolling it.  Handlers are mounted on a fresh mux, not
 // http.DefaultServeMux, so embedding binaries control their surface.
 func ExpositionMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/telemetry", deque.TelemetryHandler())
 	mux.Handle("/metrics", deque.PrometheusHandler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -378,35 +378,31 @@ func TestExpositionMuxServesRegistry(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("jobs: %d", rr.Code)
 	}
-	tr := httptest.NewRecorder()
-	mux.ServeHTTP(tr, httptest.NewRequest("GET", "/telemetry", nil))
-	body := tr.Body.String()
-	for _, want := range []string{
-		"servetest.serve.total.received 1",
-		"servetest.serve.total.completed 1",
-		"servetest.serve.tenant.default.accepted 1",
-		"servetest.serve.lat.ingest.n 1",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("telemetry missing %q in:\n%s", want, body)
-		}
+	scrape := func() string {
+		pr := httptest.NewRecorder()
+		mux.ServeHTTP(pr, httptest.NewRequest("GET", "/metrics", nil))
+		return pr.Body.String()
 	}
-	pr := httptest.NewRecorder()
-	mux.ServeHTTP(pr, httptest.NewRequest("GET", "/metrics", nil))
-	pbody := pr.Body.String()
+	body := scrape()
 	for _, want := range []string{
+		`dcasdeque_serve_requests_total{server="servetest",tenant="default",outcome="received"} 1`,
+		`dcasdeque_serve_requests_total{server="servetest",tenant="default",outcome="accepted"} 1`,
 		`dcasdeque_serve_requests_total{server="servetest",tenant="default",outcome="completed"} 1`,
+		`dcasdeque_serve_stage_latency_seconds_count{server="servetest",stage="ingest"} 1`,
 		`dcasdeque_serve_stage_latency_seconds_count{server="servetest",stage="run"} 1`,
 	} {
-		if !strings.Contains(pbody, want) {
-			t.Fatalf("prometheus missing %q in:\n%s", want, pbody)
+		if !strings.Contains(body, want) {
+			t.Fatalf("exposition missing %q in:\n%s", want, body)
 		}
+	}
+	gone := httptest.NewRecorder()
+	mux.ServeHTTP(gone, httptest.NewRequest("GET", "/telemetry", nil))
+	if gone.Code != http.StatusNotFound {
+		t.Errorf("GET /telemetry: %d, want 404 (/metrics is the one exposition)", gone.Code)
 	}
 	// Unregistration on shutdown: the entry disappears.
 	shutdown(t, s)
-	tr2 := httptest.NewRecorder()
-	mux.ServeHTTP(tr2, httptest.NewRequest("GET", "/telemetry", nil))
-	if strings.Contains(tr2.Body.String(), "servetest.serve") {
+	if strings.Contains(scrape(), `server="servetest"`) {
 		t.Fatal("serve entry still registered after Shutdown")
 	}
 }

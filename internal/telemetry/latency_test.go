@@ -193,6 +193,63 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestWriteTextLatency checks the latency series of the text exposition:
+// per-end op and spin counts, the per-end p99, the scheduler's latency
+// extremes (quantile 1 is the histogram maximum), and no latency series
+// for a deque registered without latency.
+func TestWriteTextLatency(t *testing.T) {
+	sink := NewSink().EnableLatency()
+	sink.OpTimed(Left, Pushes, 1, metrics.Nanotime()-1000)
+	unDeque := Register("test_lat_deque", sink, nil, nil)
+	defer unDeque()
+
+	ss := NewSchedSink(1).EnableLatency()
+	ss.Latency(0, SchedParkWake, 4096)
+	unSched := RegisterSched("test_lat_sched", ss)
+	defer unSched()
+
+	var b strings.Builder
+	WritePrometheus(&b)
+	body := b.String()
+	for _, want := range []string{
+		`dcasdeque_op_latency_seconds_count{deque="test_lat_deque",end="left"} 1`,
+		`dcasdeque_op_latency_quantile_seconds{deque="test_lat_deque",end="left",quantile="0.99"} `,
+		`dcasdeque_op_spin_latency_seconds_count{deque="test_lat_deque",end="left"} 1`,
+		`dcasdeque_op_latency_seconds_count{deque="test_lat_deque",end="right"} 0`,
+		`dcasdeque_sched_latency_seconds_count{sched="test_lat_sched",kind="park_wake"} 1`,
+		`dcasdeque_sched_latency_quantile_seconds{sched="test_lat_sched",kind="park_wake",quantile="1"} 4.096e-06`,
+		`dcasdeque_sched_latency_seconds_count{sched="test_lat_sched",kind="submit_run"} 0`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	if t.Failed() {
+		t.Logf("exposition:\n%s", body)
+	}
+
+	// Without latency enabled, no latency series appear for the entry.
+	plain := NewSink()
+	plain.Op(Left, Pushes, 0)
+	unPlain := Register("test_nolat_deque", plain, nil, nil)
+	defer unPlain()
+	b.Reset()
+	WritePrometheus(&b)
+	sawPlain := false
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.Contains(line, `deque="test_nolat_deque"`) {
+			continue
+		}
+		sawPlain = true
+		if strings.Contains(line, "latency") {
+			t.Fatalf("latency line for latency-disabled deque: %s", line)
+		}
+	}
+	if !sawPlain {
+		t.Fatal("latency-disabled deque missing from the exposition")
+	}
+}
+
 // TestPromHistogramCumulative checks the histogram rendering invariants
 // directly: `le` bounds strictly increasing, bucket counts cumulative
 // and monotone, and the +Inf bucket equal to _count.

@@ -24,12 +24,14 @@ vet-fixtures:
 # Every test at one and two processors, the scheduler's, the arena's and
 # the deques' tests race-instrumented at both (the CI steps of the same
 # names), then one iteration of every benchmark family in bench_test.go
-# so none of them rots.
+# so none of them rots, then perfbench (its own module, which ./... does
+# not reach) vetted and tested against this checkout's API.
 test:
 	$(GO) test -cpu 1,2 ./...
 	$(GO) test -race -cpu 1,2 ./sched/...
 	$(GO) test -race -cpu 1,2 ./internal/arena/... ./deque/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu 1,2 .
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race -short ./...

@@ -210,7 +210,7 @@ func TestPopManyConcurrent(t *testing.T) {
 				}
 				consumed += int(c)
 			}
-			rem, err := itemsOf(d)
+			rem, err := d.(interface{ Items() ([]int, error) }).Items()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,28 +220,6 @@ func TestPopManyConcurrent(t *testing.T) {
 			}
 		})
 	}
-}
-
-// itemsOf snapshots a deque's contents via the concrete Items method.
-func itemsOf(d Deque[int]) ([]int, error) {
-	switch v := d.(type) {
-	case *Array[int]:
-		return v.Items()
-	case *List[int]:
-		return v.Items()
-	case *ChaseLev[int]:
-		return v.Items()
-	case *Mutex[int]:
-		out := []int{}
-		for {
-			batch := v.PopLMany(64)
-			if batch == nil {
-				return out, nil
-			}
-			out = append(out, batch...)
-		}
-	}
-	return nil, nil
 }
 
 func equal(a, b []int) bool {

@@ -88,7 +88,6 @@ type config struct {
 	globalLockDCAS bool
 	endLockDCAS    bool
 	nodeReuse      bool
-	eagerDelete    bool
 	dummyNodes     bool
 	lfrc           bool
 	maxNodes       int
@@ -99,11 +98,18 @@ type config struct {
 	latency        bool
 }
 
-func defaultConfig() config {
-	return config{
-		nodeReuse: true,
-		maxNodes:  1 << 20,
+// configure applies opts over the defaults and builds the telemetry
+// instruments when they are enabled (nil otherwise).
+func configure(opts []Option) (config, *instruments) {
+	cfg := config{nodeReuse: true, maxNodes: 1 << 20}
+	for _, o := range opts {
+		o(&cfg)
 	}
+	var inst *instruments
+	if cfg.telemetry {
+		inst = newInstruments(cfg.telemetryName, cfg.latency)
+	}
+	return cfg, inst
 }
 
 // WithGlobalLockDCAS selects the coarse global-mutex DCAS emulation
@@ -166,15 +172,8 @@ func WithoutNodeReuse() Option {
 	return func(c *config) { c.nodeReuse = false }
 }
 
-// WithEagerDelete makes list-deque pops complete their physical deletion
-// before returning (the paper's footnote 6 variant) instead of leaving it
-// to the next operation on that side.  No effect on the array deque.
-func WithEagerDelete() Option {
-	return func(c *config) { c.eagerDelete = true }
-}
-
 // WithMaxNodes bounds the list and Chase–Lev deques' element arenas
-// (default 1<<20 live elements).  No effect on the array deque.
+// (default 1<<20 live elements).  No effect on the array and mutex deques.
 func WithMaxNodes(n int) Option {
 	return func(c *config) { c.maxNodes = n }
 }

@@ -17,7 +17,6 @@ func implementations(capacity int) map[string]Deque[int] {
 		"Array/globalLock": NewArray[int](capacity, WithGlobalLockDCAS()),
 		"List":             NewList[int](WithMaxNodes(capacity * 100)),
 		"List/gc":          NewList[int](WithoutNodeReuse(), WithMaxNodes(1<<16)),
-		"List/eager":       NewList[int](WithEagerDelete()),
 		"List/dummy":       NewList[int](WithDummyNodes()),
 		"List/lfrc":        NewList[int](WithLFRC()),
 		"Mutex":            NewMutex[int](capacity),

@@ -4,49 +4,35 @@ import (
 	"dcasdeque/internal/arena"
 	"dcasdeque/internal/core/listdeque"
 	"dcasdeque/internal/dcas"
-	"dcasdeque/internal/spec"
+	"dcasdeque/internal/telemetry"
 )
 
-// listCore is the operation vocabulary shared by the two list-deque
-// representations: the deleted-bit core (Section 4 main text) and the
-// dummy-node core (Figure 10, footnote 4).
+// listCore is the operation vocabulary shared by the three list-deque
+// representations: the deleted-bit core (Section 4 main text), the
+// dummy-node core (Figure 10, footnote 4) and the LFRC core.
 type listCore interface {
-	PushLeft(v uint64) spec.Result
-	PushRight(v uint64) spec.Result
-	PopLeft() (uint64, spec.Result)
-	PopRight() (uint64, spec.Result)
-	PopLeftMany(out []uint64) int
-	PopRightMany(out []uint64) int
-	Items() ([]uint64, error)
+	core
 	// Compact completes pending physical deletions on both ends, freeing
 	// spliced-out nodes (and retired dummies) now instead of at the next
 	// same-side operation.
 	Compact()
-	// Occupancy returns the node arena's allocation ledger.
+	// Occupancy returns the node arena's audited allocation ledger;
+	// Ledger is the same without the audit, in O(1).
 	Occupancy() arena.Occupancy
-	// LiveNodes reports the node arena's live count in O(1).
-	LiveNodes() int
+	Ledger() arena.Occupancy
 }
 
 // List is the unbounded linked-list DCAS deque of Section 4, carrying
 // elements of type T.  Create with NewList.  All methods are safe for
 // concurrent use.
 type List[T any] struct {
-	core  listCore
-	slots *arena.Arena[T]
-	lfrc  bool   // core is the LFRC representation (Mem attribution)
-	bound uint64 // WithMemoryBound budget; 0 = unbounded
-	// nodeBytes is the core's per-node footprint, cached for the bound's
-	// headroom estimate (a push costs one slot plus one node).
-	nodeBytes uint64
-	inst      *instruments
+	slotted[T]
 }
 
 // WithDummyNodes selects the Figure 10 representation for NewList: the
 // logical-deletion mark is carried by indirection through "delete-bit"
 // dummy nodes instead of a flag bit packed into the sentinel pointers.
 // Semantically identical; exists for hardware without spare pointer bits.
-// Incompatible with WithEagerDelete (ignored if both are given).
 func WithDummyNodes() Option {
 	return func(c *config) { c.dummyNodes = true }
 }
@@ -55,8 +41,8 @@ func WithDummyNodes() Option {
 // (the methodology of the paper's reference [12]): every node carries a
 // count of shared and local references and is reclaimed deterministically
 // when the last one disappears, instead of relying on the arena's gc or
-// tagged-reuse modes.  Incompatible with WithEagerDelete and
-// WithDummyNodes (LFRC wins if combined).
+// tagged-reuse modes.  Incompatible with WithDummyNodes (LFRC wins if
+// combined).
 func WithLFRC() Option {
 	return func(c *config) { c.lfrc = true }
 }
@@ -75,14 +61,9 @@ func listProvider(cfg config) dcas.Provider {
 // NewList returns an empty list-based deque.  Pushes fail with ErrFull
 // only if the internal node arena is exhausted (see WithMaxNodes).
 func NewList[T any](opts ...Option) *List[T] {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg, inst := configure(opts)
 	prov := listProvider(cfg)
-	var inst *instruments
-	if cfg.telemetry {
-		inst = newInstruments(cfg.telemetryName, cfg.latency)
+	if inst != nil {
 		prov, cfg.backoff = inst.instrument(prov, cfg.backoff)
 	}
 	coreOpts := []listdeque.Option{
@@ -96,93 +77,33 @@ func NewList[T any](opts ...Option) *List[T] {
 	if inst != nil {
 		coreOpts = append(coreOpts, listdeque.WithTelemetry(inst.sink))
 	}
-	var core listCore
+	var c listCore
 	switch {
 	case cfg.lfrc:
-		core = listdeque.NewLFRC(coreOpts...)
+		c = listdeque.NewLFRC(coreOpts...)
 	case cfg.dummyNodes:
-		core = listdeque.NewDummy(coreOpts...)
+		c = listdeque.NewDummy(coreOpts...)
 	default:
-		core = listdeque.New(append(coreOpts,
-			listdeque.WithEagerDelete(cfg.eagerDelete))...)
+		c = listdeque.New(coreOpts...)
 	}
-	d := &List[T]{
-		core:      core,
-		slots:     arena.New[T](cfg.maxNodes, arena.WithReuse(cfg.nodeReuse)),
-		lfrc:      cfg.lfrc,
-		bound:     cfg.memBound,
-		nodeBytes: core.Occupancy().SlotBytes,
-		inst:      inst,
+	s := newSlotted[T](c, arena.New[T](cfg.maxNodes, arena.WithReuse(cfg.nodeReuse)), cfg, inst)
+	s.need += c.Ledger().SlotBytes // a push costs one slot plus one node
+	s.compact = c.Compact
+	lfrc := cfg.lfrc
+	s.aux = func(m *telemetry.MemSnapshot, audit bool) {
+		o := c.Ledger()
+		if audit {
+			o = c.Occupancy()
+		}
+		if lfrc {
+			m.Lfrc = &o
+		} else {
+			m.Nodes = &o
+		}
 	}
-	inst.bind(d.memSnapshot)
+	d := &List[T]{slotted: s}
+	inst.bind(d.ledger)
 	return d
-}
-
-// Stats returns the deque's telemetry snapshot; ok is false (and the
-// snapshot zero) unless the deque was built with WithTelemetry or
-// WithTelemetryName.
-func (d *List[T]) Stats() (Stats, bool) {
-	if d.inst == nil {
-		return Stats{}, false
-	}
-	return d.inst.stats(), true
-}
-
-// CloseTelemetry removes the deque from the process-wide exporter if it
-// was registered with WithTelemetryName.  Stats keeps working; only the
-// exporter entry is dropped.  Safe to call regardless of configuration.
-func (d *List[T]) CloseTelemetry() { d.inst.close() }
-
-// PushLeft implements Deque.
-func (d *List[T]) PushLeft(v T) error {
-	if err := d.admit(); err != nil {
-		return err
-	}
-	h, ok := d.slots.Put(arena.Left, v)
-	if !ok {
-		return ErrFull
-	}
-	if d.core.PushLeft(h) == spec.Full {
-		take(d.slots, arena.Left, h)
-		return ErrFull
-	}
-	return nil
-}
-
-// PushRight implements Deque.
-func (d *List[T]) PushRight(v T) error {
-	if err := d.admit(); err != nil {
-		return err
-	}
-	h, ok := d.slots.Put(arena.Right, v)
-	if !ok {
-		return ErrFull
-	}
-	if d.core.PushRight(h) == spec.Full {
-		take(d.slots, arena.Right, h)
-		return ErrFull
-	}
-	return nil
-}
-
-// PopLeft implements Deque.
-func (d *List[T]) PopLeft() (T, error) {
-	h, r := d.core.PopLeft()
-	if r == spec.Empty {
-		var zero T
-		return zero, ErrEmpty
-	}
-	return take(d.slots, arena.Left, h), nil
-}
-
-// PopRight implements Deque.
-func (d *List[T]) PopRight() (T, error) {
-	h, r := d.core.PopRight()
-	if r == spec.Empty {
-		var zero T
-		return zero, ErrEmpty
-	}
-	return take(d.slots, arena.Right, h), nil
 }
 
 // Compact completes the deque's deferred physical deletions on both
@@ -191,16 +112,6 @@ func (d *List[T]) PopRight() (T, error) {
 // same pass automatically before rejecting a push with ErrMemoryBound;
 // calling it directly is useful before reading Mem at a quiescent point.
 // Safe for concurrent use.
-func (d *List[T]) Compact() { d.core.Compact() }
-
-// Items returns the deque's contents left to right.  It must only be
-// called while no operations are in flight (tests, diagnostics).
-func (d *List[T]) Items() ([]T, error) {
-	hs, err := d.core.Items()
-	if err != nil {
-		return nil, err
-	}
-	return peekAll(d.slots, hs), nil
-}
+func (d *List[T]) Compact() { d.compact() }
 
 var _ Deque[int] = (*List[int])(nil)

@@ -1,8 +1,6 @@
 package deque
 
 import (
-	"fmt"
-
 	"dcasdeque/internal/arena"
 	"dcasdeque/internal/telemetry"
 )
@@ -104,140 +102,4 @@ func memStatsOf(s telemetry.MemSnapshot) MemStats {
 		m.Rings = &r
 	}
 	return m
-}
-
-// admitMem is the WithMemoryBound admission check shared by the push
-// paths: over budget, try compaction (compact may be nil when the
-// backend has nothing to give back), then re-check and reject.  The
-// check runs before the element is boxed, so a rejected push allocates
-// nothing.  Concurrent pushes admit against the same counters without
-// mutual exclusion, so the bound can be overshot by at most one
-// in-flight push per concurrent pusher — a policy limit, not a safety
-// line.
-func admitMem(bound uint64, liveBytes func() uint64, need uint64, compact func()) error {
-	if liveBytes()+need <= bound {
-		return nil
-	}
-	if compact != nil {
-		compact()
-		if liveBytes()+need <= bound {
-			return nil
-		}
-	}
-	return ErrMemoryBound
-}
-
-// --- per-backend Mem and bound wiring ---
-
-// Mem returns the deque's memory-occupancy snapshot.  Always available,
-// independent of the telemetry options.
-func (d *Array[T]) Mem() MemStats { return memStatsOf(d.memSnapshot()) }
-
-func (d *Array[T]) memSnapshot() telemetry.MemSnapshot {
-	return telemetry.MemSnapshot{Slots: d.slots.Occupancy()}
-}
-
-func (d *Array[T]) liveBytes() uint64 {
-	return uint64(d.slots.Live()) * d.slots.SlotBytes()
-}
-
-// admit applies the memory bound, if armed, before a push boxes its
-// element.  The array deque has no compaction step: its cell storage is
-// fixed and its slots recycle immediately on pop.
-func (d *Array[T]) admit() error {
-	if d.bound == 0 {
-		return nil
-	}
-	return admitMem(d.bound, d.liveBytes, d.slots.SlotBytes(), nil)
-}
-
-// Mem returns the deque's memory-occupancy snapshot.  Always available,
-// independent of the telemetry options.
-func (d *List[T]) Mem() MemStats { return memStatsOf(d.memSnapshot()) }
-
-func (d *List[T]) memSnapshot() telemetry.MemSnapshot {
-	m := telemetry.MemSnapshot{Slots: d.slots.Occupancy()}
-	no := d.core.Occupancy()
-	if d.lfrc {
-		m.Lfrc = &no
-	} else {
-		m.Nodes = &no
-	}
-	return m
-}
-
-func (d *List[T]) liveBytes() uint64 {
-	return uint64(d.slots.Live())*d.slots.SlotBytes() + uint64(d.core.LiveNodes())*d.nodeBytes
-}
-
-// admit applies the memory bound, if armed.  Over budget the list deque
-// compacts first: completing the deferred physical deletions frees the
-// spliced-out nodes (and, in the dummy representation, retired dummies)
-// that pops left behind.
-func (d *List[T]) admit() error {
-	if d.bound == 0 {
-		return nil
-	}
-	need := d.slots.SlotBytes() + d.nodeBytes
-	return admitMem(d.bound, d.liveBytes, need, d.core.Compact)
-}
-
-// Mem returns the deque's memory-occupancy snapshot.  Always available,
-// independent of the telemetry options.
-func (d *ChaseLev[T]) Mem() MemStats { return memStatsOf(d.memSnapshot()) }
-
-func (d *ChaseLev[T]) memSnapshot() telemetry.MemSnapshot {
-	r := d.core.Rings()
-	return telemetry.MemSnapshot{Slots: d.slots.Occupancy(), Rings: &r}
-}
-
-func (d *ChaseLev[T]) liveBytes() uint64 {
-	return uint64(d.slots.Live())*d.slots.SlotBytes() + d.core.Rings().Bytes
-}
-
-// admit applies the memory bound, if armed.  Rings retire and never
-// shrink, so there is no compaction; the retained chain simply counts
-// against the budget.
-func (d *ChaseLev[T]) admit() error {
-	if d.bound == 0 {
-		return nil
-	}
-	return admitMem(d.bound, d.liveBytes, d.slots.SlotBytes(), nil)
-}
-
-// Mem returns the deque's memory-occupancy snapshot.  The mutex baseline
-// has no internal arena; its wrapper-level slot ledger is reported in
-// the same shape (one slab: the slot array allocated at construction).
-func (d *Mutex[T]) Mem() MemStats { return memStatsOf(d.memSnapshot()) }
-
-func (d *Mutex[T]) memSnapshot() telemetry.MemSnapshot {
-	o := arena.Occupancy{
-		Frees:     d.memFrees.Load(),
-		HighWater: d.memHW.Load(),
-		Slabs:     1,
-		SlabBytes: uint64(len(d.slots)) * d.slotBytes,
-		SlotBytes: d.slotBytes,
-		Cap:       uint64(len(d.slots)),
-	}
-	o.Allocs = d.memAllocs.Load() // after the frees, as in memLive
-	o.Live = int64(o.Allocs - o.Frees)
-	// The audit: every slot is either on the free channel or held.
-	if held := int64(len(d.slots) - len(d.free)); held != o.Live {
-		o.Audit = fmt.Sprintf("%d slots, %d free, so %d held, but live=%d",
-			len(d.slots), len(d.free), held, o.Live)
-	}
-	return telemetry.MemSnapshot{Slots: o}
-}
-
-func (d *Mutex[T]) liveBytes() uint64 {
-	return uint64(d.memLive()) * d.slotBytes
-}
-
-// admit applies the memory bound, if armed; the mutex baseline has no
-// compaction step.
-func (d *Mutex[T]) admit() error {
-	if d.bound == 0 {
-		return nil
-	}
-	return admitMem(d.bound, d.liveBytes, d.slotBytes, nil)
 }

@@ -1,210 +1,118 @@
 package deque
 
 import (
-	"sync/atomic"
-	"unsafe"
-
+	"dcasdeque/internal/arena"
 	"dcasdeque/internal/baseline/mutexdeque"
 	"dcasdeque/internal/metrics"
 	"dcasdeque/internal/spec"
 	"dcasdeque/internal/telemetry"
 )
 
-// Mutex is the blocking baseline: a ring-buffer deque of T protected by a
+// Mutex is the blocking baseline: a ring-buffer deque protected by a
 // single mutex, exposed with the same interface so applications and
-// benchmarks can swap implementations.  Create with NewMutex.
+// benchmarks can swap implementations.  Elements are boxed through the
+// same slot arena as the DCAS deques, so comparisons measure
+// synchronization, not boxing strategy.  Create with NewMutex.
 type Mutex[T any] struct {
-	core *mutexdeque.Deque
-	// slotted exactly like the DCAS deques so comparisons measure
-	// synchronization, not boxing strategy.
-	slots []T
-	free  chan int
-	inst  *instruments
-	lat   bool // inst non-nil with latency enabled: stamp operations
-
-	bound     uint64 // WithMemoryBound budget; 0 = unbounded
-	slotBytes uint64
-	// Wrapper-level slot ledger, kept like the arena's so the baseline
-	// reports Mem in the same shape (there is no arena underneath): Live
-	// is derived as allocs − frees, and Mem's audit checks it against the
-	// slots missing from the free channel.
-	memAllocs atomic.Uint64
-	memFrees  atomic.Uint64
-	memHW     atomic.Int64
+	slotted[T]
+	capacity int
 }
 
 // NewMutex returns an empty mutex-based deque with the given capacity.
-// Only the telemetry options apply; the DCAS and algorithm-variant
-// options are meaningless for the blocking baseline and are ignored.
-// Telemetry counts operations and boundary hits at the wrapper layer
-// (there are no DCAS attempts or retries to attribute — the core holds a
-// lock instead).
+// Only the telemetry and memory-bound options apply; the DCAS and
+// algorithm-variant options are meaningless for the blocking baseline
+// and are ignored.  Telemetry counts operations and boundary hits around
+// each core call (there are no DCAS attempts or retries to attribute —
+// the core holds a lock instead).  A batch pop of up to 256 elements
+// holds the lock once.
 func NewMutex[T any](capacity int, opts ...Option) *Mutex[T] {
 	if capacity < 1 {
 		panic("deque: capacity must be ≥ 1")
 	}
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
+	cfg, inst := configure(opts)
+	ring := mutexdeque.New(capacity)
+	var c core = ring
+	if inst != nil {
+		c = &mutexCore{Deque: ring, sink: inst.sink, lat: cfg.latency}
 	}
-	var inst *instruments
-	if cfg.telemetry {
-		inst = newInstruments(cfg.telemetryName, cfg.latency)
-	}
-	// Slot headroom beyond capacity: pushes box before discovering the
-	// deque is full, so concurrent losing pushes need slots too.
-	nslots := 2*capacity + 64
-	var probe T
-	m := &Mutex[T]{
-		core:      mutexdeque.New(capacity),
-		slots:     make([]T, nslots),
-		free:      make(chan int, nslots),
-		bound:     cfg.memBound,
-		slotBytes: uint64(unsafe.Sizeof(probe)),
-		inst:      inst,
-		lat:       cfg.latency,
-	}
-	for i := 0; i < nslots; i++ {
-		m.free <- i
-	}
-	inst.bind(m.memSnapshot)
-	return m
+	// Slot headroom beyond capacity, as for Array: pushes box before
+	// discovering the deque is full, so concurrent losing pushes need
+	// slots too.
+	slots := arena.New[T](2*capacity+64, arena.WithBlockSize(256))
+	d := &Mutex[T]{slotted: newSlotted[T](c, slots, cfg, inst), capacity: capacity}
+	inst.bind(d.ledger)
+	return d
 }
 
-// note records a completed operation when telemetry is enabled.  start
-// is the operation's entry stamp (tstart), 0 when latency is off; the
-// baseline has no retries, so the spin histogram stays empty and the
-// op histogram measures lock-acquisition plus boxing.
-func (d *Mutex[T]) note(end telemetry.End, outcome telemetry.Counter, start int64) {
-	if d.inst != nil {
-		d.inst.sink.OpTimed(end, outcome, 0, start)
-	}
+// Cap reports the deque's capacity.
+func (d *Mutex[T]) Cap() int { return d.capacity }
+
+// mutexCore is the baseline core with telemetry: the core has no
+// counters of its own, so each call records its outcome here, timed from
+// entry (lock acquisition included) when latency is on.  The spin
+// histogram stays empty: there are no retries.
+type mutexCore struct {
+	*mutexdeque.Deque
+	sink *telemetry.Sink
+	lat  bool
 }
 
 // tstart stamps an operation's entry when latency recording is enabled;
 // 0 otherwise, so the disabled path never reads the clock.
-func (d *Mutex[T]) tstart() int64 {
-	if d.lat {
+func (c *mutexCore) tstart() int64 {
+	if c.lat {
 		return metrics.Nanotime()
 	}
 	return 0
 }
 
-// Stats returns the deque's telemetry snapshot; ok is false (and the
-// snapshot zero) unless the deque was built with WithTelemetry or
-// WithTelemetryName.
-func (d *Mutex[T]) Stats() (Stats, bool) {
-	if d.inst == nil {
-		return Stats{}, false
+// note records one completed operation: done when it returned normally,
+// else the boundary it observed.
+func (c *mutexCore) note(end telemetry.End, r spec.Result, done telemetry.Counter, start int64) spec.Result {
+	switch r {
+	case spec.Full:
+		done = telemetry.FullHits
+	case spec.Empty:
+		done = telemetry.EmptyHits
 	}
-	return d.inst.stats(), true
+	c.sink.OpTimed(end, done, 0, start)
+	return r
 }
 
-// CloseTelemetry removes the deque from the process-wide exporter if it
-// was registered with WithTelemetryName.  Stats keeps working; only the
-// exporter entry is dropped.  Safe to call regardless of configuration.
-func (d *Mutex[T]) CloseTelemetry() { d.inst.close() }
-
-// Cap reports the deque's capacity.
-func (d *Mutex[T]) Cap() int { return d.core.Cap() }
-
-func (d *Mutex[T]) box(v T) (uint64, bool) {
-	select {
-	case i := <-d.free:
-		d.slots[i] = v
-		d.memAllocs.Add(1)
-		if l := d.memLive(); l > d.memHW.Load() {
-			d.memHW.Store(l) // racy max, same discipline as the arena's
-		}
-		return uint64(i) + 1, true
-	default:
-		return 0, false
-	}
+func (c *mutexCore) PushLeft(h uint64) spec.Result {
+	start := c.tstart()
+	return c.note(telemetry.Left, c.Deque.PushLeft(h), telemetry.Pushes, start)
 }
 
-// memLive derives the held-slot count.  Frees are loaded first, as in
-// the arena, so the count is never negative.
-func (d *Mutex[T]) memLive() int64 {
-	f := d.memFrees.Load()
-	return int64(d.memAllocs.Load() - f)
+func (c *mutexCore) PushRight(h uint64) spec.Result {
+	start := c.tstart()
+	return c.note(telemetry.Right, c.Deque.PushRight(h), telemetry.Pushes, start)
 }
 
-func (d *Mutex[T]) unbox(h uint64) T {
-	i := int(h - 1)
-	v := d.slots[i]
-	var zero T
-	d.slots[i] = zero
-	d.memFrees.Add(1)
-	d.free <- i
-	return v
+func (c *mutexCore) PopLeft() (uint64, spec.Result) {
+	start := c.tstart()
+	h, r := c.Deque.PopLeft()
+	return h, c.note(telemetry.Left, r, telemetry.Pops, start)
 }
 
-// PushLeft implements Deque.
-func (d *Mutex[T]) PushLeft(v T) error {
-	start := d.tstart()
-	if err := d.admit(); err != nil {
-		return err
-	}
-	h, ok := d.box(v)
-	if !ok {
-		d.note(telemetry.Left, telemetry.FullHits, start)
-		return ErrFull
-	}
-	if d.core.PushLeft(h) == spec.Full {
-		d.unbox(h)
-		d.note(telemetry.Left, telemetry.FullHits, start)
-		return ErrFull
-	}
-	d.note(telemetry.Left, telemetry.Pushes, start)
-	return nil
+func (c *mutexCore) PopRight() (uint64, spec.Result) {
+	start := c.tstart()
+	h, r := c.Deque.PopRight()
+	return h, c.note(telemetry.Right, r, telemetry.Pops, start)
 }
 
-// PushRight implements Deque.
-func (d *Mutex[T]) PushRight(v T) error {
-	start := d.tstart()
-	if err := d.admit(); err != nil {
-		return err
-	}
-	h, ok := d.box(v)
-	if !ok {
-		d.note(telemetry.Right, telemetry.FullHits, start)
-		return ErrFull
-	}
-	if d.core.PushRight(h) == spec.Full {
-		d.unbox(h)
-		d.note(telemetry.Right, telemetry.FullHits, start)
-		return ErrFull
-	}
-	d.note(telemetry.Right, telemetry.Pushes, start)
-	return nil
+// PopLeftMany counts a batch as one Add covering all n pops.
+func (c *mutexCore) PopLeftMany(out []uint64) int {
+	n := c.Deque.PopLeftMany(out)
+	c.sink.Add(telemetry.Left, telemetry.Pops, uint64(n))
+	return n
 }
 
-// PopLeft implements Deque.
-func (d *Mutex[T]) PopLeft() (T, error) {
-	start := d.tstart()
-	h, r := d.core.PopLeft()
-	if r == spec.Empty {
-		d.note(telemetry.Left, telemetry.EmptyHits, start)
-		var zero T
-		return zero, ErrEmpty
-	}
-	v := d.unbox(h)
-	d.note(telemetry.Left, telemetry.Pops, start)
-	return v, nil
-}
-
-// PopRight implements Deque.
-func (d *Mutex[T]) PopRight() (T, error) {
-	start := d.tstart()
-	h, r := d.core.PopRight()
-	if r == spec.Empty {
-		d.note(telemetry.Right, telemetry.EmptyHits, start)
-		var zero T
-		return zero, ErrEmpty
-	}
-	v := d.unbox(h)
-	d.note(telemetry.Right, telemetry.Pops, start)
-	return v, nil
+// PopRightMany is PopLeftMany for the right end.
+func (c *mutexCore) PopRightMany(out []uint64) int {
+	n := c.Deque.PopRightMany(out)
+	c.sink.Add(telemetry.Right, telemetry.Pops, uint64(n))
+	return n
 }
 
 var _ Deque[int] = (*Mutex[int])(nil)

@@ -74,8 +74,7 @@ func TestEngineeredOptions(t *testing.T) {
 		// List deques cannot satisfy EndLock's anchored-pair contract; the
 		// option must leave them on the default per-location TwoLock, not
 		// misbehave.
-		cfg := defaultConfig()
-		WithEndLockDCAS()(&cfg)
+		cfg, _ := configure([]Option{WithEndLockDCAS()})
 		if p := listProvider(cfg); p != nil {
 			t.Fatalf("list provider under WithEndLockDCAS = %T, want the default", p)
 		}

@@ -258,13 +258,18 @@ func (in *instruments) instrument(prov dcas.Provider, bo *dcas.BackoffPolicy) (d
 	if prov == nil {
 		prov = dcas.Default()
 	}
-	prov = dcas.InstrumentedAttr(prov, in.dcas)
-	if bo != nil {
-		// Clone: the caller's policy may be shared across deques, and this
-		// deque's spins must land in this deque's stats.
-		b := *bo
-		b.Stats = &in.dcas.Stats
-		bo = &b
+	return dcas.InstrumentedAttr(prov, in.dcas), in.backoff(bo)
+}
+
+// backoff attaches a backoff policy's spin/yield counters to this
+// deque's stats block.  It clones: the caller's policy may be shared
+// across deques, and this deque's spins must land in this deque's stats.
+// nil stays nil: backoff remains opt-in under telemetry.
+func (in *instruments) backoff(bo *dcas.BackoffPolicy) *dcas.BackoffPolicy {
+	if bo == nil {
+		return nil
 	}
-	return prov, bo
+	b := *bo
+	b.Stats = &in.dcas.Stats
+	return &b
 }

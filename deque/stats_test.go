@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dcasdeque/internal/telemetry"
 )
 
 // TestStatsDisabled: without the telemetry options, Stats reports not-ok
@@ -422,5 +424,41 @@ func TestStatsExported(t *testing.T) {
 	d.CloseTelemetry()
 	if strings.Contains(scrape(), `"exported-test"`) {
 		t.Fatal("deque still exported after CloseTelemetry")
+	}
+}
+
+// TestScrapeCostFlat: a scrape reads each registered deque's O(1)
+// ledgers, so the bytes one WritePrometheus allocates do not grow with
+// the deque's carved slots and nodes.  (The structural audit — a
+// freelist walk with a bitmap of one bit per carved slot, per arena —
+// belongs to Mem.)
+func TestScrapeCostFlat(t *testing.T) {
+	d := NewList[int](WithTelemetryName("scrape-cost"))
+	defer d.CloseTelemetry()
+	// The fewest bytes over a few scrapes into a pre-grown builder, so
+	// neither the builder's growth nor another goroutine's allocation
+	// counts.
+	scrapeBytes := func() uint64 {
+		best := ^uint64(0)
+		var before, after runtime.MemStats
+		for i := 0; i < 5; i++ {
+			var b strings.Builder
+			b.Grow(1 << 20)
+			runtime.ReadMemStats(&before)
+			telemetry.WritePrometheus(&b)
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	small := scrapeBytes()
+	const n = 1 << 17 // an audit would allocate 2×n/8 = 32 KiB more
+	for i := 0; i < n; i++ {
+		if err := d.PushRight(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if large := scrapeBytes(); large > small+8<<10 {
+		t.Fatalf("one scrape allocated %d B with %d carved nodes, %d B with none", large, n, small)
 	}
 }

@@ -284,8 +284,8 @@ func (a *Arena[T]) SlotBytes() uint64 { return a.slotBytes }
 // are loaded individually, so a snapshot taken mid-churn may straddle an
 // in-flight operation; quiescent snapshots are exact and, unless a slot
 // was lost or released twice, satisfy Occupancy.Conserved.  The audit
-// walks the carved slots, so a snapshot costs O(HighWater); Live is the
-// O(1) read.
+// walks the carved slots, so a snapshot costs O(HighWater); Ledger and
+// Live are the O(1) reads.
 //
 // The audit is independent of the ledger's arithmetic.  In reuse mode it
 // walks both freelists, bounded by the number of slots carved: an index
@@ -304,10 +304,26 @@ func (a *Arena[T]) SlotBytes() uint64 { return a.slotBytes }
 // nothing recycles, so carving counts allocations, and HighWater is
 // instead the racy maximum of Live maintained on every allocation.
 func (a *Arena[T]) Occupancy() Occupancy {
+	o, lo, hi := a.ledger()
+	o.Audit = a.audit(lo, hi, o)
+	return o
+}
+
+// Ledger is Occupancy without the structural audit: the counter reads
+// alone, O(1) however many slots are carved, for readers that poll
+// (telemetry scrapes, memory-bound admission).  Audit is always "".
+func (a *Arena[T]) Ledger() Occupancy {
+	o, _, _ := a.ledger()
+	return o
+}
+
+// ledger reads the counters and the carve word, whose carved region is
+// [0, lo) and [hi, capacity); see Occupancy.
+func (a *Arena[T]) ledger() (o Occupancy, lo, hi uint32) {
 	l, r := &a.lanes.left, &a.lanes.right
-	w := a.fresh.Load() // carved: [0, lo) and [hi, capacity)
-	lo, hi := uint32(w), uint32(w>>32)
-	o := Occupancy{
+	w := a.fresh.Load()
+	lo, hi = uint32(w), uint32(w>>32)
+	o = Occupancy{
 		Frees:     l.frees.Load() + r.frees.Load(),
 		Retired:   l.retired.Load() + r.retired.Load(),
 		HighWater: a.highWater.Load(),
@@ -321,8 +337,7 @@ func (a *Arena[T]) Occupancy() Occupancy {
 		o.HighWater = int64(lo) + int64(a.capacity) - int64(hi)
 	}
 	o.SlabBytes = o.Slabs * uint64(a.blockSize) * a.slotBytes
-	o.Audit = a.audit(lo, hi, o)
-	return o
+	return o, lo, hi
 }
 
 // audit checks the allocator's structure against snapshot o, whose carved

@@ -43,12 +43,12 @@ func (d *DummyDeque) Occupancy() arena.Occupancy { return d.ar.Occupancy() }
 // Occupancy returns the reference-counted node arena's allocation ledger.
 func (d *LFRCDeque) Occupancy() arena.Occupancy { return d.ar.Occupancy() }
 
-// LiveNodes reports the node arena's live count, derived in O(1) without
-// the audit Occupancy runs.
-func (d *Deque) LiveNodes() int { return d.ar.Live() }
+// Ledger returns the node arena's ledger without the structural audit
+// Occupancy runs, in O(1).
+func (d *Deque) Ledger() arena.Occupancy { return d.ar.Ledger() }
 
-// LiveNodes reports the node arena's live count (nodes and dummies).
-func (d *DummyDeque) LiveNodes() int { return d.ar.Live() }
+// Ledger returns the node arena's ledger (nodes and dummies), unaudited.
+func (d *DummyDeque) Ledger() arena.Occupancy { return d.ar.Ledger() }
 
-// LiveNodes reports the reference-counted node arena's live count.
-func (d *LFRCDeque) LiveNodes() int { return d.ar.Live() }
+// Ledger returns the reference-counted node arena's ledger, unaudited.
+func (d *LFRCDeque) Ledger() arena.Occupancy { return d.ar.Ledger() }

@@ -321,15 +321,11 @@ func (r *runner) logf(format string, args ...any) {
 	}
 }
 
-// itemsQuiesced returns the deque's current contents when the backend
-// can enumerate them (all but mutex), for the flight window's initial
-// state.  Caller must hold the quiescence gate.
+// itemsQuiesced returns the deque's current contents, for the flight
+// window's initial state (nil if the core's snapshot fails).  Caller
+// must hold the quiescence gate.
 func (r *runner) itemsQuiesced() []uint64 {
-	it, ok := r.d.(interface{ Items() ([]uint64, error) })
-	if !ok {
-		return nil
-	}
-	vs, err := it.Items()
+	vs, err := r.d.Items()
 	if err != nil {
 		return nil
 	}

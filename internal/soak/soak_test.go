@@ -1,9 +1,12 @@
 package soak
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"dcasdeque/internal/telemetry"
 )
 
 // short returns a cell config small enough for the unit-test suite; the
@@ -140,5 +143,35 @@ func TestTimelineCSV(t *testing.T) {
 		if got := len(strings.Split(ln, ",")); got != wantCols {
 			t.Fatalf("line %d has %d columns, header has %d", i, got, wantCols)
 		}
+	}
+}
+
+// TestWindowStartsFromContents: every backend's flight window opens on
+// the deque's real contents, so a dump of any cell can be replayed from
+// its initial state.
+func TestWindowStartsFromContents(t *testing.T) {
+	for _, b := range Backends() {
+		t.Run(b, func(t *testing.T) {
+			cfg := short(b, "storm")
+			if err := cfg.setDefaults(); err != nil {
+				t.Fatal(err)
+			}
+			d, _, err := build(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []uint64{7, 3, 9, 1}
+			for _, v := range want {
+				if err := d.PushRight(v); err != nil {
+					t.Fatalf("push %d: %v", v, err)
+				}
+			}
+			r := &runner{cfg: &cfg, d: d, rec: telemetry.NewFlightRecorder(cfg.Workers)}
+			r.rec.BeginWindow(1<<20, r.itemsQuiesced())
+			w := r.rec.EndWindow()
+			if fmt.Sprint(w.Initial) != fmt.Sprint(want) {
+				t.Fatalf("window initial state %v, want the deque's contents %v", w.Initial, want)
+			}
+		})
 	}
 }

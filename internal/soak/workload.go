@@ -21,10 +21,11 @@ func Workloads() []string {
 }
 
 // soakDeque is what the harness needs from a backend: the public deque
-// interface plus the occupancy snapshot.
+// interface plus the occupancy snapshot and the quiescent contents.
 type soakDeque interface {
 	deque.Deque[uint64]
 	Mem() deque.MemStats
+	Items() ([]uint64, error)
 }
 
 // caps captures backend capability limits the workloads must respect.

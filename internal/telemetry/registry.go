@@ -33,8 +33,10 @@ var (
 // PrometheusHandler.  dcasSnap, when non-nil, is called at snapshot time
 // for the deque's DCAS counts (an AttrStats.Snapshot, whose aggregates
 // are derived rather than stored); mem, when non-nil, is called at
-// snapshot time for the deque's memory-occupancy ledger.  Both must be
-// safe to call concurrently.  Registering a name again replaces the
+// snapshot time for the deque's memory-occupancy ledger.  Both run on
+// every scrape, so they should be O(1) counter reads: mem returns the
+// arenas' ledgers without their structural audit.  Both must be safe to
+// call concurrently.  Registering a name again replaces the
 // previous entry; the returned function unregisters it (idempotently,
 // and only while the entry is still the registered one).
 func Register(name string, sink *Sink, dcasSnap func() dcas.Snapshot, mem func() MemSnapshot) func() {

@@ -47,7 +47,7 @@ type ChaseLev[T any] struct {
 // meaningless for this backend and are ignored.
 func NewChaseLev[T any](opts ...Option) *ChaseLev[T] {
 	cfg, inst := configure(opts)
-	coreOpts := []chaselev.Option{}
+	var coreOpts []chaselev.Option
 	if inst != nil {
 		// There is no DCAS provider to instrument; the DCAS counters stay
 		// zero and only the backoff spins are attributed.

@@ -12,7 +12,11 @@
 //	           [-headgate candidate=reference[@pct]] ...
 //
 // The base revision is materialized in a temporary git worktree, so the
-// working tree (including uncommitted changes) is never disturbed.
+// working tree (including uncommitted changes) is never disturbed.  Both
+// sides are compiled once into test binaries, which then run -count
+// rounds of one sample per benchmark each, alternating which side runs
+// first, so drift of the host over the run lands on both sides alike
+// instead of reading as a regression of whichever side ran second.
 //
 // A benchmark that is new in this PR has no base sample, so the
 // base-vs-HEAD comparison reports it but cannot judge it.  -headgate
@@ -39,7 +43,7 @@ var (
 	baseFlag      = flag.String("base", "origin/main", "revision to compare against (its merge-base with HEAD is used)")
 	benchFlag     = flag.String("bench", "BenchmarkPublicAPI", "benchmark regexp to run")
 	benchtimeFlag = flag.String("benchtime", "0.3s", "per-benchmark measurement time")
-	countFlag     = flag.Int("count", 5, "runs per benchmark (medians compared)")
+	countFlag     = flag.Int("count", 5, "interleaved rounds, one run per benchmark and side each (medians compared)")
 	thresholdFlag = flag.Float64("threshold", 5, "maximum allowed regression, percent")
 	headgateFlag  multiFlag
 )
@@ -71,19 +75,70 @@ func git(args ...string) (string, error) {
 	return strings.TrimSpace(out.String()), nil
 }
 
-// bench runs the configured benchmarks in dir and parses the samples.
-func bench(dir string) (map[string][]float64, error) {
-	var out bytes.Buffer
-	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", *benchFlag, "-benchtime", *benchtimeFlag,
-		"-count", fmt.Sprint(*countFlag), ".")
-	cmd.Dir = dir
-	cmd.Stdout = &out
-	cmd.Stderr = os.Stderr
+// side is one revision under test: its checkout, its compiled test
+// binary and the samples its rounds have collected.
+type side struct {
+	name, dir, bin string
+	samples        map[string][]float64
+}
+
+// build compiles the side's benchmark package into its test binary.
+func (s *side) build() error {
+	cmd := exec.Command("go", "test", "-c", "-o", s.bin, ".")
+	cmd.Dir = s.dir
+	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("benchguard: go test in %s: %v", dir, err)
+		return fmt.Errorf("benchguard: go test -c in %s: %v", s.dir, err)
 	}
-	return parseBench(&out)
+	s.samples = map[string][]float64{}
+	return nil
+}
+
+// round runs every configured benchmark once and adds the samples.
+func (s *side) round() error {
+	var out bytes.Buffer
+	cmd := exec.Command(s.bin, "-test.run", "^$", "-test.bench", *benchFlag,
+		"-test.benchtime", *benchtimeFlag, "-test.count", "1")
+	cmd.Dir = s.dir
+	cmd.Stdout, cmd.Stderr = &out, os.Stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("benchguard: %s benchmarks in %s: %v", s.name, s.dir, err)
+	}
+	got, err := parseBench(&out)
+	if err != nil {
+		return err
+	}
+	for n, xs := range got {
+		s.samples[n] = append(s.samples[n], xs...)
+	}
+	return nil
+}
+
+// roundOrder is the order in which round r runs n sides: each round
+// starts one side later than the one before.
+func roundOrder(r, n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = (r + i) % n
+	}
+	return order
+}
+
+// measure builds every side, then runs the interleaved rounds.
+func measure(sides []*side) error {
+	for _, s := range sides {
+		if err := s.build(); err != nil {
+			return err
+		}
+	}
+	for r := 0; r < *countFlag; r++ {
+		for _, i := range roundOrder(r, len(sides)) {
+			if err := sides[i].round(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func run() int {
@@ -98,25 +153,27 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	tmp, err := os.MkdirTemp("", "benchguard-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchguard:", err)
+		return 2
+	}
+	defer os.RemoveAll(tmp)
+	headSide := &side{name: "HEAD", dir: ".", bin: filepath.Join(tmp, "head.test")}
+
 	if baseSHA == head {
 		fmt.Printf("benchguard: HEAD is the merge base (%s); nothing to compare\n", baseSHA[:12])
 		if len(headgateFlag) == 0 {
 			return 0
 		}
 		// The head gates need no base at all; run them on their own.
-		headRes, err := bench(".")
-		if err != nil {
+		if err := measure([]*side{headSide}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		return judgeHeadgates(headRes)
+		return judgeHeadgates(headSide.samples)
 	}
 
-	tmp, err := os.MkdirTemp("", "benchguard-base-")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchguard:", err)
-		return 2
-	}
 	worktree := filepath.Join(tmp, "base")
 	if _, err := git("worktree", "add", "--detach", worktree, baseSHA); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -126,27 +183,21 @@ func run() int {
 		if _, err := git("worktree", "remove", "--force", worktree); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
-		os.RemoveAll(tmp)
 	}()
+	baseSide := &side{name: "base", dir: worktree, bin: filepath.Join(tmp, "base.test")}
 
-	fmt.Printf("benchguard: base %s vs HEAD %s, bench %s (%d × %s, threshold %.1f%%)\n",
+	fmt.Printf("benchguard: base %s vs HEAD %s, bench %s (%d interleaved rounds × %s, threshold %.1f%%)\n",
 		baseSHA[:12], head[:12], *benchFlag, *countFlag, *benchtimeFlag, *thresholdFlag)
-	baseRes, err := bench(worktree)
-	if err != nil {
+	if err := measure([]*side{baseSide, headSide}); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	headRes, err := bench(".")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if len(baseRes) == 0 {
+	if len(baseSide.samples) == 0 {
 		fmt.Fprintln(os.Stderr, "benchguard: base produced no benchmark results")
 		return 2
 	}
 
-	lines, worst := compare(baseRes, headRes)
+	lines, worst := compare(baseSide.samples, headSide.samples)
 	for _, l := range lines {
 		fmt.Println(l)
 	}
@@ -157,7 +208,7 @@ func run() int {
 	} else {
 		fmt.Printf("benchguard: ok — worst regression %.2f%% within %.1f%%\n", worst, *thresholdFlag)
 	}
-	if hg := judgeHeadgates(headRes); hg > code {
+	if hg := judgeHeadgates(headSide.samples); hg > code {
 		code = hg
 	}
 	return code

@@ -149,3 +149,22 @@ func TestHeadgateNoSamples(t *testing.T) {
 		t.Fatalf("zero-median reference not rejected: %v", err)
 	}
 }
+
+// TestRoundOrder: every round runs every side once, and with two sides
+// each one runs first in half the rounds.
+func TestRoundOrder(t *testing.T) {
+	first := map[int]int{}
+	for r := 0; r < 6; r++ {
+		o := roundOrder(r, 2)
+		if len(o) != 2 || o[0] == o[1] {
+			t.Fatalf("round %d order %v, want both sides once", r, o)
+		}
+		first[o[0]]++
+	}
+	if first[0] != 3 || first[1] != 3 {
+		t.Fatalf("sides ran first %v times over 6 rounds, want 3 each", first)
+	}
+	if o := roundOrder(3, 1); len(o) != 1 || o[0] != 0 {
+		t.Fatalf("single-side order %v, want [0]", o)
+	}
+}

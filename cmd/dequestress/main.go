@@ -88,10 +88,11 @@ func targets() []target {
 
 // watchLine renders one dashboard line from a telemetry snapshot.
 func watchLine(name string, windows int64, sn telemetry.Snapshot) string {
+	l, r := sn.Ends[telemetry.Left], sn.Ends[telemetry.Right]
 	return fmt.Sprintf("watch %-10s %7d windows | L push=%d pop=%d empty=%d retry=%d | R push=%d pop=%d empty=%d retry=%d",
 		name, windows,
-		sn.Left.Pushes, sn.Left.Pops, sn.Left.EmptyHits, sn.Left.Retries,
-		sn.Right.Pushes, sn.Right.Pops, sn.Right.EmptyHits, sn.Right.Retries)
+		l[telemetry.Pushes], l[telemetry.Pops], l[telemetry.EmptyHits], l[telemetry.Retries],
+		r[telemetry.Pushes], r[telemetry.Pops], r[telemetry.EmptyHits], r[telemetry.Retries])
 }
 
 // flightPath names the dump file for one implementation: the -flight

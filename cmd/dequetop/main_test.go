@@ -51,7 +51,7 @@ func TestParseUnescapes(t *testing.T) {
 	const name = "q\"uo\\te\nnew\tline"
 	sink := telemetry.NewSink()
 	sink.Op(telemetry.Left, telemetry.Pushes, 0)
-	defer telemetry.Register(name, sink, nil, nil)()
+	defer telemetry.Register(name, sink, nil)()
 	var b strings.Builder
 	telemetry.WritePrometheus(&b)
 	c := parse(b.String())
@@ -82,7 +82,7 @@ func TestRenderLive(t *testing.T) {
 	sink := telemetry.NewSink().EnableLatency()
 	sink.OpTimed(telemetry.Right, telemetry.Pushes, 0, 1) // huge elapsed: lands in a high bucket
 	sink.OpTimed(telemetry.Left, telemetry.Pops, 3, 1)
-	unDeque := telemetry.Register("topdeque", sink, nil, nil)
+	unDeque := telemetry.Register("topdeque", sink, nil)
 	defer unDeque()
 
 	ss := telemetry.NewSchedSink(2).EnableLatency()

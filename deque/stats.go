@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"dcasdeque/internal/dcas"
-	"dcasdeque/internal/metrics"
 	"dcasdeque/internal/telemetry"
 )
 
@@ -12,13 +11,10 @@ import (
 // counters for the deque, readable through its Stats method.  Disabled
 // (the default) the hot path pays one nil check per operation; enabled,
 // recording creates no new contention between the two ends.  Operation
-// counters are sharded and cache-line-padded per end.  DCAS attempts and
-// failures are counted per location in padded lanes chosen by each
-// DCAS's end word, so the two ends count into state of their own; the
-// aggregate DCAS totals are derived from those counts when Stats is
-// called.  Each lane names a bounded number of locations (the end word,
-// then the cells it finds room for) and folds the rest into an overflow
-// bucket, reported as location 0.
+// counters are sharded and padded per end.  Each DCAS adds one attempt
+// (and, when it fails, one failure) to one of four padded lanes, chosen
+// by the DCAS's first location — the operating end's anchor word — so
+// the two ends count into lanes of their own; Stats sums the lanes.
 //
 // For the array deque, enabling telemetry also routes DCAS through an
 // instrumented provider wrapper, which disables the inlined EndLock fast
@@ -96,21 +92,10 @@ type DCASStats struct {
 	BackoffYields uint64 `json:"backoff_yields"`
 }
 
-// LocationStats attribute DCAS traffic to one shared location word.  ID
-// is the location's internal ordering token — stable for the deque's
-// lifetime, so two snapshots can be diffed — with 0 identifying the
-// overflow bucket (locations the attribution lanes had no room for).
-// Each end word claims its lane's entry on the end's first operation, so
-// it stays named however many cells the deque touches afterwards.
-type LocationStats struct {
-	ID       uint64 `json:"id"`
-	Attempts uint64 `json:"attempts"`
-	Failures uint64 `json:"failures"`
-}
-
 // HistogramStats summarize one latency histogram: observation count,
 // total, extremes and quantiles, all in nanoseconds.  Quantiles are
-// log-linear bucket upper bounds (≤12.5% relative error).
+// log-linear bucket upper bounds (≤12.5% relative error).  The scheduler
+// and server Stats use the same type.
 type HistogramStats struct {
 	N    uint64 `json:"n"`
 	Sum  uint64 `json:"sum"`
@@ -154,9 +139,6 @@ type Stats struct {
 	Right EndStats  `json:"right"`
 	Ref   RefStats  `json:"ref"`
 	DCAS  DCASStats `json:"dcas"`
-	// Locations attribute the DCAS totals per shared word, most-contended
-	// ends first discoverable by sorting on Failures.
-	Locations []LocationStats `json:"locations,omitempty"`
 	// Latency is present only for deques built with WithLatency.
 	Latency *LatencyStats `json:"latency,omitempty"`
 }
@@ -175,70 +157,68 @@ func PrometheusHandler() http.Handler { return telemetry.PrometheusHandler() }
 type instruments struct {
 	name       string
 	sink       *telemetry.Sink
-	dcas       *dcas.AttrStats
 	unregister func()
 }
 
-// newInstruments builds the enabled-telemetry state: a counter sink
-// (with latency histograms attached when requested) and the laned DCAS
-// attribution.  Exporter registration is deferred to bind, which
-// the constructor calls once the deque exists, so the registered entry
-// can include the deque's memory snapshotter.
+// newInstruments builds the enabled-telemetry state: a counter sink,
+// which also holds the DCAS lanes, with latency histograms attached when
+// requested.  Exporter registration is deferred to bind, which the
+// constructor calls once the deque exists, so the registered entry can
+// include the deque's memory snapshotter.
 func newInstruments(name string, latency bool) *instruments {
 	sink := telemetry.NewSink()
 	if latency {
 		sink.EnableLatency()
 	}
-	return &instruments{name: name, sink: sink, dcas: new(dcas.AttrStats)}
+	return &instruments{name: name, sink: sink}
 }
 
 // bind completes construction: when the deque was named
-// (WithTelemetryName), register its sink, DCAS stats and memory
-// snapshotter with the process-wide exporter.  nil-safe so constructors
-// can call it unconditionally.
+// (WithTelemetryName), register its sink and memory snapshotter with
+// the process-wide exporter.  nil-safe so constructors can call it
+// unconditionally.
 func (in *instruments) bind(mem func() telemetry.MemSnapshot) {
 	if in == nil || in.name == "" {
 		return
 	}
-	in.unregister = telemetry.Register(in.name, in.sink, in.dcas.Snapshot, mem)
+	in.unregister = telemetry.Register(in.name, in.sink, mem)
 }
 
 // stats assembles the public snapshot.
 func (in *instruments) stats() Stats {
 	sn := in.sink.Snapshot()
-	dn := in.dcas.Snapshot()
+	ref, dc := sn.Ref, sn.DCAS
 	st := Stats{
-		Left:  EndStats(sn.Left),
-		Right: EndStats(sn.Right),
-		Ref:   RefStats(sn.Ref),
+		Left:  endStats(sn.Ends[telemetry.Left]),
+		Right: endStats(sn.Ends[telemetry.Right]),
+		Ref:   RefStats{Incs: ref[telemetry.RefIncs], Decs: ref[telemetry.RefDecs], Frees: ref[telemetry.RefFrees]},
 		DCAS: DCASStats{
-			Attempts:      dn.Attempts,
-			Failures:      dn.Failures,
-			Successes:     dn.Successes,
-			BackoffSpins:  dn.BackoffSpins,
-			BackoffYields: dn.BackoffYields,
+			Attempts:      dc[telemetry.DCASAttempts],
+			Failures:      dc[telemetry.DCASFailures],
+			Successes:     dc[telemetry.DCASSuccesses],
+			BackoffSpins:  dc[telemetry.DCASBackoffSpins],
+			BackoffYields: dc[telemetry.DCASBackoffYields],
 		},
 	}
-	for _, l := range in.dcas.PerLocation() {
-		st.Locations = append(st.Locations, LocationStats(l))
-	}
-	if sn.Latency != nil {
+	if l := sn.Latency; l != nil {
 		st.Latency = &LatencyStats{
-			Left:  endLatencyStats(sn.Latency.Left),
-			Right: endLatencyStats(sn.Latency.Right),
+			Left:  EndLatencyStats{Op: HistogramStats(l.Op[telemetry.Left].Summary), Spin: HistogramStats(l.Spin[telemetry.Left].Summary)},
+			Right: EndLatencyStats{Op: HistogramStats(l.Op[telemetry.Right].Summary), Spin: HistogramStats(l.Spin[telemetry.Right].Summary)},
 		}
 	}
 	return st
 }
 
-func endLatencyStats(el telemetry.EndLatency) EndLatencyStats {
-	return EndLatencyStats{Op: histogramStats(el.Op), Spin: histogramStats(el.Spin)}
-}
-
-func histogramStats(h metrics.HistogramSnapshot) HistogramStats {
-	return HistogramStats{
-		N: h.N, Sum: h.Sum, Min: h.Min, Max: h.Max,
-		P50: h.P50, P90: h.P90, P99: h.P99, P999: h.P999,
+func endStats(c telemetry.Counts) EndStats {
+	return EndStats{
+		Pushes:          c[telemetry.Pushes],
+		Pops:            c[telemetry.Pops],
+		FullHits:        c[telemetry.FullHits],
+		EmptyHits:       c[telemetry.EmptyHits],
+		Retries:         c[telemetry.Retries],
+		LogicalDeletes:  c[telemetry.LogicalDeletes],
+		PhysicalDeletes: c[telemetry.PhysicalDeletes],
+		Grows:           c[telemetry.Grows],
 	}
 }
 
@@ -250,26 +230,26 @@ func (in *instruments) close() {
 }
 
 // instrument wraps the DCAS provider a core will use so every attempt is
-// counted and attributed, and attaches the backoff policy's spin/yield
-// counters to the same stats block.  It returns the provider to install
-// (never nil) and the backoff policy to install (nil stays nil: backoff
-// remains opt-in under telemetry).
+// counted in the sink's DCAS lanes, and attaches the backoff policy's
+// spin/yield counters to the same sink.  It returns the provider to
+// install (never nil) and the backoff policy to install (nil stays nil:
+// backoff remains opt-in under telemetry).
 func (in *instruments) instrument(prov dcas.Provider, bo *dcas.BackoffPolicy) (dcas.Provider, *dcas.BackoffPolicy) {
 	if prov == nil {
 		prov = dcas.Default()
 	}
-	return dcas.InstrumentedAttr(prov, in.dcas), in.backoff(bo)
+	return in.sink.Instrument(prov), in.backoff(bo)
 }
 
 // backoff attaches a backoff policy's spin/yield counters to this
-// deque's stats block.  It clones: the caller's policy may be shared
-// across deques, and this deque's spins must land in this deque's stats.
+// deque's sink.  It clones: the caller's policy may be shared across
+// deques, and this deque's spins must land in this deque's stats.
 // nil stays nil: backoff remains opt-in under telemetry.
 func (in *instruments) backoff(bo *dcas.BackoffPolicy) *dcas.BackoffPolicy {
 	if bo == nil {
 		return nil
 	}
 	b := *bo
-	b.Stats = &in.dcas.Stats
+	b.Stats = in.sink.Backoff()
 	return &b
 }

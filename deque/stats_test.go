@@ -82,9 +82,6 @@ func checkExercised(t *testing.T, st Stats, wantDCAS bool) {
 	if st.DCAS.Attempts < 29 || st.DCAS.Successes < 29 {
 		t.Fatalf("DCAS attempts/successes = %d/%d, want ≥ 29", st.DCAS.Attempts, st.DCAS.Successes)
 	}
-	if len(st.Locations) == 0 {
-		t.Fatal("no per-location attribution")
-	}
 }
 
 // completedOps is the sink's completed-operation total over both ends.
@@ -97,9 +94,9 @@ func completedOps(st Stats) uint64 {
 }
 
 // TestStatsDCASMatchesOps cross-checks two independently counted layers.
-// The DCAS aggregates are derived from the per-location counts (so
-// "Σ per-location = 2 × attempts" holds by construction); the operation
-// counters come from the cores' commit sites.  On an uncontended array
+// The DCAS aggregates are summed from the DCAS lanes, filled by the
+// instrumented provider; the operation counters come from the cores'
+// commit sites.  On an uncontended array
 // history every operation — push, pop, full push and empty pop alike —
 // issues exactly one DCAS, and none fails.
 func TestStatsDCASMatchesOps(t *testing.T) {
@@ -137,11 +134,16 @@ func TestStatsDCASMatchesOps(t *testing.T) {
 	}
 }
 
-// TestStatsLocationsNameBothEnds: after one end has touched more cells
-// than an attribution table holds, both end words are still named in
-// Locations — the end that came second must not lose its anchor to the
-// overflow bucket.  An anchor's attempts cover every DCAS its end issued,
-// so each end's word is an entry with at least that end's op count.
+// dcasLanes reads the deque's per-lane DCAS counts.
+func (s *slotted[T]) dcasLanes() [telemetry.DCASLanes]telemetry.Counts {
+	return s.inst.sink.Snapshot().Lanes
+}
+
+// TestStatsLocationsNameBothEnds: each end's anchor word keeps its end's
+// DCAS traffic in a lane of its own, however lopsided the load.  After
+// one end has pushed far more than the other, one lane holds at least the
+// busy end's attempts and another at least the quiet end's: the busy end
+// must not absorb the quiet end's count.
 func TestStatsLocationsNameBothEnds(t *testing.T) {
 	const busy, quiet = 200, 50
 	for _, tc := range []struct {
@@ -174,17 +176,24 @@ func TestStatsLocationsNameBothEnds(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				st, _ := d.(interface{ Stats() (Stats, bool) }).Stats()
-				var named []LocationStats
-				for _, l := range st.Locations {
-					if l.ID != 0 && l.Attempts >= quiet {
-						named = append(named, l)
+				lanes := d.(interface {
+					dcasLanes() [telemetry.DCASLanes]telemetry.Counts
+				}).dcasLanes()
+				busyLane := -1
+				for l, c := range lanes {
+					if c[telemetry.DCASAttempts] >= busy {
+						busyLane = l
 					}
 				}
-				if len(named) < 2 {
-					t.Fatalf("want both end words (≥%d attempts each) named, got %+v of %d locations",
-						quiet, named, len(st.Locations))
+				if busyLane < 0 {
+					t.Fatalf("no lane holds the busy end's %d attempts: %v", busy, lanes)
 				}
+				for l, c := range lanes {
+					if l != busyLane && c[telemetry.DCASAttempts] >= quiet {
+						return
+					}
+				}
+				t.Fatalf("no lane besides the busy end's holds the quiet end's %d attempts: %v", quiet, lanes)
 			})
 		}
 	}

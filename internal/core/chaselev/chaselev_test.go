@@ -215,23 +215,24 @@ func TestTelemetry(t *testing.T) {
 	d.PopLeft() // steal on empty
 
 	sn := sink.Snapshot()
-	if sn.Right.Pushes != 8 {
-		t.Fatalf("right pushes = %d, want 8", sn.Right.Pushes)
+	l, r := sn.Ends[telemetry.Left], sn.Ends[telemetry.Right]
+	if r[telemetry.Pushes] != 8 {
+		t.Fatalf("right pushes = %d, want 8", r[telemetry.Pushes])
 	}
-	if sn.Right.Pops != 4 { // 1 + the 3 that drained the remainder
-		t.Fatalf("right pops = %d, want 4", sn.Right.Pops)
+	if r[telemetry.Pops] != 4 { // 1 + the 3 that drained the remainder
+		t.Fatalf("right pops = %d, want 4", r[telemetry.Pops])
 	}
-	if sn.Left.Pops != 4 { // 1 single + 3 batched
-		t.Fatalf("left pops = %d, want 4", sn.Left.Pops)
+	if l[telemetry.Pops] != 4 { // 1 single + 3 batched
+		t.Fatalf("left pops = %d, want 4", l[telemetry.Pops])
 	}
-	if sn.Right.EmptyHits != 1 || sn.Left.EmptyHits != 1 {
-		t.Fatalf("empty hits L=%d R=%d, want 1 and 1", sn.Left.EmptyHits, sn.Right.EmptyHits)
+	if r[telemetry.EmptyHits] != 1 || l[telemetry.EmptyHits] != 1 {
+		t.Fatalf("empty hits L=%d R=%d, want 1 and 1", l[telemetry.EmptyHits], r[telemetry.EmptyHits])
 	}
-	if sn.Right.Grows == 0 || sn.Right.Grows != d.Grows() {
-		t.Fatalf("grows counter = %d, struct says %d", sn.Right.Grows, d.Grows())
+	if r[telemetry.Grows] == 0 || r[telemetry.Grows] != d.Grows() {
+		t.Fatalf("grows counter = %d, struct says %d", r[telemetry.Grows], d.Grows())
 	}
-	if sn.Left.Grows != 0 {
-		t.Fatalf("left grows = %d, want 0 (grow is an owner-path event)", sn.Left.Grows)
+	if l[telemetry.Grows] != 0 {
+		t.Fatalf("left grows = %d, want 0 (grow is an owner-path event)", l[telemetry.Grows])
 	}
 }
 

@@ -97,8 +97,9 @@ func (l *Loc) assignID() uint64 { return l.lk.setID(locIDs.Add(1)) }
 // One call reserves one block of consecutive tokens, and locs[i] gets the
 // block's i-th token (if it has none yet).  The spacing between a
 // constructor's locations is therefore fixed by argument position, and a
-// concurrent constructor cannot shift it: AttrStats relies on this to put
-// a deque's two end anchors in different lanes.
+// concurrent constructor cannot shift it: the telemetry sink's DCAS lanes
+// (telemetry.DCASLane) rely on this to put a deque's two end anchors in
+// different lanes.
 func AssignIDs(locs ...*Loc) {
 	unassigned := false
 	for _, l := range locs {
@@ -117,9 +118,9 @@ func AssignIDs(locs ...*Loc) {
 }
 
 // ID returns the location's process-wide ordering token, assigning one on
-// first use.  The token doubles as a stable identity for per-location
-// attribution (AttrStats): it survives arena recycling and is never
-// reused, so "location 7" means the same word for a deque's whole life.
+// first use.  The token also picks the lane a DCAS is counted in
+// (telemetry.DCASLane): it survives arena recycling and is never reused,
+// so a location counts into the same lane for a deque's whole life.
 func (l *Loc) ID() uint64 { return l.lockKey() >> idShift }
 
 // Load atomically reads the location (Read_i(L) in the paper's model).

@@ -292,34 +292,6 @@ func TestDCASEquivalentForms(t *testing.T) {
 	}
 }
 
-func TestInstrumentedCounts(t *testing.T) {
-	var st AttrStats
-	p := InstrumentedAttr(new(TwoLock), &st)
-	var a, b Loc
-	a.Init(1)
-	b.Init(2)
-
-	p.DCAS(&a, &b, 1, 2, 3, 4)     // success
-	p.DCAS(&a, &b, 1, 2, 0, 0)     // failure
-	p.DCASView(&a, &b, 3, 4, 5, 6) // success
-	p.DCASView(&a, &b, 0, 0, 9, 9) // failure
-
-	sn := st.Snapshot()
-	if sn.Attempts != 4 {
-		t.Fatalf("attempts = %d, want 4", sn.Attempts)
-	}
-	if sn.Failures != 2 {
-		t.Fatalf("failures = %d, want 2", sn.Failures)
-	}
-	if sn.Successes != 2 {
-		t.Fatalf("successes = %d, want 2", sn.Successes)
-	}
-	st.Reset()
-	if sn := st.Snapshot(); sn.Attempts != 0 || sn.Failures != 0 {
-		t.Fatal("Reset did not zero counters")
-	}
-}
-
 // TestStoreLinearizesWithDCAS checks that Loc.Store acquires the location
 // lock: a storm of Stores racing with DCAS transfers must never let a DCAS
 // half-apply around the store.

@@ -63,18 +63,3 @@ func TestCacheLineOf(t *testing.T) {
 			2*CacheLineBytes, far-base)
 	}
 }
-
-// TestAttrLaneLayout: padlayout keeps the lanes' extents apart, but each
-// extent includes the lane's trailing pad.  This pins the pad itself: a
-// lane's last written word (its overflow bucket) and the next lane's
-// first slot stay a false-sharing range apart.
-func TestAttrLaneLayout(t *testing.T) {
-	var st AttrStats
-	lastEnd := unsafe.Offsetof(st.lane0) + unsafe.Offsetof(st.lane0.overflow) + unsafe.Sizeof(st.lane0.overflow)
-	if gap := unsafe.Offsetof(st.lane1) - lastEnd; gap < FalseSharingRange {
-		t.Fatalf("lane 0's overflow bucket ends %d bytes before lane 1's first slot, want ≥ %d", gap, FalseSharingRange)
-	}
-	if sz := unsafe.Sizeof(st.lane0); sz%CacheLineBytes != 0 {
-		t.Fatalf("attrLane is %d bytes, not whole cache lines", sz)
-	}
-}

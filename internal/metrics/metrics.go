@@ -130,9 +130,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.sum += other.sum
 }
 
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // Summary renders n, mean, p50, p99 and max as durations.
 func (h *Histogram) Summary() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",

@@ -171,21 +171,6 @@ func (h *ShardedHistogram) N() uint64 {
 	return n
 }
 
-// Reset clears every stripe.  Like Snapshot, it is not atomic with
-// respect to concurrent recording.
-func (h *ShardedHistogram) Reset() {
-	for i := range h.shards {
-		sh := &h.shards[i]
-		for b := range sh.counts {
-			sh.counts[b].Store(0)
-		}
-		sh.n.Store(0)
-		sh.sum.Store(0)
-		sh.max.Store(0)
-		sh.min.Store(^uint64(0))
-	}
-}
-
 // Bucket is one non-empty histogram bucket for exposition: Count
 // observations with values in [Low, High).
 type Bucket struct {
@@ -194,42 +179,48 @@ type Bucket struct {
 	Count uint64 `json:"count"`
 }
 
-// HistogramSnapshot is a point-in-time summary of a histogram, the
-// shape Stats snapshots carry and the Prometheus exporter renders
-// from.  Values are nanoseconds; quantiles are the bucket upper bounds
-// Quantile reports.  Buckets carries the non-empty buckets for
-// full-distribution exposition and is excluded from JSON (the summary
-// quantiles are the JSON contract; Prometheus renders the buckets).
-type HistogramSnapshot struct {
-	N       uint64   `json:"n"`
-	Sum     uint64   `json:"sum"`
-	Min     uint64   `json:"min"`
-	Max     uint64   `json:"max"`
-	P50     uint64   `json:"p50"`
-	P90     uint64   `json:"p90"`
-	P99     uint64   `json:"p99"`
-	P999    uint64   `json:"p999"`
-	Buckets []Bucket `json:"-"`
+// Summary is a histogram's totals, extremes and standard quantiles, in
+// the histogram's unit (nanoseconds here).  Quantiles are the bucket
+// upper bounds Quantile reports.  It is the plain shape the public Stats
+// types convert from.
+type Summary struct {
+	N    uint64 `json:"n"`
+	Sum  uint64 `json:"sum"`
+	Min  uint64 `json:"min"`
+	Max  uint64 `json:"max"`
+	P50  uint64 `json:"p50"`
+	P90  uint64 `json:"p90"`
+	P99  uint64 `json:"p99"`
+	P999 uint64 `json:"p999"`
 }
 
 // Mean reports the mean observation, or 0 when empty.
-func (s HistogramSnapshot) Mean() float64 {
+func (s Summary) Mean() float64 {
 	if s.N == 0 {
 		return 0
 	}
 	return float64(s.Sum) / float64(s.N)
 }
 
+// HistogramSnapshot is a point-in-time read of a histogram, the shape
+// telemetry snapshots carry and the Prometheus exporter renders from:
+// the Summary plus the non-empty buckets for full-distribution
+// exposition (excluded from JSON).
+type HistogramSnapshot struct {
+	Summary
+	Buckets []Bucket `json:"-"`
+}
+
 // Snapshot summarizes the histogram: totals, extremes, the standard
 // quantiles, and the non-empty buckets.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	sn := HistogramSnapshot{
+	sn := HistogramSnapshot{Summary: Summary{
 		N: h.n, Sum: h.sum, Min: h.min, Max: h.max,
 		P50:  h.Quantile(0.50),
 		P90:  h.Quantile(0.90),
 		P99:  h.Quantile(0.99),
 		P999: h.Quantile(0.999),
-	}
+	}}
 	if h.n == 0 {
 		return sn
 	}

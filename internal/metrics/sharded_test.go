@@ -103,27 +103,6 @@ func TestShardedRecordAtLanes(t *testing.T) {
 	}
 }
 
-func TestShardedReset(t *testing.T) {
-	h := NewShardedHistogram(2)
-	for i := 0; i < 100; i++ {
-		h.RecordAt(i, uint64(i))
-	}
-	h.Reset()
-	if h.N() != 0 {
-		t.Fatalf("N after Reset = %d", h.N())
-	}
-	sn := h.Snapshot()
-	if sn.N != 0 || sn.Min != 0 || sn.Max != 0 || len(sn.Buckets) != 0 {
-		t.Fatalf("non-zero snapshot after Reset: %+v", sn)
-	}
-	// Reset must restore the empty-min sentinel, or the next merge reports
-	// min 0 regardless of observations.
-	h.RecordAt(0, 42)
-	if m := h.Merge(); m.Min() != 42 {
-		t.Fatalf("min after Reset+Record = %d, want 42", m.Min())
-	}
-}
-
 func TestShardedSnapshot(t *testing.T) {
 	h := NewShardedHistogram(4)
 	for i := uint64(1); i <= 1000; i++ {

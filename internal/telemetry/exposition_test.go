@@ -174,7 +174,7 @@ func TestExpositionWellFormed(t *testing.T) {
 	const odd = "odd \"name\" \\ with\nnewline\tand tab"
 	oddSink := telemetry.NewSink()
 	oddSink.Op(telemetry.Left, telemetry.Pushes, 0)
-	defer telemetry.Register(odd, oddSink, nil, nil)()
+	defer telemetry.Register(odd, oddSink, nil)()
 
 	opts := []deque.Option{deque.WithLatency()}
 	backends := map[string]deque.Deque[int]{
@@ -241,16 +241,16 @@ func TestExpositionWellFormed(t *testing.T) {
 
 	for name := range backends {
 		for _, end := range []string{"left", "right"} {
-			for c := telemetry.Counter(0); c < telemetry.NumCounters; c++ {
-				want("dcasdeque_ops_total", "deque", name, "end", end, "counter", c.String())
+			for _, c := range telemetry.CounterNames {
+				want("dcasdeque_ops_total", "deque", name, "end", end, "counter", c)
 			}
 			histogram("dcasdeque_op_latency_seconds", "deque", name, "end", end)
 			histogram("dcasdeque_op_spin_latency_seconds", "deque", name, "end", end)
 		}
-		for _, ev := range []string{"incs", "decs", "frees"} {
+		for _, ev := range telemetry.RefNames {
 			want("dcasdeque_ref_total", "deque", name, "event", ev)
 		}
-		for _, ev := range []string{"attempts", "failures", "successes", "backoff_spins", "backoff_yields"} {
+		for _, ev := range telemetry.DCASNames {
 			want("dcasdeque_dcas_total", "deque", name, "event", ev)
 		}
 		arenas := []string{"slots"}
@@ -278,21 +278,21 @@ func TestExpositionWellFormed(t *testing.T) {
 		t.Errorf("wf-array live slots = %v, want 10", v)
 	}
 
-	for c := telemetry.SchedCounter(0); c < telemetry.NumSchedCounters; c++ {
+	for _, c := range telemetry.SchedCounterNames {
 		for w := 0; w < workers; w++ {
-			want("dcasdeque_sched_events_total", "sched", "wf-sched", "worker", strconv.Itoa(w), "event", c.String())
+			want("dcasdeque_sched_events_total", "sched", "wf-sched", "worker", strconv.Itoa(w), "event", c)
 		}
-		want("dcasdeque_sched_events_total", "sched", "wf-sched", "worker", "external", "event", c.String())
+		want("dcasdeque_sched_events_total", "sched", "wf-sched", "worker", "external", "event", c)
 	}
-	for k := telemetry.SchedLatency(0); k < telemetry.NumSchedLatencies; k++ {
-		histogram("dcasdeque_sched_latency_seconds", "sched", "wf-sched", "kind", k.String())
+	for _, k := range telemetry.SchedLatencyNames {
+		histogram("dcasdeque_sched_latency_seconds", "sched", "wf-sched", "kind", k)
 	}
 
-	for c := telemetry.ServeCounter(0); c < telemetry.NumServeCounters; c++ {
-		want("dcasdeque_serve_requests_total", "server", "wf-serve", "tenant", "gold", "outcome", c.String())
+	for _, c := range telemetry.ServeCounterNames {
+		want("dcasdeque_serve_requests_total", "server", "wf-serve", "tenant", "gold", "outcome", c)
 	}
-	for st := telemetry.ServeStage(0); st < telemetry.NumServeStages; st++ {
-		histogram("dcasdeque_serve_stage_latency_seconds", "server", "wf-serve", "stage", st.String())
+	for _, st := range telemetry.ServeStageNames {
+		histogram("dcasdeque_serve_stage_latency_seconds", "server", "wf-serve", "stage", st)
 	}
 	if len(missing) > 0 {
 		t.Errorf("%d series missing, first %q", len(missing), missing[0])

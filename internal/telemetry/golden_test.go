@@ -12,13 +12,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/exposition.golden from the current renderer")
 
-// goldenDCAS runs attempts DCASes through an instrumented provider on a
-// fresh location pair, the last failures of them failing, and charges
-// the backoff counters.
-func goldenDCAS(st *dcas.AttrStats, attempts, failures int, spins, yields uint64) {
+// goldenDCAS runs attempts DCASes through the sink's instrumented
+// provider on a fresh location pair, the last failures of them failing,
+// and charges the backoff counters.
+func goldenDCAS(s *Sink, attempts, failures int, spins, yields uint64) {
 	var a, b dcas.Loc
 	dcas.AssignIDs(&a, &b)
-	p := dcas.InstrumentedAttr(dcas.Default(), st)
+	p := s.Instrument(dcas.Default())
 	for i := 0; i < attempts; i++ {
 		if i < attempts-failures {
 			p.DCAS(&a, &b, 0, 0, 0, 0)
@@ -26,8 +26,8 @@ func goldenDCAS(st *dcas.AttrStats, attempts, failures int, spins, yields uint64
 			p.DCAS(&a, &b, 1, 1, 2, 2)
 		}
 	}
-	st.BackoffSpins.Add(spins)
-	st.BackoffYields.Add(yields)
+	s.Backoff().BackoffSpins.Add(spins)
+	s.Backoff().BackoffYields.Add(yields)
 }
 
 // goldenLatency records fixed durations into a sink's latency histograms
@@ -74,9 +74,8 @@ func TestExpositionGolden(t *testing.T) {
 	goldenLatency(arr, Left, 0, 90, 110, 250, 3000)
 	goldenLatency(arr, Right, 2, 700, 1900)
 	goldenLatency(arr, Right, 0, 40)
-	var arrDCAS dcas.AttrStats
-	goldenDCAS(&arrDCAS, 9, 3, 17, 2)
-	Register("golden_array", arr, arrDCAS.Snapshot, func() MemSnapshot {
+	goldenDCAS(arr, 9, 3, 17, 2)
+	Register("golden_array", arr, func() MemSnapshot {
 		return MemSnapshot{Slots: goldenOccupancy(12, 8, 4)}
 	})
 
@@ -92,10 +91,9 @@ func TestExpositionGolden(t *testing.T) {
 	lst.RefDec()
 	lst.RefDec()
 	lst.RefFree()
-	var lstDCAS dcas.AttrStats
-	goldenDCAS(&lstDCAS, 6, 1, 0, 0)
+	goldenDCAS(lst, 6, 1, 0, 0)
 	nodes, lfrc := goldenOccupancy(30, 27, 3), goldenOccupancy(5, 4, 1)
-	Register("golden_lfrc", lst, lstDCAS.Snapshot, func() MemSnapshot {
+	Register("golden_lfrc", lst, func() MemSnapshot {
 		return MemSnapshot{Slots: goldenOccupancy(2, 1, 1), Nodes: &nodes, Lfrc: &lfrc}
 	})
 
@@ -105,8 +103,7 @@ func TestExpositionGolden(t *testing.T) {
 	cl.Op(Left, Pops, 1)
 	cl.Add(Left, Pops, 3)
 	cl.Add(Right, Grows, 2)
-	var clDCAS dcas.AttrStats
-	Register("golden_chaselev", cl, clDCAS.Snapshot, func() MemSnapshot {
+	Register("golden_chaselev", cl, func() MemSnapshot {
 		return MemSnapshot{Slots: goldenOccupancy(5, 5, 0),
 			Rings: &RingCounts{Rings: 3, Retired: 2, Cells: 64, Bytes: 1536}}
 	})

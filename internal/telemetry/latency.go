@@ -97,28 +97,16 @@ func (s *Sink) recordLatency(end End, retries uint64, start int64) {
 	}
 }
 
-// EndLatency is one end's latency summaries.
-type EndLatency struct {
-	// Op is the duration distribution of every completed operation.
-	Op metrics.HistogramSnapshot `json:"op"`
-	// Spin is the duration distribution of the contended subpopulation:
-	// completed operations that retried at least once.
-	Spin metrics.HistogramSnapshot `json:"spin"`
-}
-
 // LatencySnapshot is a point-in-time read of a sink's latency
-// histograms; present in Snapshot only when EnableLatency was called.
+// histograms, indexed by End; present in Snapshot only when
+// EnableLatency was called.
 type LatencySnapshot struct {
-	Left  EndLatency `json:"left"`
-	Right EndLatency `json:"right"`
-}
-
-// End selects one end's latency summaries.
-func (l *LatencySnapshot) End(e End) EndLatency {
-	if e == Left {
-		return l.Left
-	}
-	return l.Right
+	// Op is each end's duration distribution of every completed
+	// operation.
+	Op [NumEnds]metrics.HistogramSnapshot
+	// Spin is each end's duration distribution of the contended
+	// subpopulation: completed operations that retried at least once.
+	Spin [NumEnds]metrics.HistogramSnapshot
 }
 
 // latencySnapshot merges the bank; nil when disabled.
@@ -126,8 +114,10 @@ func (s *Sink) latencySnapshot() *LatencySnapshot {
 	if s.lat == nil {
 		return nil
 	}
-	return &LatencySnapshot{
-		Left:  EndLatency{Op: s.lat.op[Left].Snapshot(), Spin: s.lat.spin[Left].Snapshot()},
-		Right: EndLatency{Op: s.lat.op[Right].Snapshot(), Spin: s.lat.spin[Right].Snapshot()},
+	l := new(LatencySnapshot)
+	for e := range l.Op {
+		l.Op[e] = s.lat.op[e].Snapshot()
+		l.Spin[e] = s.lat.spin[e].Snapshot()
 	}
+	return l
 }

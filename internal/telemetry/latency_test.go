@@ -17,8 +17,8 @@ func TestSinkLatencyDisabled(t *testing.T) {
 	// exists to record into.
 	s.OpTimed(Left, Pushes, 3, 0)
 	sn := s.Snapshot()
-	if sn.Left.Pushes != 1 || sn.Left.Retries != 3 {
-		t.Fatalf("counters: %+v", sn.Left)
+	if l := sn.Ends[Left]; l[Pushes] != 1 || l[Retries] != 3 {
+		t.Fatalf("counters: %+v", l)
 	}
 	if sn.Latency != nil {
 		t.Fatal("Snapshot.Latency non-nil without EnableLatency")
@@ -50,39 +50,27 @@ func TestSinkOpTimed(t *testing.T) {
 	s.Latency(Right, 1, metrics.Nanotime()-500)
 
 	sn := s.Snapshot()
-	if sn.Left.Pushes != 2 || sn.Left.Pops != 1 || sn.Left.Retries != 2 {
-		t.Fatalf("counters: %+v", sn.Left)
+	if c := sn.Ends[Left]; c[Pushes] != 2 || c[Pops] != 1 || c[Retries] != 2 {
+		t.Fatalf("counters: %+v", c)
 	}
-	if sn.Right.Pushes != 0 || sn.Right.Pops != 0 {
-		t.Fatalf("Latency moved counters: %+v", sn.Right)
+	if c := sn.Ends[Right]; c[Pushes] != 0 || c[Pops] != 0 {
+		t.Fatalf("Latency moved counters: %+v", c)
 	}
 	l := sn.Latency
 	if l == nil {
 		t.Fatal("Snapshot.Latency nil with latency enabled")
 	}
-	if l.Left.Op.N != 2 {
-		t.Fatalf("left op n = %d, want 2", l.Left.Op.N)
+	if l.Op[Left].N != 2 {
+		t.Fatalf("left op n = %d, want 2", l.Op[Left].N)
 	}
-	if l.Left.Spin.N != 1 {
-		t.Fatalf("left spin n = %d, want 1 (only the retried op)", l.Left.Spin.N)
+	if l.Spin[Left].N != 1 {
+		t.Fatalf("left spin n = %d, want 1 (only the retried op)", l.Spin[Left].N)
 	}
-	if l.Right.Op.N != 1 || l.Right.Spin.N != 1 {
-		t.Fatalf("right op/spin n = %d/%d, want 1/1", l.Right.Op.N, l.Right.Spin.N)
+	if l.Op[Right].N != 1 || l.Spin[Right].N != 1 {
+		t.Fatalf("right op/spin n = %d/%d, want 1/1", l.Op[Right].N, l.Spin[Right].N)
 	}
-	if l.Left.Op.Min == 0 || l.Left.Op.Max < l.Left.Op.Min {
-		t.Fatalf("left op extremes: %+v", l.Left.Op)
-	}
-	if got := l.End(Left).Op.N; got != l.Left.Op.N {
-		t.Fatalf("End(Left) = %d, want %d", got, l.Left.Op.N)
-	}
-
-	s.Reset()
-	sn = s.Snapshot()
-	if sn.Left.Pushes != 0 {
-		t.Fatalf("counters survive Reset: %+v", sn.Left)
-	}
-	if sn.Latency == nil || sn.Latency.Left.Op.N != 0 {
-		t.Fatalf("latency survives Reset: %+v", sn.Latency)
+	if l.Op[Left].Min == 0 || l.Op[Left].Max < l.Op[Left].Min {
+		t.Fatalf("left op extremes: %+v", l.Op[Left])
 	}
 }
 
@@ -108,32 +96,29 @@ func TestSchedSinkLatency(t *testing.T) {
 	if l == nil {
 		t.Fatal("Latencies nil with latency enabled")
 	}
-	if l.SubmitRun.N != 2 || l.SubmitRun.Min != 100 || l.SubmitRun.Max != 200 {
-		t.Fatalf("submit_run: %+v", l.SubmitRun)
+	if sr := l[SchedSubmitRun]; sr.N != 2 || sr.Min != 100 || sr.Max != 200 {
+		t.Fatalf("submit_run: %+v", sr)
 	}
-	if l.StealRun.N != 1 || l.ParkWake.N != 1 {
-		t.Fatalf("steal_run/park_wake n = %d/%d", l.StealRun.N, l.ParkWake.N)
+	if l[SchedStealRun].N != 1 || l[SchedParkWake].N != 1 {
+		t.Fatalf("steal_run/park_wake n = %d/%d", l[SchedStealRun].N, l[SchedParkWake].N)
 	}
-	for k := SchedLatency(0); k < NumSchedLatencies; k++ {
-		if l.Get(k).N == 0 {
-			t.Errorf("Get(%v) empty", k)
-		}
-	}
-	if l.Get(NumSchedLatencies).N != 0 {
-		t.Error("Get(out of range) non-empty")
+	if len(l) != int(NumSchedLatencies) {
+		t.Fatalf("%d latency snapshots, want %d", len(l), NumSchedLatencies)
 	}
 }
 
 func TestSchedLatencyStrings(t *testing.T) {
 	want := map[SchedLatency]string{
-		SchedSubmitRun:    "submit_run",
-		SchedStealRun:     "steal_run",
-		SchedParkWake:     "park_wake",
-		NumSchedLatencies: "unknown",
+		SchedSubmitRun: "submit_run",
+		SchedStealRun:  "steal_run",
+		SchedParkWake:  "park_wake",
+	}
+	if len(SchedLatencyNames) != int(NumSchedLatencies) {
+		t.Fatalf("SchedLatencyNames = %q, want %d names", SchedLatencyNames, NumSchedLatencies)
 	}
 	for k, w := range want {
-		if k.String() != w {
-			t.Errorf("%d.String() = %q, want %q", k, k.String(), w)
+		if SchedLatencyNames[k] != w {
+			t.Errorf("SchedLatencyNames[%d] = %q, want %q", k, SchedLatencyNames[k], w)
 		}
 	}
 }
@@ -142,7 +127,7 @@ func TestWritePrometheus(t *testing.T) {
 	sink := NewSink().EnableLatency()
 	sink.OpTimed(Right, Pushes, 0, metrics.Nanotime()-1000)
 	sink.OpTimed(Right, Pops, 2, metrics.Nanotime()-5000)
-	unDeque := Register("test_prom_deque", sink, nil, nil)
+	unDeque := Register("test_prom_deque", sink, nil)
 	defer unDeque()
 
 	ss := NewSchedSink(2).EnableLatency()
@@ -155,7 +140,7 @@ func TestWritePrometheus(t *testing.T) {
 	// Without latency enabled, no latency series appear for the entry.
 	plain := NewSink()
 	plain.Op(Left, Pushes, 0)
-	unPlain := Register("test_prom_nolat", plain, nil, nil)
+	unPlain := Register("test_prom_nolat", plain, nil)
 	defer unPlain()
 
 	var b strings.Builder
@@ -200,7 +185,7 @@ func TestWritePrometheus(t *testing.T) {
 func TestWriteTextLatency(t *testing.T) {
 	sink := NewSink().EnableLatency()
 	sink.OpTimed(Left, Pushes, 1, metrics.Nanotime()-1000)
-	unDeque := Register("test_lat_deque", sink, nil, nil)
+	unDeque := Register("test_lat_deque", sink, nil)
 	defer unDeque()
 
 	ss := NewSchedSink(1).EnableLatency()
@@ -231,7 +216,7 @@ func TestWriteTextLatency(t *testing.T) {
 	// Without latency enabled, no latency series appear for the entry.
 	plain := NewSink()
 	plain.Op(Left, Pushes, 0)
-	unPlain := Register("test_nolat_deque", plain, nil, nil)
+	unPlain := Register("test_nolat_deque", plain, nil)
 	defer unPlain()
 	b.Reset()
 	WritePrometheus(&b)

@@ -56,6 +56,14 @@ func (f *promFamily) add(suffix, labels string, v any) {
 	f.samples = append(f.samples, fmt.Sprintf("%s%s{%s} %v", f.name, suffix, labels, v))
 }
 
+// counts adds one sample per named counter of c, labelled ls plus
+// key="name": the one rendering of every counter set.
+func (f *promFamily) counts(ls, key string, names []string, c Counts) {
+	for i, name := range names {
+		f.add("", ls+","+key+`="`+name+`"`, c[i])
+	}
+}
+
 // labelEscaper escapes a label value as the exposition format requires:
 // backslash, double quote and line feed, and nothing else.
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
@@ -119,38 +127,17 @@ func WritePrometheus(b *strings.Builder) {
 
 	for _, n := range names {
 		e := all[n]
-		if e.Telemetry != nil {
-			for _, end := range [NumEnds]End{Left, Right} {
-				oc := e.Telemetry.End(end)
-				for c := Counter(0); c < NumCounters; c++ {
-					ops.add("", labels("deque", n, "end", end.String(), "counter", c.String()), oc.get(c))
-				}
+		if sn := e.Telemetry; sn != nil {
+			ls := labels("deque", n)
+			for end, c := range sn.Ends {
+				ops.counts(labels("deque", n, "end", EndNames[end]), "counter", CounterNames, c)
 			}
-			r := e.Telemetry.Ref
-			ref.add("", labels("deque", n, "event", "incs"), r.Incs)
-			ref.add("", labels("deque", n, "event", "decs"), r.Decs)
-			ref.add("", labels("deque", n, "event", "frees"), r.Frees)
-			if l := e.Telemetry.Latency; l != nil {
-				for _, end := range [NumEnds]End{Left, Right} {
-					el := l.End(end)
-					ls := labels("deque", n, "end", end.String())
-					promHistogram(opLat, ls, el.Op)
-					promHistogram(spinLat, ls, el.Spin)
-					promQuantiles(opQ, ls, el.Op)
-					promQuantiles(spinQ, ls, el.Spin)
-				}
+			ref.counts(ls, "event", RefNames, sn.Ref)
+			if l := sn.Latency; l != nil {
+				promHists(opLat, opQ, ls, "end", EndNames, l.Op[:])
+				promHists(spinLat, spinQ, ls, "end", EndNames, l.Spin[:])
 			}
-		}
-		if d := e.DCAS; d != nil {
-			for _, s := range []struct {
-				ev string
-				v  uint64
-			}{
-				{"attempts", d.Attempts}, {"failures", d.Failures}, {"successes", d.Successes},
-				{"backoff_spins", d.BackoffSpins}, {"backoff_yields", d.BackoffYields},
-			} {
-				dcasF.add("", labels("deque", n, "event", s.ev), s.v)
-			}
+			dcasF.counts(ls, "event", DCASNames, sn.DCAS)
 		}
 		if m := e.Mem; m != nil {
 			promArena(arenaF, arenaG, n, "slots", m.Slots)
@@ -167,34 +154,20 @@ func WritePrometheus(b *strings.Builder) {
 				rings.add("", labels("deque", n, "gauge", "bytes"), r.Bytes)
 			}
 		}
-		if e.Sched != nil {
-			for w, oc := range e.Sched.Workers {
-				for c := SchedCounter(0); c < NumSchedCounters; c++ {
-					schedF.add("", labels("sched", n, "worker", strconv.Itoa(w), "event", c.String()), oc.get(c))
-				}
+		if sn := e.Sched; sn != nil {
+			for w, c := range sn.Workers {
+				schedF.counts(labels("sched", n, "worker", strconv.Itoa(w)), "event", SchedCounterNames, c)
 			}
-			for c := SchedCounter(0); c < NumSchedCounters; c++ {
-				schedF.add("", labels("sched", n, "worker", "external", "event", c.String()), e.Sched.External.get(c))
-			}
-			if l := e.Sched.Latencies; l != nil {
-				for k := SchedLatency(0); k < NumSchedLatencies; k++ {
-					ls := labels("sched", n, "kind", k.String())
-					promHistogram(schedLat, ls, l.Get(k))
-					promQuantiles(schedQ, ls, l.Get(k))
-				}
+			schedF.counts(labels("sched", n, "worker", "external"), "event", SchedCounterNames, sn.External)
+			if sn.Latencies != nil {
+				promHists(schedLat, schedQ, labels("sched", n), "kind", SchedLatencyNames, sn.Latencies)
 			}
 		}
-		if e.Serve != nil {
-			for _, tc := range e.Serve.Tenants {
-				for c := ServeCounter(0); c < NumServeCounters; c++ {
-					serveF.add("", labels("server", n, "tenant", tc.Tenant, "outcome", c.String()), tc.get(c))
-				}
+		if sn := e.Serve; sn != nil {
+			for i, c := range sn.Tenants {
+				serveF.counts(labels("server", n, "tenant", sn.Names[i]), "outcome", ServeCounterNames, c)
 			}
-			for st := ServeStage(0); st < NumServeStages; st++ {
-				ls := labels("server", n, "stage", st.String())
-				promHistogram(serveLat, ls, e.Serve.Stages.Get(st))
-				promQuantiles(serveQ, ls, e.Serve.Stages.Get(st))
-			}
+			promHists(serveLat, serveQ, labels("server", n), "stage", ServeStageNames, sn.Stages[:])
 		}
 	}
 
@@ -221,6 +194,16 @@ func promArena(counts, gauges *promFamily, deque, kind string, o arena.Occupancy
 	gauges.add("", labels("deque", deque, "arena", kind, "gauge", "high_water"), o.HighWater)
 	gauges.add("", labels("deque", deque, "arena", kind, "gauge", "slabs"), o.Slabs)
 	gauges.add("", labels("deque", deque, "arena", kind, "gauge", "slab_bytes"), o.SlabBytes)
+}
+
+// promHists renders each named histogram snapshot, labelled ls plus
+// key="name", into hist and its quantile gauges into q.
+func promHists(hist, q *promFamily, ls, key string, names []string, hs []metrics.HistogramSnapshot) {
+	for i, name := range names {
+		l := ls + "," + key + `="` + name + `"`
+		promHistogram(hist, l, hs[i])
+		promQuantiles(q, l, hs[i])
+	}
 }
 
 // promHistogram renders one snapshot as a Prometheus histogram:

@@ -4,21 +4,16 @@ package telemetry
 // registers its telemetry sources here, and the one exporter
 // (PrometheusHandler) snapshots the registry on each scrape.
 
-import (
-	"sync"
-
-	"dcasdeque/internal/dcas"
-)
+import "sync"
 
 // entry is one registered component's telemetry sources: a deque's
-// sink+DCAS stats+memory snapshotter, a scheduler's sink
+// sink and memory snapshotter, a scheduler's sink
 // (RegisterSched) or a server's sink (RegisterServe), never two kinds.
 // Entries are stored by pointer: the mem field makes the struct
 // non-comparable, so unregistration matches on entry identity rather
 // than value equality.
 type entry struct {
 	sink  *Sink
-	dcas  func() dcas.Snapshot
 	mem   func() MemSnapshot
 	sched *SchedSink
 	serve *ServeSink
@@ -29,18 +24,17 @@ var (
 	registry   = map[string]*entry{}
 )
 
-// Register exposes a deque's telemetry under the given name through
-// PrometheusHandler.  dcasSnap, when non-nil, is called at snapshot time
-// for the deque's DCAS counts (an AttrStats.Snapshot, whose aggregates
-// are derived rather than stored); mem, when non-nil, is called at
-// snapshot time for the deque's memory-occupancy ledger.  Both run on
-// every scrape, so they should be O(1) counter reads: mem returns the
-// arenas' ledgers without their structural audit.  Both must be safe to
-// call concurrently.  Registering a name again replaces the
-// previous entry; the returned function unregisters it (idempotently,
-// and only while the entry is still the registered one).
-func Register(name string, sink *Sink, dcasSnap func() dcas.Snapshot, mem func() MemSnapshot) func() {
-	return register(name, &entry{sink: sink, dcas: dcasSnap, mem: mem})
+// Register exposes a deque's telemetry — its sink's operation, ref and
+// DCAS counts — under the given name through PrometheusHandler.  mem,
+// when non-nil, is called at snapshot time for the deque's
+// memory-occupancy ledger.  It runs on every scrape, so it should be
+// O(1) counter reads (the arenas' ledgers without their structural
+// audit), and it must be safe to call concurrently.  Registering a name
+// again replaces the previous entry; the returned function unregisters
+// it (idempotently, and only while the entry is still the registered
+// one).
+func Register(name string, sink *Sink, mem func() MemSnapshot) func() {
+	return register(name, &entry{sink: sink, mem: mem})
 }
 
 // RegisterSched exposes a scheduler's telemetry under the given name,
@@ -80,10 +74,6 @@ func snapshotAll() map[string]exportEntry {
 			sn := e.sink.Snapshot()
 			ee.Telemetry = &sn
 		}
-		if e.dcas != nil {
-			sn := e.dcas()
-			ee.DCAS = &sn
-		}
 		if e.mem != nil {
 			sn := e.mem()
 			ee.Mem = &sn
@@ -102,11 +92,10 @@ func snapshotAll() map[string]exportEntry {
 }
 
 // exportEntry is one registered component's snapshot: deque entries
-// carry Telemetry (+DCAS, +Mem), scheduler entries Sched, server
-// entries Serve.
+// carry Telemetry (+Mem), scheduler entries Sched, server entries
+// Serve.
 type exportEntry struct {
 	Telemetry *Snapshot
-	DCAS      *dcas.Snapshot
 	Mem       *MemSnapshot
 	Sched     *SchedSnapshot
 	Serve     *ServeSnapshot

@@ -24,8 +24,13 @@ func TestExporter(t *testing.T) {
 	sink := NewSink()
 	sink.Op(Right, Pushes, 2)
 	sink.Op(Left, Pops, 0)
-	st := func() dcas.Snapshot { return dcas.Snapshot{Attempts: 5, Failures: 2, Successes: 3} }
-	unregister := Register("test_exporter_deque", sink, st, nil)
+	p := sink.Instrument(dcas.Default())
+	var a, b dcas.Loc
+	for i := 0; i < 5; i++ {
+		old := uint64(i / 3) // the last two expect 1 where the words hold 0: they fail
+		p.DCAS(&a, &b, old, old, 0, 0)
+	}
+	unregister := Register("test_exporter_deque", sink, nil)
 	defer unregister()
 
 	body := scrape(t)
@@ -34,6 +39,7 @@ func TestExporter(t *testing.T) {
 		`dcasdeque_ops_total{deque="test_exporter_deque",end="right",counter="retries"} 2`,
 		`dcasdeque_ops_total{deque="test_exporter_deque",end="left",counter="pops"} 1`,
 		`dcasdeque_dcas_total{deque="test_exporter_deque",event="attempts"} 5`,
+		`dcasdeque_dcas_total{deque="test_exporter_deque",event="failures"} 2`,
 		`dcasdeque_dcas_total{deque="test_exporter_deque",event="successes"} 3`,
 	} {
 		if !strings.Contains(body, want) {
@@ -54,8 +60,8 @@ func TestRegisterReplaces(t *testing.T) {
 	a.Op(Left, Pushes, 0)
 	b.Op(Left, Pushes, 0)
 	b.Op(Left, Pushes, 0)
-	unA := Register("test_replace_deque", a, nil, nil)
-	unB := Register("test_replace_deque", b, nil, nil)
+	unA := Register("test_replace_deque", a, nil)
+	unB := Register("test_replace_deque", b, nil)
 	defer unB()
 
 	const want = `dcasdeque_ops_total{deque="test_replace_deque",end="left",counter="pushes"} 2`

@@ -1,25 +1,20 @@
 package telemetry
 
-// Scheduler telemetry: per-worker counters for the sched package, in the
-// same padded-bank style as the deque Sink.  The sharding story differs
+// Scheduler telemetry: per-worker counter rows for the sched package, in
+// the same padded-row shape as the deque Sink.  The sharding story differs
 // because the writer population differs: a deque's operations can come
 // from any goroutine (hence the Sink's stack-address stripes), but a
 // scheduler's hot events — task runs, steals, parks — are generated by
-// exactly one worker goroutine each.  Giving every worker its own padded
-// bank makes the hot path a single uncontended atomic add and reads back
-// per worker, which is the attribution the steal-policy experiments
-// need (who stole, who starved, who parked).  Events raised outside any
-// worker (external submissions, submit-side wakeups) land in one extra
-// shared bank.
+// exactly one worker goroutine each.  Giving every worker its own row
+// makes the hot path a single uncontended atomic add and reads back per
+// worker, which is the attribution the steal-policy experiments need
+// (who stole, who starved, who parked).  Events raised outside any worker
+// (external submissions, submit-side wakeups) land in one extra shared
+// row.
 
-import (
-	"sync/atomic"
+import "dcasdeque/internal/metrics"
 
-	"dcasdeque/internal/dcas"
-	"dcasdeque/internal/metrics"
-)
-
-// SchedCounter enumerates the per-worker scheduler counters.
+// SchedCounter enumerates the columns of a scheduler row.
 type SchedCounter uint8
 
 // The scheduler counters.
@@ -30,7 +25,7 @@ const (
 	// deque, or overflowed to the injector) by tasks running here.
 	SchedSpawns
 	// SchedSubmits counts externally submitted tasks accepted into the
-	// injector (recorded in the external bank).
+	// injector (recorded in the external row).
 	SchedSubmits
 	// SchedSteals counts steal attempts that transferred ≥ 1 task.
 	SchedSteals
@@ -42,36 +37,16 @@ const (
 	SchedStealFails
 	// SchedParks counts times the worker gave up spinning and parked.
 	SchedParks
-	// SchedWakes counts wakeups this worker (or the external bank, for
+	// SchedWakes counts wakeups this worker (or the external row, for
 	// submit-side wakes) issued to parked workers.
 	SchedWakes
-	// NumSchedCounters sizes per-worker counter banks.
+	// NumSchedCounters is the scheduler row's width.
 	NumSchedCounters
 )
 
-// String returns the counter's exporter name.
-func (c SchedCounter) String() string {
-	switch c {
-	case SchedRuns:
-		return "runs"
-	case SchedSpawns:
-		return "spawns"
-	case SchedSubmits:
-		return "submits"
-	case SchedSteals:
-		return "steals"
-	case SchedStolen:
-		return "stolen"
-	case SchedStealFails:
-		return "steal_fails"
-	case SchedParks:
-		return "parks"
-	case SchedWakes:
-		return "wakes"
-	default:
-		return "unknown"
-	}
-}
+// SchedCounterNames names the scheduler-row counters, indexed by
+// SchedCounter.
+var SchedCounterNames = []string{"runs", "spawns", "submits", "steals", "stolen", "steal_fails", "parks", "wakes"}
 
 // SchedLatency enumerates the task-lifecycle latencies the scheduler
 // records when latency is enabled: each is an interval between two
@@ -96,40 +71,22 @@ const (
 	NumSchedLatencies
 )
 
-// String returns the latency's exporter name.
-func (l SchedLatency) String() string {
-	switch l {
-	case SchedSubmitRun:
-		return "submit_run"
-	case SchedStealRun:
-		return "steal_run"
-	case SchedParkWake:
-		return "park_wake"
-	default:
-		return "unknown"
-	}
-}
-
-// schedBlock is one worker's counter bank, padded to a full
-// false-sharing range so adjacent workers' banks never share a line
-// (the same discipline as the Sink's endBlock).
-type schedBlock struct {
-	c [NumSchedCounters]atomic.Uint64
-	_ [dcas.FalseSharingRange - 8*int(NumSchedCounters)]byte
-}
+// SchedLatencyNames names the lifecycle latencies, indexed by
+// SchedLatency.
+var SchedLatencyNames = []string{"submit_run", "steal_run", "park_wake"}
 
 // SchedExternal attributes an event to no worker: external submitters
 // and their wakeups.
 const SchedExternal = -1
 
 // SchedSink accumulates one scheduler's telemetry.  Worker i must be
-// the only goroutine recording under index i (single-writer banks);
+// the only goroutine recording under index i (single-writer rows);
 // SchedExternal may be used concurrently by any number of goroutines.
 // A nil *SchedSink is the disabled state and must be checked by the
 // caller, exactly like the deque Sink.
 type SchedSink struct {
-	workers []schedBlock
-	ext     schedBlock
+	// rows holds one row per worker, then the external row.
+	rows []row
 	// lat holds one sharded histogram per lifecycle latency, striped by
 	// worker index (single-writer lanes); nil unless EnableLatency was
 	// called.
@@ -139,25 +96,22 @@ type SchedSink struct {
 // NewSchedSink returns an empty sink for a scheduler with the given
 // worker count.
 func NewSchedSink(workers int) *SchedSink {
-	return &SchedSink{workers: make([]schedBlock, workers)}
+	return &SchedSink{rows: make([]row, workers+1)}
 }
 
-// block selects the bank for a worker index (SchedExternal → ext).
-func (s *SchedSink) block(worker int) *schedBlock {
+// row selects the row for a worker index (SchedExternal → the last).
+func (s *SchedSink) row(worker int) *row {
 	if worker < 0 {
-		return &s.ext
+		worker = len(s.rows) - 1
 	}
-	return &s.workers[worker]
+	return &s.rows[worker]
 }
 
 // EnableLatency attaches the lifecycle-latency histograms and returns
 // the sink.  Call before workers start recording; idempotent.
 func (s *SchedSink) EnableLatency() *SchedSink {
 	if s.lat[0] == nil {
-		n := len(s.workers)
-		if n < 1 {
-			n = 1
-		}
+		n := max(len(s.rows)-1, 1)
 		for l := range s.lat {
 			s.lat[l] = metrics.NewShardedHistogram(n)
 		}
@@ -179,117 +133,52 @@ func (s *SchedSink) Latency(worker int, l SchedLatency, v uint64) {
 	}
 }
 
-// Inc adds 1 to one counter of one worker's bank.
+// Inc adds 1 to one counter of one worker's row.
 //
 //go:noinline
 func (s *SchedSink) Inc(worker int, c SchedCounter) {
-	s.block(worker).c[c].Add(1)
+	s.row(worker).c[c].Add(1)
 }
 
-// Add adds n to one counter of one worker's bank.
+// Add adds n to one counter of one worker's row.
 //
 //go:noinline
 func (s *SchedSink) Add(worker int, c SchedCounter, n uint64) {
 	if n != 0 {
-		s.block(worker).c[c].Add(n)
+		s.row(worker).c[c].Add(n)
 	}
 }
 
-// SchedCounts is one bank's totals, in plain values.
-type SchedCounts struct {
-	Runs       uint64 `json:"runs"`
-	Spawns     uint64 `json:"spawns"`
-	Submits    uint64 `json:"submits"`
-	Steals     uint64 `json:"steals"`
-	Stolen     uint64 `json:"stolen"`
-	StealFails uint64 `json:"steal_fails"`
-	Parks      uint64 `json:"parks"`
-	Wakes      uint64 `json:"wakes"`
-}
-
-// get returns the counter's value by enum, for table-driven exporters.
-func (o SchedCounts) get(c SchedCounter) uint64 {
-	switch c {
-	case SchedRuns:
-		return o.Runs
-	case SchedSpawns:
-		return o.Spawns
-	case SchedSubmits:
-		return o.Submits
-	case SchedSteals:
-		return o.Steals
-	case SchedStolen:
-		return o.Stolen
-	case SchedStealFails:
-		return o.StealFails
-	case SchedParks:
-		return o.Parks
-	case SchedWakes:
-		return o.Wakes
-	default:
-		return 0
-	}
-}
-
-func (o *SchedCounts) add(b *schedBlock) {
-	o.Runs += b.c[SchedRuns].Load()
-	o.Spawns += b.c[SchedSpawns].Load()
-	o.Submits += b.c[SchedSubmits].Load()
-	o.Steals += b.c[SchedSteals].Load()
-	o.Stolen += b.c[SchedStolen].Load()
-	o.StealFails += b.c[SchedStealFails].Load()
-	o.Parks += b.c[SchedParks].Load()
-	o.Wakes += b.c[SchedWakes].Load()
-}
-
-// SchedSnapshot is a point-in-time read of a scheduler sink: one bank
-// per worker, the external bank, and their sum.  The consistency
-// contract is the Sink's: eventually exact, monotone per counter.
+// SchedSnapshot is a point-in-time read of a scheduler sink: one row
+// per worker, the external row, and their sum, each indexed by
+// SchedCounter.  The consistency contract is the Sink's: eventually
+// exact, monotone per counter.
 type SchedSnapshot struct {
-	Workers  []SchedCounts `json:"workers"`
-	External SchedCounts   `json:"external"`
-	Total    SchedCounts   `json:"total"`
-	// Latencies carries the lifecycle histograms; nil unless the sink
-	// was built with EnableLatency.
-	Latencies *SchedLatencySnapshot `json:"latencies,omitempty"`
+	Workers  []Counts
+	External Counts
+	Total    Counts
+	// Latencies carries the lifecycle histograms, indexed by
+	// SchedLatency; nil unless the sink was built with EnableLatency.
+	Latencies []metrics.HistogramSnapshot
 }
 
-// SchedLatencySnapshot summarizes the lifecycle-latency histograms.
-type SchedLatencySnapshot struct {
-	SubmitRun metrics.HistogramSnapshot `json:"submit_run"`
-	StealRun  metrics.HistogramSnapshot `json:"steal_run"`
-	ParkWake  metrics.HistogramSnapshot `json:"park_wake"`
-}
-
-// Get selects one lifecycle histogram by enum, for table-driven
-// exporters.
-func (l *SchedLatencySnapshot) Get(k SchedLatency) metrics.HistogramSnapshot {
-	switch k {
-	case SchedSubmitRun:
-		return l.SubmitRun
-	case SchedStealRun:
-		return l.StealRun
-	case SchedParkWake:
-		return l.ParkWake
-	default:
-		return metrics.HistogramSnapshot{}
-	}
-}
-
-// Snapshot reads every bank.
+// Snapshot reads every row.
 func (s *SchedSink) Snapshot() SchedSnapshot {
-	sn := SchedSnapshot{Workers: make([]SchedCounts, len(s.workers))}
-	for i := range s.workers {
-		sn.Workers[i].add(&s.workers[i])
-		sn.Total.add(&s.workers[i])
+	n := len(s.rows) - 1
+	sn := SchedSnapshot{Workers: make([]Counts, n)}
+	for i := range s.rows {
+		c := s.rows[i].load()
+		if i < n {
+			sn.Workers[i] = c
+		} else {
+			sn.External = c
+		}
+		sn.Total.add(c)
 	}
-	sn.External.add(&s.ext)
-	sn.Total.add(&s.ext)
 	if s.LatencyEnabled() {
-		sn.Latencies = &SchedLatencySnapshot{
-			SubmitRun: s.lat[SchedSubmitRun].Snapshot(),
-			StealRun:  s.lat[SchedStealRun].Snapshot(),
-			ParkWake:  s.lat[SchedParkWake].Snapshot(),
+		sn.Latencies = make([]metrics.HistogramSnapshot, NumSchedLatencies)
+		for l, h := range s.lat {
+			sn.Latencies[l] = h.Snapshot()
 		}
 	}
 	return sn

@@ -4,20 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
-
-	"dcasdeque/internal/dcas"
 )
-
-// The per-worker banks must be padded to whole false-sharing ranges so
-// adjacent workers in the slice never share a line — the same layout
-// contract padlayout enforces for the deque Sink's banks.
-func TestSchedBlockPadding(t *testing.T) {
-	if s := unsafe.Sizeof(schedBlock{}); s%dcas.FalseSharingRange != 0 {
-		t.Fatalf("schedBlock is %d bytes, not a multiple of the %d-byte false-sharing range",
-			s, dcas.FalseSharingRange)
-	}
-}
 
 func TestSchedSinkCounts(t *testing.T) {
 	s := NewSchedSink(3)
@@ -31,15 +18,16 @@ func TestSchedSinkCounts(t *testing.T) {
 	s.Add(2, SchedStealFails, 0) // no-op
 
 	sn := s.Snapshot()
-	if sn.Workers[0].Runs != 2 || sn.Workers[1].Steals != 1 ||
-		sn.Workers[1].Stolen != 4 || sn.Workers[2].Parks != 1 {
+	if sn.Workers[0][SchedRuns] != 2 || sn.Workers[1][SchedSteals] != 1 ||
+		sn.Workers[1][SchedStolen] != 4 || sn.Workers[2][SchedParks] != 1 {
 		t.Fatalf("per-worker counts wrong: %+v", sn.Workers)
 	}
-	if sn.External.Submits != 1 || sn.External.Wakes != 1 {
+	if sn.External[SchedSubmits] != 1 || sn.External[SchedWakes] != 1 {
 		t.Fatalf("external counts wrong: %+v", sn.External)
 	}
-	if sn.Total.Runs != 2 || sn.Total.Stolen != 4 || sn.Total.Submits != 1 ||
-		sn.Total.Wakes != 1 || sn.Total.StealFails != 0 {
+	tot := sn.Total
+	if tot[SchedRuns] != 2 || tot[SchedStolen] != 4 || tot[SchedSubmits] != 1 ||
+		tot[SchedWakes] != 1 || tot[SchedStealFails] != 0 {
 		t.Fatalf("totals wrong: %+v", sn.Total)
 	}
 }
@@ -61,7 +49,7 @@ func TestSchedSinkConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	sn := s.Snapshot()
-	if sn.Total.Runs != 4000 || sn.External.Submits != 4000 {
+	if sn.Total[SchedRuns] != 4000 || sn.External[SchedSubmits] != 4000 {
 		t.Fatalf("lost updates: %+v", sn.Total)
 	}
 }

@@ -3,8 +3,8 @@ package telemetry_test
 // Race coverage for the process-wide exporter: deques and schedulers
 // register, update and unregister concurrently with HTTP scrapes.  The
 // exporter's contract is that snapshotAll copies the registry under the
-// lock and snapshots outside it, and that every snapshot source (sinks,
-// DCAS stats, the mem callback) is safe to call concurrently with
+// lock and snapshots outside it, and that every snapshot source (sinks and
+// their DCAS lanes, the mem callback) is safe to call concurrently with
 // writers — this test is the -race certificate for that contract,
 // including the memory-snapshot path Register grew for the soak
 // harness.  It lives in an external test package so it exercises the
@@ -40,12 +40,11 @@ func TestExporterScrapeRace(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("race-deque-%d", g)
 			sink := telemetry.NewSink()
-			var st dcas.AttrStats
-			p := dcas.InstrumentedAttr(dcas.Default(), &st)
+			p := sink.Instrument(dcas.Default())
 			var a, b dcas.Loc
 			mem := func() telemetry.MemSnapshot { return telemetry.MemSnapshot{} }
 			for !stop.Load() {
-				unreg := telemetry.Register(name, sink, st.Snapshot, mem)
+				unreg := telemetry.Register(name, sink, mem)
 				for i := 0; i < 64; i++ {
 					sink.Op(telemetry.Left, telemetry.Pushes, uint64(i%3))
 					p.DCAS(&a, &b, 0, 0, 0, 0)

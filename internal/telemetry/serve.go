@@ -4,9 +4,9 @@ package telemetry
 // latency histograms for the serve package (the network-facing job
 // service).  The sharding story is the deque Sink's, not the
 // scheduler's: any HTTP handler goroutine may record for any tenant at
-// any time, so the per-tenant banks are padded against each other
-// (tenants are the attribution axis, not the writer axis) and the stage
-// histograms are stack-address-sharded.
+// any time, so each tenant gets its own padded row (tenants are the
+// attribution axis, not the writer axis) and the stage histograms are
+// stack-address-sharded.
 //
 // The admission counters are the service's conservation law, the
 // bounded-admission analogue of the deques' outcome classes: every
@@ -15,14 +15,9 @@ package telemetry
 // completed / abandoned.  The serve stress harness asserts both sums
 // after every randomized run.
 
-import (
-	"sync/atomic"
+import "dcasdeque/internal/metrics"
 
-	"dcasdeque/internal/dcas"
-	"dcasdeque/internal/metrics"
-)
-
-// ServeCounter enumerates the per-tenant admission counters.
+// ServeCounter enumerates the columns of a tenant row.
 type ServeCounter uint8
 
 // The admission counters.  Received == Accepted + RejectedBusy +
@@ -47,29 +42,13 @@ const (
 	// whose drain deadline expired before the result was delivered (the
 	// job itself still runs exactly once on the scheduler).
 	ServeAbandoned
-	// NumServeCounters sizes per-tenant counter banks.
+	// NumServeCounters is the tenant row's width.
 	NumServeCounters
 )
 
-// String returns the counter's exporter name.
-func (c ServeCounter) String() string {
-	switch c {
-	case ServeReceived:
-		return "received"
-	case ServeAccepted:
-		return "accepted"
-	case ServeRejectedBusy:
-		return "rejected_busy"
-	case ServeRejectedDrain:
-		return "rejected_drain"
-	case ServeCompleted:
-		return "completed"
-	case ServeAbandoned:
-		return "abandoned"
-	default:
-		return "unknown"
-	}
-}
+// ServeCounterNames names the tenant-row counters, indexed by
+// ServeCounter.
+var ServeCounterNames = []string{"received", "accepted", "rejected_busy", "rejected_drain", "completed", "abandoned"}
 
 // ServeStage enumerates the request-lifecycle stages the service times:
 // a request's life is ingest → submit → run → respond, and each stage's
@@ -93,36 +72,15 @@ const (
 	NumServeStages
 )
 
-// String returns the stage's exporter name.
-func (s ServeStage) String() string {
-	switch s {
-	case StageIngest:
-		return "ingest"
-	case StageSubmit:
-		return "submit"
-	case StageRun:
-		return "run"
-	case StageRespond:
-		return "respond"
-	default:
-		return "unknown"
-	}
-}
+// ServeStageNames names the request stages, indexed by ServeStage.
+var ServeStageNames = []string{"ingest", "submit", "run", "respond"}
 
-// serveBlock is one tenant's counter bank, padded to a full
-// false-sharing range so two tenants' admission traffic never shares a
-// line (the schedBlock discipline applied to the tenant axis).
-type serveBlock struct {
-	c [NumServeCounters]atomic.Uint64
-	_ [dcas.FalseSharingRange - 8*int(NumServeCounters)]byte
-}
-
-// ServeSink accumulates one server's telemetry: a padded counter bank
-// per tenant plus one stack-address-sharded histogram per request
-// stage.  All methods are safe for concurrent use by any goroutine.
+// ServeSink accumulates one server's telemetry: a padded row per tenant
+// plus one stack-address-sharded histogram per request stage.  All
+// methods are safe for concurrent use by any goroutine.
 type ServeSink struct {
 	tenants []string
-	banks   []serveBlock
+	rows    []row
 	stages  [NumServeStages]*metrics.ShardedHistogram
 }
 
@@ -133,7 +91,7 @@ type ServeSink struct {
 func NewServeSink(tenants []string) *ServeSink {
 	s := &ServeSink{
 		tenants: append([]string(nil), tenants...),
-		banks:   make([]serveBlock, len(tenants)),
+		rows:    make([]row, len(tenants)),
 	}
 	for i := range s.stages {
 		s.stages[i] = metrics.NewShardedHistogram(8)
@@ -141,17 +99,9 @@ func NewServeSink(tenants []string) *ServeSink {
 	return s
 }
 
-// Tenants returns the tenant names, in bank order.
-func (s *ServeSink) Tenants() []string { return s.tenants }
-
-// Inc adds 1 to one counter of one tenant's bank.
+// Inc adds 1 to one counter of one tenant's row.
 func (s *ServeSink) Inc(tenant int, c ServeCounter) {
-	s.banks[tenant].c[c].Add(1)
-}
-
-// Get reads one counter of one tenant's bank.
-func (s *ServeSink) Get(tenant int, c ServeCounter) uint64 {
-	return s.banks[tenant].c[c].Load()
+	s.rows[tenant].c[c].Add(1)
 }
 
 // Stage records one stage interval (nanoseconds).
@@ -159,97 +109,28 @@ func (s *ServeSink) Stage(st ServeStage, ns uint64) {
 	s.stages[st].Record(ns)
 }
 
-// ServeCounts is one tenant's admission totals, in plain values.
-type ServeCounts struct {
-	Received      uint64 `json:"received"`
-	Accepted      uint64 `json:"accepted"`
-	RejectedBusy  uint64 `json:"rejected_busy"`
-	RejectedDrain uint64 `json:"rejected_drain"`
-	Completed     uint64 `json:"completed"`
-	Abandoned     uint64 `json:"abandoned"`
-}
-
-// get returns the counter's value by enum, for table-driven exporters.
-func (o ServeCounts) get(c ServeCounter) uint64 {
-	switch c {
-	case ServeReceived:
-		return o.Received
-	case ServeAccepted:
-		return o.Accepted
-	case ServeRejectedBusy:
-		return o.RejectedBusy
-	case ServeRejectedDrain:
-		return o.RejectedDrain
-	case ServeCompleted:
-		return o.Completed
-	case ServeAbandoned:
-		return o.Abandoned
-	default:
-		return 0
-	}
-}
-
-func (o *ServeCounts) add(b *serveBlock) {
-	o.Received += b.c[ServeReceived].Load()
-	o.Accepted += b.c[ServeAccepted].Load()
-	o.RejectedBusy += b.c[ServeRejectedBusy].Load()
-	o.RejectedDrain += b.c[ServeRejectedDrain].Load()
-	o.Completed += b.c[ServeCompleted].Load()
-	o.Abandoned += b.c[ServeAbandoned].Load()
-}
-
-// ServeTenantCounts pairs a tenant name with its totals for snapshots.
-type ServeTenantCounts struct {
-	Tenant string `json:"tenant"`
-	ServeCounts
-}
-
-// ServeStageSnapshot summarizes the four stage histograms.
-type ServeStageSnapshot struct {
-	Ingest  metrics.HistogramSnapshot `json:"ingest"`
-	Submit  metrics.HistogramSnapshot `json:"submit"`
-	Run     metrics.HistogramSnapshot `json:"run"`
-	Respond metrics.HistogramSnapshot `json:"respond"`
-}
-
-// Get selects one stage histogram by enum, for table-driven exporters.
-func (s *ServeStageSnapshot) Get(st ServeStage) metrics.HistogramSnapshot {
-	switch st {
-	case StageIngest:
-		return s.Ingest
-	case StageSubmit:
-		return s.Submit
-	case StageRun:
-		return s.Run
-	case StageRespond:
-		return s.Respond
-	default:
-		return metrics.HistogramSnapshot{}
-	}
-}
-
 // ServeSnapshot is a point-in-time read of a serve sink: per-tenant
-// banks, their sum, and the stage histograms.  The consistency contract
+// rows, their sum, and the stage histograms.  The consistency contract
 // is the Sink's: eventually exact, monotone per counter.
 type ServeSnapshot struct {
-	Tenants []ServeTenantCounts `json:"tenants"`
-	Total   ServeCounts         `json:"total"`
-	Stages  ServeStageSnapshot  `json:"stages"`
+	// Names holds the tenant names, in the order of Tenants.
+	Names []string
+	// Tenants holds each tenant's counters, indexed by ServeCounter.
+	Tenants []Counts
+	Total   Counts
+	// Stages holds the stage histograms, indexed by ServeStage.
+	Stages [NumServeStages]metrics.HistogramSnapshot
 }
 
-// Snapshot reads every bank and stage histogram.
+// Snapshot reads every row and stage histogram.
 func (s *ServeSink) Snapshot() ServeSnapshot {
-	sn := ServeSnapshot{Tenants: make([]ServeTenantCounts, len(s.banks))}
-	for i := range s.banks {
-		sn.Tenants[i].Tenant = s.tenants[i]
-		sn.Tenants[i].add(&s.banks[i])
-		sn.Total.add(&s.banks[i])
+	sn := ServeSnapshot{Names: s.tenants, Tenants: make([]Counts, len(s.rows))}
+	for i := range s.rows {
+		sn.Tenants[i] = s.rows[i].load()
+		sn.Total.add(sn.Tenants[i])
 	}
-	sn.Stages = ServeStageSnapshot{
-		Ingest:  s.stages[StageIngest].Snapshot(),
-		Submit:  s.stages[StageSubmit].Snapshot(),
-		Run:     s.stages[StageRun].Snapshot(),
-		Respond: s.stages[StageRespond].Snapshot(),
+	for st, h := range s.stages {
+		sn.Stages[st] = h.Snapshot()
 	}
 	return sn
 }

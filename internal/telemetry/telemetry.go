@@ -1,8 +1,8 @@
-// Package telemetry is the observability core of the library: lock-free,
-// sharded, per-deque operation counters attributed to the deque end they
-// occurred on, plus a bounded flight recorder (flight.go) whose dumps the
-// linearizability checker can replay (replay.go) and a stdlib-only
-// Prometheus text exporter over one registry (registry.go, prometheus.go).
+// Package telemetry is the observability core of the library: lock-free
+// counters for deques, their DCAS substrate, schedulers and servers, plus
+// a bounded flight recorder (flight.go) whose dumps the linearizability
+// checker can replay (replay.go) and a stdlib-only Prometheus text
+// exporter over one registry (registry.go, prometheus.go).
 //
 // The paper proves that every operation linearizes at exactly one DCAS
 // (Section 5); at runtime that proof is invisible unless executions are
@@ -12,21 +12,32 @@
 // makes visible per end: a retry storm on the right end of one deque is
 // distinguishable from healthy traffic on the left end of another.
 //
+// Every counter lives in one shape, the row: at most rowWidth atomic
+// counters padded to a full false-sharing range.  A counter set is rows
+// of one kind, named by one []string table (EndNames' counters,
+// RefNames, DCASNames, SchedCounterNames, ServeCounterNames), read back
+// as Counts, and rendered by one Prometheus loop.  The sets differ only
+// in how a writer picks its row:
+//
+//   - deque ends and LFRC ref transfers: a shard of three rows picked by
+//     the recording goroutine's stack address (metrics.StackLane);
+//   - DCAS: one of DCASLanes rows picked by the first location's token;
+//   - scheduler: one row per worker, plus the external row;
+//   - server: one row per tenant.
+//
 // Design constraints, in order:
 //
 //   - Disabled must cost a nil check.  The deque cores carry a *Sink and
 //     test it once per completed operation; all per-attempt tallies live
 //     in operation-local variables until that single flush.
-//   - Enabled must not create new contention.  Counters are sharded; a
-//     recording goroutine picks a shard from its own stack address, so
-//     concurrent recorders overwhelmingly hit different shards, and the
-//     per-end counter blocks inside a shard are padded a full
+//   - Enabled must not create new contention.  Rows are padded a full
 //     false-sharing range apart (the //dequevet:contended discipline, so
-//     padlayout vets the layout at compile time) — telemetry for the left
-//     end must never invalidate the line the right end's counters occupy,
-//     for exactly the reason the deque separates the ends themselves.
+//     padlayout vets a shard's rows at compile time) — telemetry for the
+//     left end must never invalidate the line the right end's counters
+//     occupy, for exactly the reason the deque separates the ends
+//     themselves.
 //
-// Snapshots are sums over shards read without synchronization: totals are
+// Snapshots are sums over rows read without synchronization: totals are
 // eventually exact (after quiescence) and monotone per counter, but a
 // snapshot taken during operation may split an operation's counters — a
 // push may be visible in Pushes before its Retries arrive.  This is the
@@ -41,6 +52,37 @@ import (
 	"dcasdeque/internal/metrics"
 )
 
+// rowWidth is the most counters one row holds.
+const rowWidth = 8
+
+// row is the one counter bank every telemetry source records into,
+// padded to a full false-sharing range so that two rows — adjacent in a
+// shard, a slice or the DCAS lanes — never share a line.
+type row struct {
+	c [rowWidth]atomic.Uint64
+	_ [dcas.FalseSharingRange - 8*rowWidth]byte
+}
+
+// load reads the row, one unsynchronized load per counter.
+func (r *row) load() Counts {
+	var c Counts
+	for i := range r.c {
+		c[i] = r.c[i].Load()
+	}
+	return c
+}
+
+// Counts is one row's values (or a sum of rows), indexed by the row's
+// counter enum and named by its names table.
+type Counts [rowWidth]uint64
+
+// add adds o into c counter by counter.
+func (c *Counts) add(o Counts) {
+	for i := range o {
+		c[i] += o[i]
+	}
+}
+
 // End identifies the deque end an event is attributed to.
 type End uint8
 
@@ -52,15 +94,10 @@ const (
 	NumEnds = 2
 )
 
-// String returns the end's name.
-func (e End) String() string {
-	if e == Left {
-		return "left"
-	}
-	return "right"
-}
+// EndNames names the ends, indexed by End.
+var EndNames = []string{"left", "right"}
 
-// Counter enumerates the per-end event counters.
+// Counter enumerates the columns of an end row.
 type Counter uint8
 
 // The per-end counters.  Pushes/Pops count operations that returned Okay;
@@ -91,69 +128,85 @@ const (
 	// Chase–Lev core's circular-array doublings, which happen on the
 	// owner's push path).  Zero for the fixed-capacity cores.
 	Grows
-	// NumCounters sizes per-end counter blocks.
+	// NumCounters is the end row's width.
 	NumCounters
 )
 
-// String returns the counter's exporter name.
-func (c Counter) String() string {
-	switch c {
-	case Pushes:
-		return "pushes"
-	case Pops:
-		return "pops"
-	case FullHits:
-		return "full_hits"
-	case EmptyHits:
-		return "empty_hits"
-	case Retries:
-		return "retries"
-	case LogicalDeletes:
-		return "logical_deletes"
-	case PhysicalDeletes:
-		return "physical_deletes"
-	case Grows:
-		return "grows"
-	default:
-		return "unknown"
-	}
-}
+// CounterNames names the end-row counters, indexed by Counter.
+var CounterNames = []string{"pushes", "pops", "full_hits", "empty_hits", "retries",
+	"logical_deletes", "physical_deletes", "grows"}
 
-// endBlock is one end's counter bank, padded to a full false-sharing
-// range so the two ends' banks in a shard can never share a line.
-type endBlock struct {
-	c [NumCounters]atomic.Uint64
-	_ [dcas.FalseSharingRange - 8*int(NumCounters)]byte
-}
+// The ref row's columns: LFRC reference-count transfer events, which have
+// no end attribution (a count transfer serves whichever operations reach
+// the node).
+const (
+	RefIncs = iota
+	RefDecs
+	RefFrees
+)
 
-// refBlock counts LFRC reference-count transfer events, which have no end
-// attribution (a count transfer serves whichever operations reach the
-// node).  Padded like endBlock.
-type refBlock struct {
-	incs  atomic.Uint64
-	decs  atomic.Uint64
-	frees atomic.Uint64
-	_     [dcas.FalseSharingRange - 8*3]byte
-}
+// RefNames names the ref-row counters.
+var RefNames = []string{"incs", "decs", "frees"}
 
-// shard is one stripe of a Sink.  The three banks are declared contended:
-// padlayout recomputes this struct's layout and rejects any edit that
-// brings two banks within one false-sharing range of each other.
+// The DCAS columns.  A lane row holds attempts and failures; a
+// snapshot's DCAS counts add the derived successes and the backoff
+// policy's spins and yields.
+const (
+	DCASAttempts = iota
+	DCASFailures
+	DCASSuccesses
+	DCASBackoffSpins
+	DCASBackoffYields
+)
+
+// DCASNames names the DCAS snapshot counters.
+var DCASNames = []string{"attempts", "failures", "successes", "backoff_spins", "backoff_yields"}
+
+// DCASLanes is the number of DCAS lanes, a power of two.  Four separates
+// the anchors of every backend: the array deque's end words get
+// consecutive tokens, the list sentinels' inner pointers are two (plain,
+// dummy) or three (LFRC) tokens apart.
+const DCASLanes = 4
+
+// DCASLane is the lane a DCAS is counted in: its first location's token
+// modulo DCASLanes.  Every array and list core passes the operating end's
+// anchor word first, and AssignIDs gives a constructor's locations
+// consecutive tokens, so the two ends of one deque count into different
+// lanes and recording does not couple the ends the algorithm keeps apart.
+func DCASLane(first *dcas.Loc) uint64 { return first.ID() & (DCASLanes - 1) }
+
+// shard is one stripe of a Sink's end and ref rows.  The rows are
+// declared contended: padlayout recomputes this struct's layout and
+// rejects any edit that brings two rows within one false-sharing range
+// of each other.
 type shard struct {
-	//dequevet:contended left-end counter bank, written by left-end operations
-	left endBlock
-	//dequevet:contended right-end counter bank, written by right-end operations
-	right endBlock
-	//dequevet:contended refcount-transfer bank, written by LFRC count transfers
-	ref refBlock
+	//dequevet:contended left-end row, written by left-end operations
+	left row
+	//dequevet:contended right-end row, written by right-end operations
+	right row
+	//dequevet:contended refcount-transfer row, written by LFRC count transfers
+	ref row
 }
 
-// end selects a shard's bank for one end.
-func (sh *shard) end(e End) *endBlock {
+// end selects a shard's row for one end.
+func (sh *shard) end(e End) *row {
 	if e == Left {
 		return &sh.left
 	}
 	return &sh.right
+}
+
+// dcasBank is a sink's DCAS lanes and the backoff counters.  The leading
+// pad keeps lane 0's counters a false-sharing range away from whatever
+// the allocator places before the bank (without it,
+// BenchmarkPublicAPI/Array[int]/ends2/lat ran ~35% slower on a 2-vCPU
+// Xeon).  The backoff
+// counters are written only after a lost race, so they sit behind the
+// last lane's padding.
+type dcasBank struct {
+	_       dcas.CacheLinePad
+	lanes   [DCASLanes]row
+	backoff dcas.Stats
 }
 
 // Sink accumulates one deque's telemetry.  All methods are safe for
@@ -163,7 +216,8 @@ func (sh *shard) end(e End) *endBlock {
 type Sink struct {
 	shards []shard
 	mask   uint32
-	lat    *latBank // nil unless EnableLatency was called (latency.go)
+	lat    *latBank  // nil unless EnableLatency was called (latency.go)
+	dcas   *dcasBank // filled by providers from Instrument
 }
 
 // sinkShards returns the shard count: enough stripes that GOMAXPROCS
@@ -180,7 +234,7 @@ func sinkShards(procs int) int {
 // NewSink returns an empty sink sized for the current schedule.
 func NewSink() *Sink {
 	n := sinkShards(runtime.GOMAXPROCS(0))
-	return &Sink{shards: make([]shard, n), mask: uint32(n - 1)}
+	return &Sink{shards: make([]shard, n), mask: uint32(n - 1), dcas: new(dcasBank)}
 }
 
 // shard picks the recording goroutine's stripe from its stack address
@@ -200,10 +254,10 @@ func (s *Sink) shard() *shard {
 //
 //go:noinline
 func (s *Sink) Op(end End, outcome Counter, retries uint64) {
-	b := s.shard().end(end)
-	b.c[outcome].Add(1)
+	r := s.shard().end(end)
+	r.c[outcome].Add(1)
 	if retries != 0 {
-		b.c[Retries].Add(retries)
+		r.c[Retries].Add(retries)
 	}
 }
 
@@ -215,126 +269,89 @@ func (s *Sink) Add(end End, c Counter, n uint64) {
 }
 
 // RefInc records one LFRC reference-count increment.
-func (s *Sink) RefInc() { s.shard().ref.incs.Add(1) }
+func (s *Sink) RefInc() { s.shard().ref.c[RefIncs].Add(1) }
 
 // RefDec records one LFRC reference-count decrement.
-func (s *Sink) RefDec() { s.shard().ref.decs.Add(1) }
+func (s *Sink) RefDec() { s.shard().ref.c[RefDecs].Add(1) }
 
 // RefFree records one LFRC reclamation (a count reaching zero).
-func (s *Sink) RefFree() { s.shard().ref.frees.Add(1) }
+func (s *Sink) RefFree() { s.shard().ref.c[RefFrees].Add(1) }
 
-// OpCounts is one end's counter totals, in plain values.
-type OpCounts struct {
-	Pushes          uint64 `json:"pushes"`
-	Pops            uint64 `json:"pops"`
-	FullHits        uint64 `json:"full_hits"`
-	EmptyHits       uint64 `json:"empty_hits"`
-	Retries         uint64 `json:"retries"`
-	LogicalDeletes  uint64 `json:"logical_deletes"`
-	PhysicalDeletes uint64 `json:"physical_deletes"`
-	Grows           uint64 `json:"grows"`
+// Instrument wraps a provider so that every DCAS through it is counted
+// in this sink's lane for its first location (DCASLane): one add per
+// attempt, a second when it fails.  The wrapped provider is otherwise
+// semantically identical.
+func (s *Sink) Instrument(p dcas.Provider) dcas.Provider {
+	return &counted{p: p, b: s.dcas}
 }
 
-// Ops is the end's completed-operation total (every push and pop,
-// including boundary responses — those complete too, per the
-// specification).
-func (o OpCounts) Ops() uint64 {
-	return o.Pushes + o.Pops + o.FullHits + o.EmptyHits
+// Backoff returns the counters a BackoffPolicy charges its spins and
+// yields to, reported with the sink's DCAS counts.
+func (s *Sink) Backoff() *dcas.Stats { return &s.dcas.backoff }
+
+type counted struct {
+	p dcas.Provider
+	b *dcasBank
 }
 
-// get returns the counter's value by enum, for table-driven exporters.
-func (o OpCounts) get(c Counter) uint64 {
-	switch c {
-	case Pushes:
-		return o.Pushes
-	case Pops:
-		return o.Pops
-	case FullHits:
-		return o.FullHits
-	case EmptyHits:
-		return o.EmptyHits
-	case Retries:
-		return o.Retries
-	case LogicalDeletes:
-		return o.LogicalDeletes
-	case PhysicalDeletes:
-		return o.PhysicalDeletes
-	case Grows:
-		return o.Grows
-	default:
-		return 0
+func (c *counted) DCAS(a1, a2 *dcas.Loc, o1, o2, n1, n2 uint64) bool {
+	ok := c.p.DCAS(a1, a2, o1, o2, n1, n2)
+	c.count(a1, ok)
+	return ok
+}
+
+func (c *counted) DCASView(a1, a2 *dcas.Loc, o1, o2, n1, n2 uint64) (uint64, uint64, bool) {
+	v1, v2, ok := c.p.DCASView(a1, a2, o1, o2, n1, n2)
+	c.count(a1, ok)
+	return v1, v2, ok
+}
+
+func (c *counted) count(first *dcas.Loc, ok bool) {
+	r := &c.b.lanes[DCASLane(first)]
+	r.c[DCASAttempts].Add(1)
+	if !ok {
+		r.c[DCASFailures].Add(1)
 	}
 }
 
-// RefCounts is the LFRC transfer totals, in plain values.
-type RefCounts struct {
-	Incs  uint64 `json:"incs"`
-	Decs  uint64 `json:"decs"`
-	Frees uint64 `json:"frees"`
-}
-
-// Snapshot is a point-in-time sum of a sink's counters.  See the package
+// Snapshot is a point-in-time sum of a sink's rows.  See the package
 // comment for the consistency contract.
 type Snapshot struct {
-	Left  OpCounts  `json:"left"`
-	Right OpCounts  `json:"right"`
-	Ref   RefCounts `json:"ref"`
+	// Ends holds each end's counters, indexed by End and Counter.
+	Ends [NumEnds]Counts
+	// Ref holds the LFRC transfer counters, named by RefNames.
+	Ref Counts
+	// Lanes holds each DCAS lane's attempts and failures.
+	Lanes [DCASLanes]Counts
+	// DCAS sums the lanes and adds the derived successes and the backoff
+	// counters, named by DCASNames.
+	DCAS Counts
 	// Latency carries the duration histograms; nil unless the sink was
 	// built with EnableLatency.
-	Latency *LatencySnapshot `json:"latency,omitempty"`
+	Latency *LatencySnapshot
 }
 
-// End selects a snapshot's counters for one end.
-func (sn Snapshot) End(e End) OpCounts {
-	if e == Left {
-		return sn.Left
-	}
-	return sn.Right
-}
-
-// Snapshot sums all shards.
+// Snapshot sums all rows.  Successes is attempts − failures, clamped at
+// zero: the lanes' counters are loaded one by one with no
+// synchronization between them, so a failure can be visible whose
+// attempt was loaded before it happened.
 func (s *Sink) Snapshot() Snapshot {
 	var sn Snapshot
 	for i := range s.shards {
 		sh := &s.shards[i]
-		addBlock(&sn.Left, &sh.left)
-		addBlock(&sn.Right, &sh.right)
-		sn.Ref.Incs += sh.ref.incs.Load()
-		sn.Ref.Decs += sh.ref.decs.Load()
-		sn.Ref.Frees += sh.ref.frees.Load()
+		sn.Ends[Left].add(sh.left.load())
+		sn.Ends[Right].add(sh.right.load())
+		sn.Ref.add(sh.ref.load())
 	}
+	for l := range s.dcas.lanes {
+		sn.Lanes[l] = s.dcas.lanes[l].load()
+		sn.DCAS.add(sn.Lanes[l])
+	}
+	if a, f := sn.DCAS[DCASAttempts], sn.DCAS[DCASFailures]; f <= a {
+		sn.DCAS[DCASSuccesses] = a - f
+	}
+	sn.DCAS[DCASBackoffSpins] = s.dcas.backoff.BackoffSpins.Load()
+	sn.DCAS[DCASBackoffYields] = s.dcas.backoff.BackoffYields.Load()
 	sn.Latency = s.latencySnapshot()
 	return sn
-}
-
-func addBlock(dst *OpCounts, b *endBlock) {
-	dst.Pushes += b.c[Pushes].Load()
-	dst.Pops += b.c[Pops].Load()
-	dst.FullHits += b.c[FullHits].Load()
-	dst.EmptyHits += b.c[EmptyHits].Load()
-	dst.Retries += b.c[Retries].Load()
-	dst.LogicalDeletes += b.c[LogicalDeletes].Load()
-	dst.PhysicalDeletes += b.c[PhysicalDeletes].Load()
-	dst.Grows += b.c[Grows].Load()
-}
-
-// Reset zeroes every counter.  Like Snapshot, it is not atomic with
-// respect to concurrent recording.
-func (s *Sink) Reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for c := Counter(0); c < NumCounters; c++ {
-			sh.left.c[c].Store(0)
-			sh.right.c[c].Store(0)
-		}
-		sh.ref.incs.Store(0)
-		sh.ref.decs.Store(0)
-		sh.ref.frees.Store(0)
-	}
-	if s.lat != nil {
-		for e := range s.lat.op {
-			s.lat.op[e].Reset()
-			s.lat.spin[e].Reset()
-		}
-	}
 }

@@ -8,31 +8,43 @@ import (
 	"dcasdeque/internal/dcas"
 )
 
-// TestShardLayout pins the cache geometry the sink promises: the three
-// counter banks of a shard sit in disjoint false-sharing ranges, and
-// adjacent shards in the slice do not bring two banks back together.
-func TestShardLayout(t *testing.T) {
-	var sh shard
-	offL := unsafe.Offsetof(sh.left)
-	offR := unsafe.Offsetof(sh.right)
-	offRef := unsafe.Offsetof(sh.ref)
-	if offR-offL < dcas.FalseSharingRange {
-		t.Fatalf("left and right banks %d bytes apart, want ≥ %d", offR-offL, dcas.FalseSharingRange)
+// TestRowLayout pins the one cache geometry every counter set relies
+// on: a row fills whole false-sharing ranges, so rows adjacent in a
+// shard, a scheduler's or server's slice or the DCAS lanes never bring
+// two counter blocks within one range, and a shard's last row does not
+// meet the next shard's first.  padlayout vets the shard's rows at
+// compile time; the slices and the lane array are covered only here.
+func TestRowLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(row{}); sz%dcas.FalseSharingRange != 0 {
+		t.Fatalf("row is %d bytes, not a multiple of %d", sz, dcas.FalseSharingRange)
 	}
-	if offRef-offR < dcas.FalseSharingRange {
-		t.Fatalf("right and ref banks %d bytes apart, want ≥ %d", offRef-offR, dcas.FalseSharingRange)
+	var r row
+	if end := unsafe.Sizeof(r.c); end > unsafe.Sizeof(r) {
+		t.Fatalf("row counters (%d bytes) overrun the row (%d bytes)", end, unsafe.Sizeof(r))
 	}
-	// A shard must be a whole number of false-sharing ranges, so bank
-	// spacing survives placement in the shard slice.
-	if sz := unsafe.Sizeof(sh); sz%dcas.FalseSharingRange != 0 {
-		t.Fatalf("shard size %d is not a multiple of %d", sz, dcas.FalseSharingRange)
+	apart := func(what string, a, b unsafe.Pointer) {
+		t.Helper()
+		if d := uintptr(b) - uintptr(a); d < dcas.FalseSharingRange {
+			t.Fatalf("%s: counter blocks %d bytes apart, want ≥ %d", what, d, dcas.FalseSharingRange)
+		}
 	}
-	s := &Sink{shards: make([]shard, 2), mask: 1}
-	a := dcas.CacheLineOf(unsafe.Pointer(&s.shards[0].ref))
-	b := dcas.CacheLineOf(unsafe.Pointer(&s.shards[1].left))
-	if a == b {
-		t.Fatalf("last bank of shard 0 shares cache line %d with first bank of shard 1", a)
+	s := NewSink()
+	s.shards = make([]shard, 2)
+	apart("left/right", unsafe.Pointer(&s.shards[0].left), unsafe.Pointer(&s.shards[0].right))
+	apart("right/ref", unsafe.Pointer(&s.shards[0].right), unsafe.Pointer(&s.shards[0].ref))
+	apart("shard 0 ref/shard 1 left", unsafe.Pointer(&s.shards[0].ref), unsafe.Pointer(&s.shards[1].left))
+	if off := unsafe.Offsetof(s.dcas.lanes); off < dcas.FalseSharingRange {
+		t.Fatalf("DCAS lane 0 starts %d bytes into its bank, want ≥ %d: the allocator's neighbour shares its line", off, dcas.FalseSharingRange)
 	}
+	for l := 1; l < DCASLanes; l++ {
+		apart("DCAS lanes", unsafe.Pointer(&s.dcas.lanes[l-1]), unsafe.Pointer(&s.dcas.lanes[l]))
+	}
+	apart("last DCAS lane/backoff", unsafe.Pointer(&s.dcas.lanes[DCASLanes-1]), unsafe.Pointer(&s.dcas.backoff))
+	sc := NewSchedSink(2)
+	apart("sched worker rows", unsafe.Pointer(&sc.rows[0]), unsafe.Pointer(&sc.rows[1]))
+	apart("sched worker/external", unsafe.Pointer(&sc.rows[1]), unsafe.Pointer(sc.row(SchedExternal)))
+	sv := NewServeSink([]string{"a", "b"})
+	apart("tenant rows", unsafe.Pointer(&sv.rows[0]), unsafe.Pointer(&sv.rows[1]))
 }
 
 func TestSinkShards(t *testing.T) {
@@ -63,24 +75,20 @@ func TestSinkCounters(t *testing.T) {
 	s.RefFree()
 
 	sn := s.Snapshot()
-	want := Snapshot{
-		Left:  OpCounts{Pushes: 2, FullHits: 1, Retries: 5},
-		Right: OpCounts{Pops: 1, EmptyHits: 1, Retries: 1, LogicalDeletes: 1, PhysicalDeletes: 2},
-		Ref:   RefCounts{Incs: 2, Decs: 1, Frees: 1},
-	}
+	var want Snapshot
+	want.Ends[Left][Pushes], want.Ends[Left][FullHits], want.Ends[Left][Retries] = 2, 1, 5
+	r := &want.Ends[Right]
+	r[Pops], r[EmptyHits], r[Retries], r[LogicalDeletes], r[PhysicalDeletes] = 1, 1, 1, 1, 2
+	want.Ref[RefIncs], want.Ref[RefDecs], want.Ref[RefFrees] = 2, 1, 1
 	if sn != want {
 		t.Fatalf("Snapshot = %+v, want %+v", sn, want)
 	}
-	if got := sn.Left.Ops(); got != 3 {
-		t.Fatalf("Left.Ops() = %d, want 3", got)
-	}
-	if got := sn.End(Right); got != want.Right {
-		t.Fatalf("End(Right) = %+v, want %+v", got, want.Right)
-	}
 
-	s.Reset()
-	if sn := s.Snapshot(); sn != (Snapshot{}) {
-		t.Fatalf("Snapshot after Reset = %+v, want zero", sn)
+	// A failure visible before its attempt (loads tear under concurrent
+	// DCASes) must clamp Successes at zero, not wrap it.
+	s.dcas.lanes[1].c[DCASFailures].Add(10)
+	if got := s.Snapshot().DCAS; got[DCASFailures] <= got[DCASAttempts] || got[DCASSuccesses] != 0 {
+		t.Fatalf("DCAS counts with failures > attempts = %v, want Successes 0", got)
 	}
 }
 
@@ -103,29 +111,45 @@ func TestSinkConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	sn := s.Snapshot()
-	total := sn.Left.Pushes + sn.Right.Pushes
-	if total != workers*per {
+	l, r := s.Snapshot().Ends[Left], s.Snapshot().Ends[Right]
+	if total := l[Pushes] + r[Pushes]; total != workers*per {
 		t.Fatalf("recorded %d pushes, want %d", total, workers*per)
 	}
-	if retries := sn.Left.Retries + sn.Right.Retries; retries != workers*per {
+	if retries := l[Retries] + r[Retries]; retries != workers*per {
 		t.Fatalf("recorded %d retries, want %d", retries, workers*per)
 	}
-	if sn.Left.Pushes != workers/2*per || sn.Right.Pushes != workers/2*per {
-		t.Fatalf("per-end split %d/%d, want %d each", sn.Left.Pushes, sn.Right.Pushes, workers/2*per)
+	if l[Pushes] != workers/2*per || r[Pushes] != workers/2*per {
+		t.Fatalf("per-end split %d/%d, want %d each", l[Pushes], r[Pushes], workers/2*per)
 	}
 }
 
+// TestCounterAndEndNames: every names table covers its enum exactly,
+// with distinct names, and fits one row.
 func TestCounterAndEndNames(t *testing.T) {
-	seen := map[string]bool{}
-	for c := Counter(0); c < NumCounters; c++ {
-		n := c.String()
-		if n == "unknown" || seen[n] {
-			t.Fatalf("counter %d has bad or duplicate name %q", c, n)
+	for _, tc := range []struct {
+		what  string
+		names []string
+		n     int
+	}{
+		{"end", EndNames, NumEnds},
+		{"counter", CounterNames, int(NumCounters)},
+		{"ref", RefNames, RefFrees + 1},
+		{"dcas", DCASNames, DCASBackoffYields + 1},
+		{"sched", SchedCounterNames, int(NumSchedCounters)},
+		{"serve", ServeCounterNames, int(NumServeCounters)},
+	} {
+		if len(tc.names) != tc.n || tc.n > rowWidth {
+			t.Fatalf("%s names %q: %d entries for %d values (row width %d)", tc.what, tc.names, len(tc.names), tc.n, rowWidth)
 		}
-		seen[n] = true
+		seen := map[string]bool{}
+		for _, n := range tc.names {
+			if n == "" || seen[n] {
+				t.Fatalf("%s names %q: empty or duplicate %q", tc.what, tc.names, n)
+			}
+			seen[n] = true
+		}
 	}
-	if Left.String() != "left" || Right.String() != "right" {
-		t.Fatalf("end names = %q, %q", Left.String(), Right.String())
+	if EndNames[Left] != "left" || EndNames[Right] != "right" {
+		t.Fatalf("end names = %q", EndNames)
 	}
 }

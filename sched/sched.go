@@ -63,7 +63,6 @@ import (
 
 	"dcasdeque/deque"
 	"dcasdeque/internal/dcas"
-	"dcasdeque/internal/metrics"
 	"dcasdeque/internal/telemetry"
 )
 
@@ -483,26 +482,32 @@ func (s *Scheduler) Stats() (Stats, bool) {
 	sn := s.sink.Snapshot()
 	st := Stats{
 		Workers:  make([]WorkerCounts, len(sn.Workers)),
-		External: WorkerCounts(sn.External),
-		Total:    WorkerCounts(sn.Total),
+		External: workerCounts(sn.External),
+		Total:    workerCounts(sn.Total),
 	}
 	for i, c := range sn.Workers {
-		st.Workers[i] = WorkerCounts(c)
+		st.Workers[i] = workerCounts(c)
 	}
 	if l := sn.Latencies; l != nil {
 		st.Latencies = &Latencies{
-			SubmitRun: histStats(l.SubmitRun),
-			StealRun:  histStats(l.StealRun),
-			ParkWake:  histStats(l.ParkWake),
+			SubmitRun: deque.HistogramStats(l[telemetry.SchedSubmitRun].Summary),
+			StealRun:  deque.HistogramStats(l[telemetry.SchedStealRun].Summary),
+			ParkWake:  deque.HistogramStats(l[telemetry.SchedParkWake].Summary),
 		}
 	}
 	return st, true
 }
 
-func histStats(h metrics.HistogramSnapshot) deque.HistogramStats {
-	return deque.HistogramStats{
-		N: h.N, Sum: h.Sum, Min: h.Min, Max: h.Max,
-		P50: h.P50, P90: h.P90, P99: h.P99, P999: h.P999,
+func workerCounts(c telemetry.Counts) WorkerCounts {
+	return WorkerCounts{
+		Runs:       c[telemetry.SchedRuns],
+		Spawns:     c[telemetry.SchedSpawns],
+		Submits:    c[telemetry.SchedSubmits],
+		Steals:     c[telemetry.SchedSteals],
+		Stolen:     c[telemetry.SchedStolen],
+		StealFails: c[telemetry.SchedStealFails],
+		Parks:      c[telemetry.SchedParks],
+		Wakes:      c[telemetry.SchedWakes],
 	}
 }
 

@@ -71,7 +71,7 @@ func (s *Scheduler) stamp(t Task, kind telemetry.SchedLatency) Task {
 	var ctx context.Context
 	var tt *trace.Task
 	if tracing {
-		ctx, tt = trace.NewTask(context.Background(), "sched."+kind.String())
+		ctx, tt = trace.NewTask(context.Background(), "sched."+telemetry.SchedLatencyNames[kind])
 	}
 	return func(w *Worker) {
 		if start != 0 {

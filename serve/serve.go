@@ -422,23 +422,27 @@ type Stats struct {
 // latencies.
 func (s *Server) Stats() Stats {
 	sn := s.sink.Snapshot()
-	st := Stats{Total: Counts(sn.Total)}
-	for _, tc := range sn.Tenants {
-		st.Tenants = append(st.Tenants, TenantStats{Name: tc.Tenant, Counts: Counts(tc.ServeCounts)})
+	st := Stats{Total: counts(sn.Total)}
+	for i, c := range sn.Tenants {
+		st.Tenants = append(st.Tenants, TenantStats{Name: sn.Names[i], Counts: counts(c)})
 	}
 	st.Stages = StageStats{
-		Ingest:  histStats(sn.Stages.Ingest),
-		Submit:  histStats(sn.Stages.Submit),
-		Run:     histStats(sn.Stages.Run),
-		Respond: histStats(sn.Stages.Respond),
+		Ingest:  deque.HistogramStats(sn.Stages[telemetry.StageIngest].Summary),
+		Submit:  deque.HistogramStats(sn.Stages[telemetry.StageSubmit].Summary),
+		Run:     deque.HistogramStats(sn.Stages[telemetry.StageRun].Summary),
+		Respond: deque.HistogramStats(sn.Stages[telemetry.StageRespond].Summary),
 	}
 	return st
 }
 
-func histStats(h metrics.HistogramSnapshot) deque.HistogramStats {
-	return deque.HistogramStats{
-		N: h.N, Sum: h.Sum, Min: h.Min, Max: h.Max,
-		P50: h.P50, P90: h.P90, P99: h.P99, P999: h.P999,
+func counts(c telemetry.Counts) Counts {
+	return Counts{
+		Received:      c[telemetry.ServeReceived],
+		Accepted:      c[telemetry.ServeAccepted],
+		RejectedBusy:  c[telemetry.ServeRejectedBusy],
+		RejectedDrain: c[telemetry.ServeRejectedDrain],
+		Completed:     c[telemetry.ServeCompleted],
+		Abandoned:     c[telemetry.ServeAbandoned],
 	}
 }
 

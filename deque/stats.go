@@ -19,7 +19,7 @@ import (
 // For the array deque, enabling telemetry also routes DCAS through an
 // instrumented provider wrapper, which disables the inlined EndLock fast
 // path (operations fall back to interface dispatch).  That is the
-// documented cost of attribution; disable telemetry to get it back.
+// documented cost of counting DCAS; disable telemetry to get it back.
 func WithTelemetry() Option {
 	return func(c *config) { c.telemetry = true }
 }

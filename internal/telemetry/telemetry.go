@@ -14,9 +14,9 @@
 //
 // Every counter lives in one shape, the row: at most rowWidth atomic
 // counters padded to a full false-sharing range.  A counter set is rows
-// of one kind, named by one []string table (EndNames' counters,
-// RefNames, DCASNames, SchedCounterNames, ServeCounterNames), read back
-// as Counts, and rendered by one Prometheus loop.  The sets differ only
+// of one kind, named by one []string table (CounterNames, RefNames,
+// DCASNames, SchedCounterNames, ServeCounterNames), read back as Counts,
+// and rendered by one Prometheus loop.  The sets differ only
 // in how a writer picks its row:
 //
 //   - deque ends and LFRC ref transfers: a shard of three rows picked by

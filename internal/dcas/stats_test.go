@@ -5,6 +5,7 @@ package dcas_test
 // in an external test package that may import telemetry.
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -213,5 +214,39 @@ func TestAttrStatsLanes(t *testing.T) {
 	}
 	if att, fail, _ := dcasCounts(s); att != uint64(len(cells))+10 || fail != 0 {
 		t.Fatalf("aggregate = %d/%d, want %d attempts, none failed", att, fail, len(cells)+10)
+	}
+}
+
+// TestAttrLaneLayout pins the geometry of the lanes a DCAS is counted
+// in.  They are rows of the telemetry sink's DCAS bank, unexported
+// there, so reflect reads their offsets: lane 0 starts a false-sharing
+// range into the bank, clear of whatever the allocator places before
+// it; each lane fills whole ranges, so adjacent lanes' counter blocks
+// start a range apart; and the backoff counters start a range past the
+// last lane.
+func TestAttrLaneLayout(t *testing.T) {
+	field := func(st reflect.Type, name string) reflect.StructField {
+		t.Helper()
+		f, ok := st.FieldByName(name)
+		if !ok {
+			t.Fatalf("%v has no field %q", st, name)
+		}
+		return f
+	}
+	bank := field(reflect.TypeOf(telemetry.Sink{}), "dcas").Type.Elem()
+	lanes := field(bank, "lanes")
+	lane := lanes.Type.Elem()
+	if lanes.Offset < dcas.FalseSharingRange {
+		t.Fatalf("lane 0 starts %d bytes into the DCAS bank, want ≥ %d", lanes.Offset, dcas.FalseSharingRange)
+	}
+	if sz := lane.Size(); sz%dcas.FalseSharingRange != 0 {
+		t.Fatalf("a DCAS lane is %d bytes, not a multiple of %d", sz, dcas.FalseSharingRange)
+	}
+	if used := field(lane, "c").Type.Size(); used > lane.Size() {
+		t.Fatalf("lane counters (%d bytes) overrun the lane (%d bytes)", used, lane.Size())
+	}
+	last := lanes.Offset + uintptr(lanes.Type.Len()-1)*lane.Size()
+	if gap := field(bank, "backoff").Offset - last; gap < dcas.FalseSharingRange {
+		t.Fatalf("backoff counters start %d bytes after the last lane, want ≥ %d", gap, dcas.FalseSharingRange)
 	}
 }

@@ -4,7 +4,18 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// TestSchedBlockPadding: each worker's row and the external row are
+// padded to whole false-sharing ranges, so adjacent rows in the slice
+// never share a line — the same layout contract padlayout enforces for
+// the deque Sink's shard rows.
+func TestSchedBlockPadding(t *testing.T) {
+	sc := NewSchedSink(2)
+	apart(t, "sched worker rows", unsafe.Pointer(&sc.rows[0]), unsafe.Pointer(&sc.rows[1]))
+	apart(t, "sched worker/external", unsafe.Pointer(&sc.rows[1]), unsafe.Pointer(sc.row(SchedExternal)))
+}
 
 func TestSchedSinkCounts(t *testing.T) {
 	s := NewSchedSink(3)

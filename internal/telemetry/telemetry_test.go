@@ -8,12 +8,22 @@ import (
 	"dcasdeque/internal/dcas"
 )
 
+// apart fails t unless the counter blocks at a and b start at least a
+// false-sharing range apart, so their leading words never meet in a line.
+func apart(t *testing.T, what string, a, b unsafe.Pointer) {
+	t.Helper()
+	if d := uintptr(b) - uintptr(a); d < dcas.FalseSharingRange {
+		t.Fatalf("%s: counter blocks %d bytes apart, want ≥ %d", what, d, dcas.FalseSharingRange)
+	}
+}
+
 // TestRowLayout pins the one cache geometry every counter set relies
-// on: a row fills whole false-sharing ranges, so rows adjacent in a
-// shard, a scheduler's or server's slice or the DCAS lanes never bring
-// two counter blocks within one range, and a shard's last row does not
-// meet the next shard's first.  padlayout vets the shard's rows at
-// compile time; the slices and the lane array are covered only here.
+// on: a row fills whole false-sharing ranges and holds its counters, so
+// rows adjacent in a shard, a scheduler's or server's slice or the DCAS
+// lanes never bring two counter blocks within one range.  The shard,
+// scheduler and DCAS placements have their own tests (TestShardLayout,
+// TestSchedBlockPadding, and TestAttrLaneLayout in internal/dcas); the
+// server's tenant slice is checked here.
 func TestRowLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(row{}); sz%dcas.FalseSharingRange != 0 {
 		t.Fatalf("row is %d bytes, not a multiple of %d", sz, dcas.FalseSharingRange)
@@ -22,29 +32,24 @@ func TestRowLayout(t *testing.T) {
 	if end := unsafe.Sizeof(r.c); end > unsafe.Sizeof(r) {
 		t.Fatalf("row counters (%d bytes) overrun the row (%d bytes)", end, unsafe.Sizeof(r))
 	}
-	apart := func(what string, a, b unsafe.Pointer) {
-		t.Helper()
-		if d := uintptr(b) - uintptr(a); d < dcas.FalseSharingRange {
-			t.Fatalf("%s: counter blocks %d bytes apart, want ≥ %d", what, d, dcas.FalseSharingRange)
-		}
+	sv := NewServeSink([]string{"a", "b"})
+	apart(t, "tenant rows", unsafe.Pointer(&sv.rows[0]), unsafe.Pointer(&sv.rows[1]))
+}
+
+// TestShardLayout pins the cache geometry the sink promises: the three
+// counter rows of a shard sit in disjoint false-sharing ranges, and
+// adjacent shards in the slice do not bring two rows back together.
+// padlayout vets the shard's rows at compile time; the slice is covered
+// only here.
+func TestShardLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(shard{}); sz%dcas.FalseSharingRange != 0 {
+		t.Fatalf("shard size %d is not a multiple of %d", sz, dcas.FalseSharingRange)
 	}
 	s := NewSink()
 	s.shards = make([]shard, 2)
-	apart("left/right", unsafe.Pointer(&s.shards[0].left), unsafe.Pointer(&s.shards[0].right))
-	apart("right/ref", unsafe.Pointer(&s.shards[0].right), unsafe.Pointer(&s.shards[0].ref))
-	apart("shard 0 ref/shard 1 left", unsafe.Pointer(&s.shards[0].ref), unsafe.Pointer(&s.shards[1].left))
-	if off := unsafe.Offsetof(s.dcas.lanes); off < dcas.FalseSharingRange {
-		t.Fatalf("DCAS lane 0 starts %d bytes into its bank, want ≥ %d: the allocator's neighbour shares its line", off, dcas.FalseSharingRange)
-	}
-	for l := 1; l < DCASLanes; l++ {
-		apart("DCAS lanes", unsafe.Pointer(&s.dcas.lanes[l-1]), unsafe.Pointer(&s.dcas.lanes[l]))
-	}
-	apart("last DCAS lane/backoff", unsafe.Pointer(&s.dcas.lanes[DCASLanes-1]), unsafe.Pointer(&s.dcas.backoff))
-	sc := NewSchedSink(2)
-	apart("sched worker rows", unsafe.Pointer(&sc.rows[0]), unsafe.Pointer(&sc.rows[1]))
-	apart("sched worker/external", unsafe.Pointer(&sc.rows[1]), unsafe.Pointer(sc.row(SchedExternal)))
-	sv := NewServeSink([]string{"a", "b"})
-	apart("tenant rows", unsafe.Pointer(&sv.rows[0]), unsafe.Pointer(&sv.rows[1]))
+	apart(t, "left/right", unsafe.Pointer(&s.shards[0].left), unsafe.Pointer(&s.shards[0].right))
+	apart(t, "right/ref", unsafe.Pointer(&s.shards[0].right), unsafe.Pointer(&s.shards[0].ref))
+	apart(t, "shard 0 ref/shard 1 left", unsafe.Pointer(&s.shards[0].ref), unsafe.Pointer(&s.shards[1].left))
 }
 
 func TestSinkShards(t *testing.T) {

@@ -2,12 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build lint test race check vet-fixtures sched-stress soak-smoke soak serve-smoke serve-stress serve-bench
+.PHONY: all build fmt-check lint test race check vet-fixtures model-smoke sched-stress soak-smoke soak serve-smoke serve-stress serve-bench
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fails, listing them, when gofmt would rewrite any file (the CI step of
+# the same name).
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
 # lint = go vet + the repository's own proof-discipline analyzers
 # (atomicmix, atomicvalue, lockpath, stampwidth, hbpublish, linpoint,
@@ -35,6 +40,12 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+# The array algorithm's model check with each DCAS expanded into
+# dcas.EndLock's steps, at the CI smoke bound (2 threads); -threads 3
+# is the full certificate (EXPERIMENTS.md §1).
+model-smoke:
+	$(GO) run ./cmd/dequemodel -algo array -dcas endlock -threads 2
 
 # Randomized scheduler stress certification (bounded; CI runs 300
 # race-instrumented, the full certification is -sched-runs 10000).
@@ -91,4 +102,4 @@ serve-stress:
 serve-bench:
 	$(GO) run ./cmd/dequebench -duration 2s
 
-check: build lint test race
+check: build fmt-check lint test race model-smoke

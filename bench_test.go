@@ -8,7 +8,7 @@
 //	B3  throughput across operation mixes and thread counts
 //	B4  work-stealing: general DCAS deques vs ABP [4]
 //	B5  array vs list representation cost
-//	B6  DCAS emulation ablation (two-lock vs global lock)
+//	B6  DCAS emulation ablation (EndLock vs two-lock vs global lock)
 //	B7  the optional-optimization ablation Section 3 calls for
 //	B8  reclamation ablation (gc / reuse / eager; bulk allocation [24])
 //
@@ -255,7 +255,10 @@ func BenchmarkArrayVsList(b *testing.B) {
 
 func BenchmarkDCASProviders(b *testing.B) {
 	mk := map[string]func() workload.Deque{
-		"array/twolock": func() workload.Deque { return arraydeque.New(1 << 10) },
+		"array/endlock": func() workload.Deque { return arraydeque.New(1 << 10) },
+		"array/twolock": func() workload.Deque {
+			return arraydeque.New(1<<10, arraydeque.WithProvider(new(dcas.TwoLock)))
+		},
 		"array/global": func() workload.Deque {
 			return arraydeque.New(1<<10, arraydeque.WithProvider(new(dcas.GlobalLock)))
 		},
@@ -280,21 +283,47 @@ func BenchmarkDCASProviders(b *testing.B) {
 			}
 		})
 	}
-	// Every array provider on the disjoint-ends loop: a provider whose
-	// lock state is one shared word re-couples the two ends, which only
-	// shows with two processors (-cpu 2).
+	// Every array provider on the disjoint-ends loop of the array core: a
+	// provider whose lock state is one shared word re-couples the two
+	// ends, which only shows with two processors (-cpu 2).
 	for _, p := range []struct {
 		name string
-		opts []deque.Option
+		prov dcas.Provider
 	}{
-		{"twolock", nil},
-		{"global", []deque.Option{deque.WithGlobalLockDCAS()}},
-		{"endlock", []deque.Option{deque.WithEndLockDCAS()}},
+		{"twolock", new(dcas.TwoLock)},
+		{"global", new(dcas.GlobalLock)},
+		{"endlock", new(dcas.EndLock)},
 	} {
 		b.Run("ends2/"+p.name, func(b *testing.B) {
-			benchEnds2(b, deque.NewArray[int](1<<10, p.opts...))
+			benchCoreEnds2(b, arraydeque.New(1<<10, arraydeque.WithProvider(p.prov)))
 		})
 	}
+}
+
+// benchCoreEnds2 is benchEnds2 on the array core: b.N push+pop pairs on
+// each end from two goroutines, after a prefill of 512.
+func benchCoreEnds2(b *testing.B, d *arraydeque.Deque) {
+	for i := uint64(1); i <= 512; i++ {
+		d.PushRight(i)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	b.ResetTimer()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < b.N; i++ {
+			d.PushLeft(uint64(i) + 1)
+			d.PopLeft()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < b.N; i++ {
+			d.PushRight(uint64(i) + 1)
+			d.PopRight()
+		}
+	}()
+	wg.Wait()
 }
 
 // --- B7: the paper's optional-optimization ablation --------------------------

@@ -6,7 +6,12 @@
 //
 // Usage:
 //
-//	dequemodel [-algo array|list|chaselev|both|all] [-threads 2|3] [-solo]
+//	dequemodel [-algo array|list|chaselev|both|all] [-threads 2|3] [-solo] [-dcas atomic|endlock]
+//
+// -dcas endlock (with -algo array) expands each of the array algorithm's
+// DCASes into the steps of dcas.EndLock, the array deque's default
+// provider, and also checks the emulation's own obligations; the default
+// models DCAS as one atomic step, as the paper does.
 //
 // Exit status: 0 when every obligation holds, 1 when the checker finds a
 // violation, 2 on usage errors.
@@ -33,6 +38,7 @@ type config struct {
 	algo    string
 	threads int
 	solo    bool
+	endLock bool // -dcas endlock: the array DCAS as EndLock's steps
 }
 
 func parseFlags(args []string, stderr io.Writer) (config, error) {
@@ -41,9 +47,20 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	cfg := config{}
 	fs.StringVar(&cfg.algo, "algo", "all", "algorithm to check: array, list, chaselev, both (array+list), all")
 	fs.IntVar(&cfg.threads, "threads", 2, "concurrent single-op threads per scenario (2 or 3)")
-	fs.BoolVar(&cfg.solo, "solo", true, "also check solo termination (the non-blocking property)")
+	fs.BoolVar(&cfg.solo, "solo", true, "also check solo termination (the non-blocking property; deadlock freedom while a thread waits on an EndLock mark)")
+	dcasModel := fs.String("dcas", "atomic", "how the array algorithm's DCAS is modelled: atomic (one step) or endlock (dcas.EndLock's steps; needs -algo array)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
+	}
+	switch *dcasModel {
+	case "atomic":
+	case "endlock":
+		if cfg.algo != "array" {
+			return cfg, fmt.Errorf("dequemodel: -dcas endlock needs -algo array")
+		}
+		cfg.endLock = true
+	default:
+		return cfg, fmt.Errorf("dequemodel: -dcas must be atomic or endlock")
 	}
 	if fs.NArg() != 0 {
 		return cfg, fmt.Errorf("dequemodel: unexpected arguments %q", fs.Args())
@@ -117,6 +134,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func runArray(cfg config, opts model.Options, stdout, stderr io.Writer) bool {
+	newSys := model.NewArraySys
+	title := "== array-based algorithm (Theorem 3.1) =="
+	if cfg.endLock {
+		newSys = func(n int, initial []uint64, progs [][]model.OpSpec) model.Sys {
+			return model.NewArraySysEndLock(n, initial, progs, true, true)
+		}
+		title = "== array-based algorithm (Theorem 3.1), DCAS expanded into dcas.EndLock's steps =="
+	}
 	t := metrics.NewTable("capacity", "fill", "scenarios", "states", "transitions", "linearizations", "violations")
 	allOK := true
 	for _, n := range []int{1, 2, 3} {
@@ -128,7 +153,7 @@ func runArray(cfg config, opts model.Options, stdout, stderr io.Writer) bool {
 			var states, trans, lins, scenarios, bad int
 			for _, progs := range progSets(cfg.threads) {
 				scenarios++
-				rep, v := explore(model.NewArraySys(n, initial, progs), opts)
+				rep, v := explore(newSys(n, initial, progs), opts)
 				states += rep.States
 				trans += rep.Transitions
 				lins += rep.Linearized
@@ -141,11 +166,11 @@ func runArray(cfg config, opts model.Options, stdout, stderr io.Writer) bool {
 			t.AddRow(n, fill, scenarios, states, trans, lins, bad)
 		}
 	}
-	fmt.Fprintln(stdout, "== array-based algorithm (Theorem 3.1) ==")
+	fmt.Fprintln(stdout, title)
 	fmt.Fprint(stdout, t.String())
 	fmt.Fprintln(stdout)
 	reportScenario(stdout, "Figure 6 (steal of the last item)",
-		model.NewArraySys(3, []uint64{7}, [][]model.OpSpec{{{Kind: model.PopLeft}}, {{Kind: model.PopRight}}}),
+		newSys(3, []uint64{7}, [][]model.OpSpec{{{Kind: model.PopLeft}}, {{Kind: model.PopRight}}}),
 		opts, "pop-DCAS ok", "empty (steal)")
 	return allOK
 }

@@ -35,6 +35,10 @@ func TestParseFlags(t *testing.T) {
 		{name: "badThreadsLow", args: []string{"-threads", "1"}, wantErr: true},
 		{name: "badThreadsHigh", args: []string{"-threads", "4"}, wantErr: true},
 		{name: "badAlgo", args: []string{"-algo", "stack"}, wantErr: true},
+		{name: "endLock", args: []string{"-algo", "array", "-dcas", "endlock"},
+			want: config{algo: "array", threads: 2, solo: true, endLock: true}},
+		{name: "endLockNeedsArray", args: []string{"-dcas", "endlock"}, wantErr: true},
+		{name: "badDCAS", args: []string{"-algo", "array", "-dcas", "twolock"}, wantErr: true},
 		{name: "positional", args: []string{"extra"}, wantErr: true},
 		{name: "unknownFlag", args: []string{"-frobnicate"}, wantErr: true},
 	}

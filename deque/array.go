@@ -16,25 +16,20 @@ type Array[T any] struct {
 
 // NewArray returns an empty array-based deque with the given capacity
 // (≥ 1).  Capacity is exact: the deque holds at most capacity elements
-// and pushes beyond that return ErrFull.
+// and pushes beyond that return ErrFull.  Its DCAS emulation is
+// dcas.EndLock (three locked instructions per DCAS; DESIGN.md §6),
+// unless WithGlobalLockDCAS selects the serializing reference.
 func NewArray[T any](capacity int, opts ...Option) *Array[T] {
 	if capacity < 1 {
 		panic("deque: capacity must be ≥ 1")
 	}
 	cfg, inst := configure(opts)
-	var prov dcas.Provider
-	switch {
-	case cfg.globalLockDCAS:
-		prov = new(dcas.GlobalLock)
-	case cfg.endLockDCAS:
-		prov = new(dcas.EndLock)
-	}
-	if inst != nil {
-		prov, cfg.backoff = inst.instrument(prov, cfg.backoff)
-	}
-	coreOpts := []arraydeque.Option{arraydeque.WithBackoff(cfg.backoff)}
-	if prov != nil {
-		coreOpts = append(coreOpts, arraydeque.WithProvider(prov))
+	// The core counts its own DCASes into the sink (one flush per
+	// operation), so its provider is never wrapped: the default EndLock
+	// keeps its inlined fast path with telemetry on.
+	coreOpts := []arraydeque.Option{arraydeque.WithBackoff(inst.backoff(cfg.backoff))}
+	if cfg.globalLockDCAS {
+		coreOpts = append(coreOpts, arraydeque.WithProvider(new(dcas.GlobalLock)))
 	}
 	if inst != nil {
 		coreOpts = append(coreOpts, arraydeque.WithTelemetry(inst.sink))

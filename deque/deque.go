@@ -86,7 +86,6 @@ type Option func(*config)
 
 type config struct {
 	globalLockDCAS bool
-	endLockDCAS    bool
 	nodeReuse      bool
 	dummyNodes     bool
 	lfrc           bool
@@ -112,27 +111,14 @@ func configure(opts []Option) (config, *instruments) {
 	return cfg, inst
 }
 
-// WithGlobalLockDCAS selects the coarse global-mutex DCAS emulation
-// instead of the default fine-grained two-location emulation.  All DCAS
-// operations on the deque then serialize; useful only for measurement.
+// WithGlobalLockDCAS selects the coarse global-mutex DCAS emulation, the
+// reference the engineered emulations are measured against, instead of
+// the default: dcas.EndLock for the array deque (three locked
+// instructions per DCAS, each end's index word its own lock) and
+// dcas.TwoLock for the list deques.  All DCAS operations on the deque
+// then serialize; useful only for measurement.
 func WithGlobalLockDCAS() Option {
 	return func(c *config) { c.globalLockDCAS = true }
-}
-
-// WithEndLockDCAS selects the anchored in-word DCAS emulation for the
-// array deque: a DCAS validates and locks the end index with one CAS of
-// the index word itself (marking its spare top bit), arbitrates the cell
-// with a second CAS, and commits with one store — three locked
-// read-modify-writes per DCAS, against six for the lock-pair
-// emulations.  It is the fastest substrate this library has on the
-// contended two-ends workload.
-//
-// The emulation requires that one location of every DCAS pair is an
-// always-anchor word with a spare bit, which only the array deque's
-// (end, cell) pairs provide; list deques keep the default per-location
-// emulation.
-func WithEndLockDCAS() Option {
-	return func(c *config) { c.endLockDCAS = true }
 }
 
 // BackoffConfig tunes the bounded exponential backoff applied after a

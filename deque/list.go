@@ -48,9 +48,9 @@ func WithLFRC() Option {
 }
 
 // listProvider picks a list deque's DCAS emulation; nil selects the
-// core's default, the per-location TwoLock.  WithEndLockDCAS is
-// ignored: list-deque link words appear on both sides of DCAS pairs,
-// outside EndLock's anchored-pair contract.
+// core's default, the per-location TwoLock.  The array deque's EndLock
+// does not apply: list-deque link words appear on both sides of DCAS
+// pairs, outside its anchored-pair contract.
 func listProvider(cfg config) dcas.Provider {
 	if cfg.globalLockDCAS {
 		return new(dcas.GlobalLock)

@@ -64,24 +64,24 @@ func hammer(t *testing.T, d Deque[int]) {
 }
 
 // TestEngineeredOptions exercises the contention-engineering options —
-// the anchored EndLock DCAS and retry backoff — through the public
-// constructors under concurrent load.
+// retry backoff, on the array deque's default EndLock DCAS and the list
+// deques' TwoLock — through the public constructors under concurrent
+// load.
 func TestEngineeredOptions(t *testing.T) {
 	t.Run("ArrayEndLockBackoff", func(t *testing.T) {
-		hammer(t, NewArray[int](64, WithEndLockDCAS(), WithBackoff(BackoffConfig{})))
+		hammer(t, NewArray[int](64, WithBackoff(BackoffConfig{})))
 	})
 	t.Run("ListEndLockFallsBackToTwoLock", func(t *testing.T) {
-		// List deques cannot satisfy EndLock's anchored-pair contract; the
-		// option must leave them on the default per-location TwoLock, not
-		// misbehave.
-		cfg, _ := configure([]Option{WithEndLockDCAS()})
+		// List deques cannot satisfy EndLock's anchored-pair contract;
+		// they stay on the default per-location TwoLock.
+		cfg, _ := configure(nil)
 		if p := listProvider(cfg); p != nil {
-			t.Fatalf("list provider under WithEndLockDCAS = %T, want the default", p)
+			t.Fatalf("default list provider = %T, want the core default", p)
 		}
 		if _, ok := dcas.Default().(*dcas.TwoLock); !ok {
 			t.Fatalf("default provider is %T, want *dcas.TwoLock", dcas.Default())
 		}
-		hammer(t, NewList[int](WithEndLockDCAS(), WithBackoff(BackoffConfig{})))
+		hammer(t, NewList[int](WithBackoff(BackoffConfig{})))
 	})
 	t.Run("ArrayExplicitBackoff", func(t *testing.T) {
 		hammer(t, NewArray[int](64,
@@ -91,9 +91,6 @@ func TestEngineeredOptions(t *testing.T) {
 		hammer(t, NewList[int](WithDummyNodes(), WithBackoff(BackoffConfig{})))
 	})
 	t.Run("ListLFRCBackoff", func(t *testing.T) {
-		// WithEndLockDCAS must be ignored for LFRC too (reference counts
-		// need the per-location emulation); the combination must be safe.
-		hammer(t, NewList[int](WithLFRC(), WithEndLockDCAS(),
-			WithBackoff(BackoffConfig{})))
+		hammer(t, NewList[int](WithLFRC(), WithBackoff(BackoffConfig{})))
 	})
 }

@@ -15,11 +15,9 @@ import (
 // (and, when it fails, one failure) to one of four padded lanes, chosen
 // by the DCAS's first location — the operating end's anchor word — so
 // the two ends count into lanes of their own; Stats sums the lanes.
-//
-// For the array deque, enabling telemetry also routes DCAS through an
-// instrumented provider wrapper, which disables the inlined EndLock fast
-// path (operations fall back to interface dispatch).  That is the
-// documented cost of counting DCAS; disable telemetry to get it back.
+// The array deque tallies its DCASes per operation and flushes them
+// with the operation's other counters; the list deques count through a
+// wrapper around their provider.
 func WithTelemetry() Option {
 	return func(c *config) { c.telemetry = true }
 }
@@ -244,10 +242,11 @@ func (in *instruments) instrument(prov dcas.Provider, bo *dcas.BackoffPolicy) (d
 // backoff attaches a backoff policy's spin/yield counters to this
 // deque's sink.  It clones: the caller's policy may be shared across
 // deques, and this deque's spins must land in this deque's stats.
-// nil stays nil: backoff remains opt-in under telemetry.
+// nil stays nil: backoff remains opt-in under telemetry.  nil-safe: with
+// telemetry disabled the policy is returned as is.
 func (in *instruments) backoff(bo *dcas.BackoffPolicy) *dcas.BackoffPolicy {
-	if bo == nil {
-		return nil
+	if in == nil || bo == nil {
+		return bo
 	}
 	b := *bo
 	b.Stats = in.sink.Backoff()

@@ -32,16 +32,16 @@ type Package struct {
 
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	Dir           string
-	ImportPath    string
-	Name          string
-	GoFiles       []string
-	TestGoFiles   []string
-	XTestGoFiles  []string
-	Incomplete    bool
-	Error         *struct{ Err string }
-	DepsErrors    []*struct{ Err string }
-	ForTest       string
+	Dir          string
+	ImportPath   string
+	Name         string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Incomplete   bool
+	Error        *struct{ Err string }
+	DepsErrors   []*struct{ Err string }
+	ForTest      string
 }
 
 // Load resolves the patterns with `go list` in dir and type-checks every

@@ -13,13 +13,13 @@ func ready() bool { return false }
 
 // parkNoRecheck blocks with no recheck at all between publish and park.
 func (w *waiter) parkNoRecheck() {
-	w.n++ //dequevet:publish recheck=ready
+	w.n++    //dequevet:publish recheck=ready
 	<-w.wake // want `may block here before rechecking ready`
 }
 
 // parkLate rechecks only after the park: source order is the protocol.
 func (w *waiter) parkLate() {
-	w.n++ //dequevet:publish recheck=ready
+	w.n++    //dequevet:publish recheck=ready
 	<-w.wake // want `may block here before rechecking ready`
 	if ready() {
 		return
@@ -28,7 +28,7 @@ func (w *waiter) parkLate() {
 
 // selectPark parks in a default-less select before the recheck.
 func (w *waiter) selectPark() {
-	w.n++ //dequevet:publish recheck=ready
+	w.n++    //dequevet:publish recheck=ready
 	select { // want `may block here before rechecking ready`
 	case <-w.wake:
 	}
@@ -36,7 +36,7 @@ func (w *waiter) selectPark() {
 
 // sendPark blocks on a channel send before the recheck.
 func (w *waiter) sendPark(out chan int) {
-	w.n++ //dequevet:publish recheck=ready
+	w.n++      //dequevet:publish recheck=ready
 	out <- w.n // want `may block here before rechecking ready`
 }
 

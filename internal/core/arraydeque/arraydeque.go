@@ -73,6 +73,11 @@ type Deque struct {
 	strongDCAS   bool
 	tel          *telemetry.Sink
 	lat          bool // tel non-nil with latency enabled: stamp operations
+	// lanes are the telemetry DCAS lanes of the two end words, indexed
+	// by telemetry.End: every DCAS of an operation on one end has that
+	// end's anchor as its first location, so the whole operation's tally
+	// counts in one lane (telemetry.DCASLane).
+	lanes [telemetry.NumEnds]uint64
 
 	_ dcas.CacheLinePad
 	//dequevet:contended left end index L, spun on by PopLeft/PushLeft
@@ -105,7 +110,9 @@ type options struct {
 	tel          *telemetry.Sink
 }
 
-// WithProvider selects the DCAS emulation (default: a fresh dcas.TwoLock).
+// WithProvider selects the DCAS emulation (default: a fresh dcas.EndLock,
+// whose steps the model checker's EndLock expansion checks; see
+// internal/verify/model).
 func WithProvider(p dcas.Provider) Option {
 	return func(o *options) { o.prov = p }
 }
@@ -136,8 +143,13 @@ func WithBackoff(p *dcas.BackoffPolicy) Option {
 }
 
 // WithTelemetry attaches a telemetry sink: every completed operation is
-// counted against its end (successes, boundary hits, retries).  The
-// default — no sink — costs each operation one inlined nil check.
+// counted against its end (successes, boundary hits, retries), and its
+// DCAS attempts and failures in its end's DCAS lane.  The operation
+// tallies both in locals and flushes them once, at the return that
+// follows its linearization point, so the provider needs no counting
+// wrapper and keeps its inlined fast path (a provider wrapped with
+// Sink.Instrument as well would count every DCAS twice).  The default — no sink —
+// costs each operation one inlined nil check.
 func WithTelemetry(t *telemetry.Sink) Option {
 	return func(o *options) { o.tel = t }
 }
@@ -163,7 +175,7 @@ func New(n int, opts ...Option) *Deque {
 		f(&o)
 	}
 	if o.prov == nil {
-		o.prov = dcas.Default()
+		o.prov = new(dcas.EndLock)
 	}
 	d := &Deque{
 		prov:         o.prov,
@@ -186,6 +198,7 @@ func New(n int, opts ...Option) *Deque {
 	// at a time: collecting them into a slice first would allocate n+2
 	// pointers of garbage per deque.
 	dcas.AssignIDs(&d.l, &d.r)
+	d.lanes = [telemetry.NumEnds]uint64{telemetry.DCASLane(&d.l), telemetry.DCASLane(&d.r)}
 	for i := uint64(0); i < d.n; i++ {
 		dcas.AssignIDs(d.cell(i))
 	}
@@ -198,10 +211,13 @@ func (d *Deque) Cap() int { return int(d.n) }
 // note flushes one completed operation's telemetry.  It is small enough
 // for the inliner, so with no sink attached the cost at every return site
 // is a single inlined nil check — the disabled-telemetry contract.
-// start is the operation's entry stamp (tstart), 0 when latency is off.
-func (d *Deque) note(end telemetry.End, outcome telemetry.Counter, retries uint64, start int64) {
+// start is the operation's entry stamp (tstart), 0 when latency is off;
+// att is the number of DCASes the operation issued and failed how many
+// of them failed: att-1 where the last one succeeded, att at the
+// strong-DCAS early returns, whose DCAS failed.
+func (d *Deque) note(end telemetry.End, outcome telemetry.Counter, retries uint64, start int64, att, failed uint64) {
 	if d.tel != nil {
-		d.tel.OpTimed(end, outcome, retries, start)
+		d.tel.OpDCAS(end, outcome, retries, start, d.lanes[end], att, failed)
 	}
 }
 
@@ -239,7 +255,7 @@ func (d *Deque) dec(i uint64) uint64 {
 func (d *Deque) PopRight() (uint64, spec.Result) {
 	start := d.tstart()
 	bo := d.backoff.Start()
-	var retries uint64
+	var retries, att uint64 // attempts lost; DCASes issued
 	for {
 		oldR := d.endLoad(&d.r) // line 3
 		newR := d.dec(oldR)     // line 4
@@ -250,6 +266,7 @@ func (d *Deque) PopRight() (uint64, spec.Result) {
 				// The deque can be declared empty only on an instantaneous
 				// view of R and S[R-1]; the DCAS below confirms exactly
 				// that (lines 8-10).
+				att++
 				var ok bool
 				if d.el != nil {
 					ok = d.el.DCAS(&d.r, cell, oldR, oldS, oldR, oldS) // linearization point: boundary confirm (lines 8-10)
@@ -257,12 +274,13 @@ func (d *Deque) PopRight() (uint64, spec.Result) {
 					ok = d.prov.DCAS(&d.r, cell, oldR, oldS, oldR, oldS) // linearization point: boundary confirm (lines 8-10)
 				}
 				if ok {
-					d.note(telemetry.Right, telemetry.EmptyHits, retries, start)
+					d.note(telemetry.Right, telemetry.EmptyHits, retries, start, att, att-1)
 					return 0, spec.Empty
 				}
 			}
 		} else {
 			if d.strongDCAS {
+				att++
 				saveR := oldR // line 13
 				var v1, v2 uint64
 				var ok bool
@@ -273,7 +291,7 @@ func (d *Deque) PopRight() (uint64, spec.Result) {
 					if d.r.RawCAS(oldR, oldR|dcas.EndLockBit) {
 						if cell.RawCAS(oldS, Null) { // linearization point: inlined EndLock commit
 							d.r.RawStore(newR)
-							d.note(telemetry.Right, telemetry.Pops, retries, start)
+							d.note(telemetry.Right, telemetry.Pops, retries, start, att, att-1)
 							return oldS, spec.Okay // line 16
 						}
 						v1, v2 = oldR, cell.Load() // view under the mark
@@ -287,17 +305,18 @@ func (d *Deque) PopRight() (uint64, spec.Result) {
 						oldR, oldS, newR, Null)
 				}
 				if ok {
-					d.note(telemetry.Right, telemetry.Pops, retries, start)
+					d.note(telemetry.Right, telemetry.Pops, retries, start, att, att-1)
 					return oldS, spec.Okay // line 16
 				}
 				oldR, oldS = v1, v2
 				if oldR == saveR { // line 17
 					if oldS == Null { // line 18: a competing popLeft
-						d.note(telemetry.Right, telemetry.EmptyHits, retries, start)
+						d.note(telemetry.Right, telemetry.EmptyHits, retries, start, att, att)
 						return 0, spec.Empty // "stole" the last item (Fig 6)
 					}
 				}
 			} else {
+				att++
 				var ok bool
 				if d.el != nil {
 					ok = d.el.DCAS(&d.r, cell, oldR, oldS, newR, Null) // linearization point: weak DCAS commit
@@ -305,7 +324,7 @@ func (d *Deque) PopRight() (uint64, spec.Result) {
 					ok = d.prov.DCAS(&d.r, cell, oldR, oldS, newR, Null) // linearization point: weak DCAS commit
 				}
 				if ok {
-					d.note(telemetry.Right, telemetry.Pops, retries, start)
+					d.note(telemetry.Right, telemetry.Pops, retries, start, att, att-1)
 					return oldS, spec.Okay
 				}
 			}
@@ -324,7 +343,7 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 	}
 	start := d.tstart()
 	bo := d.backoff.Start()
-	var retries uint64
+	var retries, att uint64 // attempts lost; DCASes issued
 	for {
 		oldR := d.endLoad(&d.r) // line 3
 		newR := d.inc(oldR)     // line 4
@@ -332,6 +351,7 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 		oldS := cell.Load()     // line 5
 		if oldS != Null {       // line 6
 			if !d.recheckIndex || oldR == d.endLoad(&d.r) { // line 7
+				att++
 				var ok bool
 				if d.el != nil {
 					ok = d.el.DCAS(&d.r, cell, oldR, oldS, oldR, oldS) // linearization point: boundary confirm (lines 8-10)
@@ -339,12 +359,13 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 					ok = d.prov.DCAS(&d.r, cell, oldR, oldS, oldR, oldS) // linearization point: boundary confirm (lines 8-10)
 				}
 				if ok {
-					d.note(telemetry.Right, telemetry.FullHits, retries, start)
+					d.note(telemetry.Right, telemetry.FullHits, retries, start, att, att-1)
 					return spec.Full // line 10
 				}
 			}
 		} else {
 			if d.strongDCAS {
+				att++
 				saveR := oldR // line 13
 				var v1 uint64
 				var ok bool
@@ -353,7 +374,7 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 					if d.r.RawCAS(oldR, oldR|dcas.EndLockBit) {
 						if cell.RawCAS(oldS, v) { // linearization point: inlined EndLock commit
 							d.r.RawStore(newR)
-							d.note(telemetry.Right, telemetry.Pushes, retries, start)
+							d.note(telemetry.Right, telemetry.Pushes, retries, start, att, att-1)
 							return spec.Okay // line 16
 						}
 						v1 = oldR // anchor pinned, so the cell was non-null
@@ -367,14 +388,15 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 						oldR, oldS, newR, v)
 				}
 				if ok {
-					d.note(telemetry.Right, telemetry.Pushes, retries, start)
+					d.note(telemetry.Right, telemetry.Pushes, retries, start, att, att-1)
 					return spec.Okay // line 16
 				}
 				if v1 == saveR { // line 17: R unchanged, so the failure was
-					d.note(telemetry.Right, telemetry.FullHits, retries, start)
+					d.note(telemetry.Right, telemetry.FullHits, retries, start, att, att)
 					return spec.Full // a non-null cell: the deque is full
 				}
 			} else {
+				att++
 				var ok bool
 				if d.el != nil {
 					ok = d.el.DCAS(&d.r, cell, oldR, Null, newR, v) // linearization point: weak DCAS commit
@@ -382,7 +404,7 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 					ok = d.prov.DCAS(&d.r, cell, oldR, Null, newR, v) // linearization point: weak DCAS commit
 				}
 				if ok {
-					d.note(telemetry.Right, telemetry.Pushes, retries, start)
+					d.note(telemetry.Right, telemetry.Pushes, retries, start, att, att-1)
 					return spec.Okay
 				}
 			}
@@ -396,7 +418,7 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 func (d *Deque) PopLeft() (uint64, spec.Result) {
 	start := d.tstart()
 	bo := d.backoff.Start()
-	var retries uint64
+	var retries, att uint64 // attempts lost; DCASes issued
 	for {
 		oldL := d.endLoad(&d.l) // line 3
 		newL := d.inc(oldL)     // line 4
@@ -404,6 +426,7 @@ func (d *Deque) PopLeft() (uint64, spec.Result) {
 		oldS := cell.Load()     // line 5
 		if oldS == Null {       // line 6
 			if !d.recheckIndex || oldL == d.endLoad(&d.l) { // line 7
+				att++
 				var ok bool
 				if d.el != nil {
 					ok = d.el.DCAS(&d.l, cell, oldL, oldS, oldL, oldS) // linearization point: boundary confirm (lines 8-10)
@@ -411,12 +434,13 @@ func (d *Deque) PopLeft() (uint64, spec.Result) {
 					ok = d.prov.DCAS(&d.l, cell, oldL, oldS, oldL, oldS) // linearization point: boundary confirm (lines 8-10)
 				}
 				if ok {
-					d.note(telemetry.Left, telemetry.EmptyHits, retries, start)
+					d.note(telemetry.Left, telemetry.EmptyHits, retries, start, att, att-1)
 					return 0, spec.Empty
 				}
 			}
 		} else {
 			if d.strongDCAS {
+				att++
 				saveL := oldL
 				var v1, v2 uint64
 				var ok bool
@@ -425,7 +449,7 @@ func (d *Deque) PopLeft() (uint64, spec.Result) {
 					if d.l.RawCAS(oldL, oldL|dcas.EndLockBit) {
 						if cell.RawCAS(oldS, Null) { // linearization point: inlined EndLock commit
 							d.l.RawStore(newL)
-							d.note(telemetry.Left, telemetry.Pops, retries, start)
+							d.note(telemetry.Left, telemetry.Pops, retries, start, att, att-1)
 							return oldS, spec.Okay
 						}
 						v1, v2 = oldL, cell.Load()
@@ -439,17 +463,18 @@ func (d *Deque) PopLeft() (uint64, spec.Result) {
 						oldL, oldS, newL, Null)
 				}
 				if ok {
-					d.note(telemetry.Left, telemetry.Pops, retries, start)
+					d.note(telemetry.Left, telemetry.Pops, retries, start, att, att-1)
 					return oldS, spec.Okay
 				}
 				oldL, oldS = v1, v2
 				if oldL == saveL {
 					if oldS == Null {
-						d.note(telemetry.Left, telemetry.EmptyHits, retries, start)
+						d.note(telemetry.Left, telemetry.EmptyHits, retries, start, att, att)
 						return 0, spec.Empty
 					}
 				}
 			} else {
+				att++
 				var ok bool
 				if d.el != nil {
 					ok = d.el.DCAS(&d.l, cell, oldL, oldS, newL, Null) // linearization point: weak DCAS commit
@@ -457,7 +482,7 @@ func (d *Deque) PopLeft() (uint64, spec.Result) {
 					ok = d.prov.DCAS(&d.l, cell, oldL, oldS, newL, Null) // linearization point: weak DCAS commit
 				}
 				if ok {
-					d.note(telemetry.Left, telemetry.Pops, retries, start)
+					d.note(telemetry.Left, telemetry.Pops, retries, start, att, att-1)
 					return oldS, spec.Okay
 				}
 			}
@@ -475,7 +500,7 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 	}
 	start := d.tstart()
 	bo := d.backoff.Start()
-	var retries uint64
+	var retries, att uint64 // attempts lost; DCASes issued
 	for {
 		oldL := d.endLoad(&d.l) // line 3
 		newL := d.dec(oldL)     // line 4
@@ -483,6 +508,7 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 		oldS := cell.Load()     // line 5
 		if oldS != Null {       // line 6
 			if !d.recheckIndex || oldL == d.endLoad(&d.l) { // line 7
+				att++
 				var ok bool
 				if d.el != nil {
 					ok = d.el.DCAS(&d.l, cell, oldL, oldS, oldL, oldS) // linearization point: boundary confirm (lines 8-10)
@@ -490,12 +516,13 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 					ok = d.prov.DCAS(&d.l, cell, oldL, oldS, oldL, oldS) // linearization point: boundary confirm (lines 8-10)
 				}
 				if ok {
-					d.note(telemetry.Left, telemetry.FullHits, retries, start)
+					d.note(telemetry.Left, telemetry.FullHits, retries, start, att, att-1)
 					return spec.Full
 				}
 			}
 		} else {
 			if d.strongDCAS {
+				att++
 				saveL := oldL
 				var v1 uint64
 				var ok bool
@@ -504,7 +531,7 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 					if d.l.RawCAS(oldL, oldL|dcas.EndLockBit) {
 						if cell.RawCAS(oldS, v) { // linearization point: inlined EndLock commit
 							d.l.RawStore(newL)
-							d.note(telemetry.Left, telemetry.Pushes, retries, start)
+							d.note(telemetry.Left, telemetry.Pushes, retries, start, att, att-1)
 							return spec.Okay
 						}
 						v1 = oldL
@@ -518,14 +545,15 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 						oldL, oldS, newL, v)
 				}
 				if ok {
-					d.note(telemetry.Left, telemetry.Pushes, retries, start)
+					d.note(telemetry.Left, telemetry.Pushes, retries, start, att, att-1)
 					return spec.Okay
 				}
 				if v1 == saveL {
-					d.note(telemetry.Left, telemetry.FullHits, retries, start)
+					d.note(telemetry.Left, telemetry.FullHits, retries, start, att, att)
 					return spec.Full
 				}
 			} else {
+				att++
 				var ok bool
 				if d.el != nil {
 					ok = d.el.DCAS(&d.l, cell, oldL, Null, newL, v) // linearization point: weak DCAS commit
@@ -533,7 +561,7 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 					ok = d.prov.DCAS(&d.l, cell, oldL, Null, newL, v) // linearization point: weak DCAS commit
 				}
 				if ok {
-					d.note(telemetry.Left, telemetry.Pushes, retries, start)
+					d.note(telemetry.Left, telemetry.Pushes, retries, start, att, att-1)
 					return spec.Okay
 				}
 			}

@@ -9,21 +9,36 @@ import (
 )
 
 // variants returns one constructor per algorithm configuration so every
-// test runs across the option matrix: both DCAS providers crossed with the
+// test runs across the option matrix: the DCAS providers crossed with the
 // two optional optimizations of Section 3.
 func variants() map[string]func(n int) *Deque {
+	twoLock := func(opts ...Option) []Option {
+		return append([]Option{WithProvider(new(dcas.TwoLock))}, opts...)
+	}
 	return map[string]func(n int) *Deque{
-		"TwoLock/strong/recheck": func(n int) *Deque {
-			return New(n)
+		"EndLock/strong/recheck": func(n int) *Deque {
+			return New(n) // the default provider
 		},
-		"TwoLock/strong/norecheck": func(n int) *Deque {
+		"EndLock/strong/norecheck": func(n int) *Deque {
 			return New(n, WithRecheckIndex(false))
 		},
-		"TwoLock/weak/recheck": func(n int) *Deque {
+		"EndLock/weak/recheck": func(n int) *Deque {
 			return New(n, WithStrongDCAS(false))
 		},
-		"TwoLock/weak/norecheck": func(n int) *Deque {
+		"EndLock/weak/norecheck": func(n int) *Deque {
 			return New(n, WithStrongDCAS(false), WithRecheckIndex(false))
+		},
+		"TwoLock/strong/recheck": func(n int) *Deque {
+			return New(n, twoLock()...)
+		},
+		"TwoLock/strong/norecheck": func(n int) *Deque {
+			return New(n, twoLock(WithRecheckIndex(false))...)
+		},
+		"TwoLock/weak/recheck": func(n int) *Deque {
+			return New(n, twoLock(WithStrongDCAS(false))...)
+		},
+		"TwoLock/weak/norecheck": func(n int) *Deque {
+			return New(n, twoLock(WithStrongDCAS(false), WithRecheckIndex(false))...)
 		},
 		"GlobalLock/strong/recheck": func(n int) *Deque {
 			return New(n, WithProvider(new(dcas.GlobalLock)))
@@ -32,6 +47,18 @@ func variants() map[string]func(n int) *Deque {
 			return New(n, WithProvider(new(dcas.GlobalLock)),
 				WithStrongDCAS(false), WithRecheckIndex(false))
 		},
+	}
+}
+
+// TestDefaultProviderIsEndLock pins the array core's default DCAS
+// emulation: the model-checked EndLock, held as its concrete type so the
+// operations take the inlined fast path.
+func TestDefaultProviderIsEndLock(t *testing.T) {
+	if d := New(4); d.el == nil {
+		t.Fatalf("default provider is %T, want *dcas.EndLock", d.prov)
+	}
+	if d := New(4, WithProvider(new(dcas.TwoLock))); d.el != nil {
+		t.Fatal("an explicit TwoLock was replaced by EndLock")
 	}
 }
 

@@ -8,13 +8,17 @@
 // software emulation".  No shipping hardware provides DCAS, so this package
 // supplies blocking software emulations behind the Provider interface:
 //
-//   - TwoLock: the default fine-grained emulation.  It locks only the two
-//     addressed locations using per-location word-sized TATAS spinlocks
-//     (deadlock-free via a fixed lock order).  Operations on disjoint
-//     location pairs proceed in parallel, which preserves the paper's
-//     central claim that the two deque ends can be accessed concurrently,
-//     and the critical section — two loads and at most two stores — is
-//     short enough that spinning beats parking by a wide margin.
+//   - TwoLock: the general fine-grained emulation, and the list deques'
+//     default.  It locks only the two addressed locations using
+//     per-location word-sized TATAS spinlocks (deadlock-free via a fixed
+//     lock order).  Operations on disjoint location pairs proceed in
+//     parallel, which preserves the paper's central claim that the two
+//     deque ends can be accessed concurrently, and the critical section —
+//     two loads and at most two stores — is short enough that spinning
+//     beats parking by a wide margin.
+//   - EndLock (endlock.go): the array deque's default, specialized to
+//     pairs whose first location is an end index; three locked
+//     instructions per DCAS instead of TwoLock's six.
 //   - GlobalLock: a single mutex per provider instance.  All DCAS
 //     operations serialize; used as an ablation baseline.
 //
@@ -184,7 +188,7 @@ type Provider interface {
 	DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (v1, v2 uint64, ok bool)
 }
 
-// TwoLock is the default DCAS emulation.  It locks exactly the two
+// TwoLock is the general DCAS emulation.  It locks exactly the two
 // addressed locations, so DCAS operations on disjoint pairs of locations
 // run concurrently.  Deadlock between two overlapping DCAS operations is
 // avoided by acquiring the spinlocks in the fixed total order given by
@@ -293,8 +297,9 @@ func (p *GlobalLock) DCASView(a1, a2 *Loc, o1, o2, n1, n2 uint64) (v1, v2 uint64
 	return v1, v2, ok
 }
 
-// Default returns the provider used when a deque is constructed without an
-// explicit choice: a fresh TwoLock.
+// Default returns the provider a list deque is constructed with when no
+// other is chosen: a fresh TwoLock.  (The array deque defaults to EndLock,
+// whose contract only its anchored pairs meet.)
 func Default() Provider { return new(TwoLock) }
 
 // Compile-time interface checks.

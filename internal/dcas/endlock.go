@@ -54,6 +54,12 @@ package dcas
 // loads do); a masked read of a marked anchor yields the pinned o1, which
 // is always a value the anchor legitimately held.
 //
+// EndLock is the array deque's default provider.  Its steps — the mark
+// CAS, the cell CAS, the commit or restore store, the view loads and the
+// masked end reads — are model-checked under the array algorithm
+// (internal/verify/model, NewArraySysEndLock), including the failure
+// view's contract above and deadlock freedom while a mark is held.
+//
 // The zero value is ready to use; the provider itself is stateless.
 type EndLock struct {
 	// Backoff, when non-nil, replaces the package default policy used

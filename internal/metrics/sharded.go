@@ -44,16 +44,17 @@ func Nanotime() int64 { return int64(time.Since(procStart)) }
 const histPad = 128
 
 // histShard is one stripe: the full bucket array plus its own
-// n/sum/min/max words, padded so adjacent shards never share a line.
+// sum/min/max words, padded so adjacent shards never share a line.
 // The bucket array itself is histPad-aligned in size (64·8·8 bytes), so
-// only the trailing scalar words need the explicit pad.
+// only the trailing scalar words need the explicit pad.  There is no
+// count word: a stripe's count is the sum of its buckets, derived when
+// read, so a record pays one add fewer.
 type histShard struct {
 	counts [64 * subBuckets]atomic.Uint64
-	n      atomic.Uint64
 	sum    atomic.Uint64
 	max    atomic.Uint64
 	min    atomic.Uint64 // ^uint64(0) while the shard is empty
-	_      [histPad - 4*8]byte
+	_      [histPad - 3*8]byte
 }
 
 // ShardedHistogram is a concurrent log-linear histogram with the exact
@@ -117,7 +118,6 @@ func (h *ShardedHistogram) RecordAt(lane int, v uint64) {
 
 func (sh *histShard) record(v uint64) {
 	sh.counts[bucketOf(v)].Add(1)
-	sh.n.Add(1)
 	sh.sum.Add(v)
 	for {
 		m := sh.max.Load()
@@ -140,12 +140,14 @@ func (h *ShardedHistogram) Merge() *Histogram {
 	out := new(Histogram)
 	for i := range h.shards {
 		sh := &h.shards[i]
-		n := sh.n.Load()
+		var n uint64
+		for b := range sh.counts {
+			c := sh.counts[b].Load()
+			out.counts[b] += c
+			n += c
+		}
 		if n == 0 {
 			continue
-		}
-		for b := range sh.counts {
-			out.counts[b] += sh.counts[b].Load()
 		}
 		if mn := sh.min.Load(); out.n == 0 || mn < out.min {
 			out.min = mn
@@ -166,7 +168,16 @@ func (h *ShardedHistogram) Snapshot() HistogramSnapshot { return h.Merge().Snaps
 func (h *ShardedHistogram) N() uint64 {
 	var n uint64
 	for i := range h.shards {
-		n += h.shards[i].n.Load()
+		n += h.shards[i].n()
+	}
+	return n
+}
+
+// n is the stripe's observation count: the sum of its buckets.
+func (sh *histShard) n() uint64 {
+	var n uint64
+	for b := range sh.counts {
+		n += sh.counts[b].Load()
 	}
 	return n
 }

@@ -92,11 +92,11 @@ func TestShardedRecordAtLanes(t *testing.T) {
 	h.RecordAt(1, 20)
 	h.RecordAt(5, 30) // wraps to lane 1
 	h.RecordAt(-3, 40)
-	if h.shards[0].n.Load() != 2 { // lane 0 and the negative lane
-		t.Errorf("lane 0 n = %d, want 2", h.shards[0].n.Load())
+	if h.shards[0].n() != 2 { // lane 0 and the negative lane
+		t.Errorf("lane 0 n = %d, want 2", h.shards[0].n())
 	}
-	if h.shards[1].n.Load() != 2 { // lane 1 and lane 5 (mod 4)
-		t.Errorf("lane 1 n = %d, want 2", h.shards[1].n.Load())
+	if h.shards[1].n() != 2 { // lane 1 and lane 5 (mod 4)
+		t.Errorf("lane 1 n = %d, want 2", h.shards[1].n())
 	}
 	if h.N() != 4 {
 		t.Errorf("N = %d, want 4", h.N())

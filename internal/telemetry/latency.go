@@ -77,6 +77,31 @@ func (s *Sink) OpTimed(end End, outcome Counter, retries uint64, start int64) {
 	}
 }
 
+// OpDCAS is OpTimed plus the operation's DCAS tally: attempts DCASes
+// issued, failures of which failed, added to DCAS lane lane (DCASLane of
+// the operating end's anchor).  A core that tallies its DCASes in
+// registers flushes them here once per operation, at the same site as
+// its outcome, instead of wrapping its provider with Instrument, which
+// would hide the provider's concrete type and with it the core's inlined
+// fast path.
+//
+//go:noinline
+func (s *Sink) OpDCAS(end End, outcome Counter, retries uint64, start int64, lane, attempts, failures uint64) {
+	b := s.shard().end(end)
+	b.c[outcome].Add(1)
+	if retries != 0 {
+		b.c[Retries].Add(retries)
+	}
+	r := &s.dcas.lanes[lane]
+	r.c[DCASAttempts].Add(attempts)
+	if failures != 0 {
+		r.c[DCASFailures].Add(failures)
+	}
+	if start != 0 && s.lat != nil {
+		s.recordLatency(end, retries, start)
+	}
+}
+
 // Latency records an operation's duration without moving counters: the
 // flush for paths that count through Add (the Chase–Lev batch steal,
 // whose k pops are one commit).  start == 0 (latency disabled at the

@@ -10,8 +10,8 @@ package telemetry
 import (
 	"fmt"
 
-	"dcasdeque/internal/verify/linearize"
 	"dcasdeque/internal/verify/hist"
+	"dcasdeque/internal/verify/linearize"
 )
 
 // ReplayResult summarizes a successful replay.

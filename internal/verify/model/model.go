@@ -8,7 +8,10 @@
 // actions are exactly the shared-memory accesses of the pseudocode (one
 // Read, Write or DCAS per step; DCAS is a single atomic step, as in the
 // paper's model where "each such transition is the result of a DCAS
-// execution").  The explorer enumerates every interleaving of every
+// execution").  The array model can instead expand each DCAS into the
+// steps of dcas.EndLock, the array deque's default emulation
+// (NewArraySysEndLock), so the emulation is checked rather than assumed
+// atomic.  The explorer enumerates every interleaving of every
 // thread's steps from a given initial state and checks, at every reachable
 // state and transition, the same obligations the paper proves:
 //
@@ -23,7 +26,12 @@
 //     any single thread scheduled alone completes its operation within a
 //     bounded number of steps — an operational counterpart of the
 //     non-blocking property (Theorems 3.1 and 4.1): an operation can be
-//     delayed only by interference from other operations' steps.
+//     delayed only by interference from other operations' steps.  Where
+//     an expanded, blocking DCAS makes a thread wait on a lock another
+//     thread holds, deadlock freedom replaces it: the holder, run alone,
+//     releases the lock within the bound without waiting itself;
+//   - for an expanded DCAS, the emulation's own obligations at every
+//     state (the optional Fault method).
 //
 // State spaces are bounded (few threads, few operations, small deques) but
 // coverage within the bound is exhaustive, including every adversarial
@@ -225,6 +233,11 @@ func Explore(init Sys, opts Options) (*Report, *Violation) {
 			if err != nil {
 				return rep, &Violation{Msg: fmt.Sprintf("RepInv violated after step: %v", err), Trace: trace}
 			}
+			if f, ok := ns.(faulter); ok {
+				if err := f.Fault(); err != nil {
+					return rep, &Violation{Msg: fmt.Sprintf("DCAS emulation obligation violated: %v", err), Trace: trace}
+				}
+			}
 
 			if lin == nil {
 				if !equalSeq(abs0, abs1) {
@@ -356,9 +369,27 @@ func checkBatchLin(lin *Lin, ref *spec.Deque, abs0, abs1 []uint64, trace []strin
 	return nil
 }
 
+// faulter is implemented by systems whose DCAS is expanded into a
+// software emulation's steps: Fault reports the first of the emulation's
+// own obligations (Figure 1's contract as the emulation meets it, and its
+// lock invariant) that the state breaks, nil while all hold.
+type faulter interface {
+	Fault() error
+}
+
+// waiter is implemented by systems whose DCAS emulation blocks: WaitsOn
+// reports whether thread i's next step waits on a lock another thread
+// holds, and which thread that is (-1: none does).
+type waiter interface {
+	WaitsOn(i int) (holder int, waits bool)
+}
+
 // checkSolo verifies the non-blocking property operationally: every
 // unfinished thread, run alone from this state, completes its current
-// operation within the system's solo bound.
+// operation within the system's solo bound.  Where the thread waits on a
+// lock another thread holds (a blocking DCAS emulation), deadlock freedom
+// replaces solo termination: the holder, run alone, must release the lock
+// within the bound, and the thread then continues alone.
 func checkSolo(s Sys, trace []string) *Violation {
 	for i := 0; i < s.NumThreads(); i++ {
 		if s.Done(i) {
@@ -368,6 +399,9 @@ func checkSolo(s Sys, trace []string) *Violation {
 		opsBefore := soloOpsRemaining(solo, i)
 		finished := false
 		for step := 0; step < solo.SoloBound(); step++ {
+			if v := release(solo, i, trace); v != nil {
+				return v
+			}
 			abs0, _ := solo.Abstract()
 			solo.Step(i, len(abs0) == 0)
 			if soloOpsRemaining(solo, i) < opsBefore || solo.Done(i) {
@@ -383,6 +417,32 @@ func checkSolo(s Sys, trace []string) *Violation {
 		}
 	}
 	return nil
+}
+
+// release runs the holder of the lock thread i waits on, alone, until i
+// no longer waits.  It reports a deadlock when nobody holds the lock, when
+// the holder itself waits, or when it keeps the lock past the solo bound.
+func release(s Sys, i int, trace []string) *Violation {
+	w, ok := s.(waiter)
+	if !ok {
+		return nil
+	}
+	for step := 0; ; step++ {
+		h, waits := w.WaitsOn(i)
+		switch {
+		case !waits:
+			return nil
+		case h < 0 || h == i || s.Done(h):
+			return &Violation{Msg: fmt.Sprintf("deadlock: thread %d waits on a lock no other thread holds", i), Trace: trace}
+		case step == s.SoloBound():
+			return &Violation{Msg: fmt.Sprintf("deadlock: thread %d holds the lock thread %d waits on for %d steps", h, i, step), Trace: trace}
+		}
+		if _, hw := w.WaitsOn(h); hw {
+			return &Violation{Msg: fmt.Sprintf("deadlock: thread %d waits while holding the lock thread %d waits on", h, i), Trace: trace}
+		}
+		abs0, _ := s.Abstract()
+		s.Step(h, len(abs0) == 0)
+	}
 }
 
 // soloCounter lets checkSolo observe per-thread op progress.

@@ -19,6 +19,9 @@ func TestArrayDequeLinearizable(t *testing.T) {
 		"weak":            {arraydeque.WithStrongDCAS(false)},
 		"weak-norecheck":  {arraydeque.WithStrongDCAS(false), arraydeque.WithRecheckIndex(false)},
 		"global-provider": {arraydeque.WithProvider(new(dcas.GlobalLock))},
+		// The unnamed default above is EndLock; the lock-pair emulation
+		// stays covered by name.
+		"twolock": {arraydeque.WithProvider(new(dcas.TwoLock))},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -98,8 +101,9 @@ func TestListDequeLinearizable(t *testing.T) {
 }
 
 // TestEngineeredSubstrateLinearizable stress-checks the contention-
-// engineered configurations: the anchored EndLock DCAS emulation, padded
-// cells, and retry backoff, alone and combined.  Backoff stretches the
+// engineered configurations: the anchored EndLock DCAS emulation (the
+// array default, also named explicitly), TwoLock, padded cells, and retry
+// backoff, alone and combined.  Backoff stretches the
 // window between a failed attempt and its retry, and EndLock locks an
 // end by marking its own word, so these schedules interleave differently
 // from the defaults the other tests cover.
@@ -109,6 +113,10 @@ func TestEngineeredSubstrateLinearizable(t *testing.T) {
 		"backoff": {arraydeque.WithBackoff(bo)},
 		"padded-backoff": {
 			arraydeque.WithPaddedCells(true),
+			arraydeque.WithBackoff(bo),
+		},
+		"twolock-backoff": {
+			arraydeque.WithProvider(new(dcas.TwoLock)),
 			arraydeque.WithBackoff(bo),
 		},
 		"endlock": {arraydeque.WithProvider(new(dcas.EndLock))},

@@ -27,14 +27,15 @@ vet-fixtures:
 	$(GO) test ./internal/analysis/... ./cmd/dequevet
 
 # Every test at one and two processors, the scheduler's, the arena's,
-# the deques', the telemetry rows', the DCAS lanes' and the server's
-# tests race-instrumented at both (the CI steps of the same names), then one iteration of every benchmark family in bench_test.go
+# the deques', the array core's, the telemetry rows', the DCAS lanes'
+# and the server's tests race-instrumented at both (the CI steps of the
+# same names), then one iteration of every benchmark family in bench_test.go
 # so none of them rots, then perfbench (its own module, which ./... does
 # not reach) vetted and tested against this checkout's API.
 test:
 	$(GO) test -cpu 1,2 ./...
 	$(GO) test -race -cpu 1,2 ./sched/...
-	$(GO) test -race -cpu 1,2 ./internal/arena/... ./deque/... ./internal/telemetry/... ./internal/dcas/... ./serve/...
+	$(GO) test -race -cpu 1,2 ./internal/arena/... ./deque/... ./internal/core/arraydeque/... ./internal/telemetry/... ./internal/dcas/... ./serve/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu 1,2 .
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 

@@ -59,26 +59,24 @@ func TestArrayEndLockPairsExhaustive(t *testing.T) {
 }
 
 // TestArrayEndLockTriples checks every 3-thread combination of single
-// operations at the same bounds, as printed (strong DCAS, recheck).
+// operations on a capacity-2 deque holding one item, as printed (strong
+// DCAS, recheck): enough threads that every boundary race is reachable
+// and a third thread can wait on a mark.  The full 3-thread bound
+// (capacities 1–3, fills 0–2) is `dequemodel -algo array -dcas endlock
+// -threads 3`.
 func TestArrayEndLockTriples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large state space")
 	}
 	total := 0
-	endLockBounds(func(n int, initial []uint64) {
-		for _, op1 := range allOps(11) {
-			for _, op2 := range allOps(21) {
-				for _, op3 := range allOps(31) {
-					s := NewArraySysEndLock(n, initial, [][]OpSpec{{op1}, {op2}, {op3}}, true, true)
-					rep, viol := Explore(s, Options{CheckSolo: true})
-					if viol != nil {
-						t.Fatalf("n=%d fill=%d %v/%v/%v: %v", n, len(initial), op1, op2, op3, viol)
-					}
-					total += rep.States
-				}
+	for _, op1 := range allOps(11) {
+		for _, op2 := range allOps(21) {
+			for _, op3 := range allOps(31) {
+				s := NewArraySysEndLock(2, []uint64{100}, [][]OpSpec{{op1}, {op2}, {op3}}, true, true)
+				total += mustExplore(t, s, Options{CheckSolo: true}).States
 			}
 		}
-	})
+	}
 	t.Logf("EndLock triples: %d states", total)
 }
 

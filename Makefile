@@ -43,10 +43,11 @@ race:
 	$(GO) test -race -short ./...
 
 # The array algorithm's model check with each DCAS expanded into
-# dcas.EndLock's steps, at the CI smoke bound (2 threads); -threads 3
-# is the full certificate (EXPERIMENTS.md §1).
+# dcas.EndLock's steps, at the CI smoke bound (2 threads) and then the
+# full 3-thread certificate (EXPERIMENTS.md §1), as CI runs them.
 model-smoke:
 	$(GO) run ./cmd/dequemodel -algo array -dcas endlock -threads 2
+	$(GO) run ./cmd/dequemodel -algo array -dcas endlock -threads 3
 
 # Randomized scheduler stress certification (bounded; CI runs 300
 # race-instrumented, the full certification is -sched-runs 10000).

@@ -64,72 +64,50 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// headgate evaluates a "candidate=reference[@pct]" spec against HEAD
-// samples: the candidate's median may exceed the reference's by at most
-// the spec's own budget, or fallback when none is given.  It returns the
-// verdict line, the candidate's overhead percentage relative to the
-// reference, and the budget that judges it.
-func headgate(spec string, fallback float64, head map[string][]float64) (string, float64, float64, error) {
-	budget := fallback
-	if body, pct, ok := strings.Cut(spec, "@"); ok {
-		v, err := strconv.ParseFloat(pct, 64)
-		if err != nil || v < 0 {
-			return "", 0, 0, fmt.Errorf("bad -headgate budget %q in %q, want a non-negative percent", pct, spec)
-		}
-		spec, budget = body, v
+// gate is one parsed -headgate: the candidate's median may exceed the
+// reference's by at most budget percent.
+type gate struct {
+	cand, ref string
+	budget    float64
+}
+
+// parseGate parses a "candidate=reference@pct" spec.  The budget is
+// required: each gate's budget is set from its own measured floor, so
+// there is no default to fall back on.
+func parseGate(spec string) (gate, error) {
+	body, pct, ok := strings.Cut(spec, "@")
+	if !ok {
+		return gate{}, fmt.Errorf("-headgate %q has no budget, want candidate=reference@pct", spec)
 	}
-	cand, ref, ok := strings.Cut(spec, "=")
+	budget, err := strconv.ParseFloat(pct, 64)
+	if err != nil || budget < 0 {
+		return gate{}, fmt.Errorf("bad -headgate budget %q in %q, want a non-negative percent", pct, spec)
+	}
+	cand, ref, ok := strings.Cut(body, "=")
 	if !ok || cand == "" || ref == "" {
-		return "", 0, 0, fmt.Errorf("bad -headgate %q, want candidate=reference[@pct]", spec)
+		return gate{}, fmt.Errorf("bad -headgate %q, want candidate=reference@pct", spec)
 	}
-	cs := head[cand]
+	return gate{cand, ref, budget}, nil
+}
+
+// judge evaluates the gate against the samples and returns its verdict
+// line and the candidate's overhead in percent of the reference.
+func (g gate) judge(samples map[string][]float64) (string, float64, error) {
+	cs := samples[g.cand]
 	if len(cs) == 0 {
-		return "", 0, 0, fmt.Errorf("-headgate candidate %q produced no ns/op samples in the HEAD run "+
-			"(check the -bench pattern matches it and the benchmark actually ran)", cand)
+		return "", 0, fmt.Errorf("-headgate candidate %q produced no ns/op samples "+
+			"(check the -bench pattern matches it and the benchmark actually ran)", g.cand)
 	}
-	rs := head[ref]
+	rs := samples[g.ref]
 	if len(rs) == 0 {
-		return "", 0, 0, fmt.Errorf("-headgate reference %q produced no ns/op samples in the HEAD run "+
-			"(check the -bench pattern matches it and the benchmark actually ran)", ref)
+		return "", 0, fmt.Errorf("-headgate reference %q produced no ns/op samples "+
+			"(check the -bench pattern matches it and the benchmark actually ran)", g.ref)
 	}
 	c, r := median(cs), median(rs)
 	if r == 0 {
-		return "", 0, 0, fmt.Errorf("-headgate reference %q has a 0 ns/op median; overhead relative to it is undefined", ref)
+		return "", 0, fmt.Errorf("-headgate reference %q has a 0 ns/op median; overhead relative to it is undefined", g.ref)
 	}
 	pct := (c - r) / r * 100
 	return fmt.Sprintf("%-60s %10.1f vs %10.1f ns/op  %+6.2f%% (head gate vs %s, budget %.1f%%)",
-		cand, c, r, pct, ref, budget), pct, budget, nil
-}
-
-// compare evaluates head against base and returns per-benchmark verdict
-// lines plus the worst regression percentage across benchmarks present
-// in both (benchmarks on one side only are reported but never judged —
-// a renamed benchmark must not pass silently as "no regression").
-func compare(base, head map[string][]float64) (lines []string, worst float64) {
-	names := make([]string, 0, len(base))
-	for n := range base {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		hs, ok := head[n]
-		if !ok {
-			lines = append(lines, fmt.Sprintf("%-60s base-only (%.1f ns/op)", n, median(base[n])))
-			continue
-		}
-		b, h := median(base[n]), median(hs)
-		pct := (h - b) / b * 100
-		if pct > worst {
-			worst = pct
-		}
-		lines = append(lines, fmt.Sprintf("%-60s %10.1f → %10.1f ns/op  %+6.2f%%", n, b, h, pct))
-	}
-	var extra []string
-	for n := range head {
-		if _, ok := base[n]; !ok {
-			extra = append(extra, fmt.Sprintf("%-60s head-only (%.1f ns/op)", n, median(head[n])))
-		}
-	}
-	sort.Strings(extra)
-	return append(lines, extra...), worst
+		g.cand, c, r, pct, g.ref, g.budget), pct, nil
 }

@@ -61,67 +61,45 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	base := map[string][]float64{
-		"A": {100, 102, 98},
-		"B": {200},
-		"C": {50}, // removed at head
-	}
-	head := map[string][]float64{
-		"A": {110, 112, 108}, // +10%
-		"B": {202},           // +1%
-		"D": {70},            // new at head
-	}
-	lines, worst := compare(base, head)
-	if worst < 9.9 || worst > 10.1 {
-		t.Fatalf("worst = %v, want ~10", worst)
-	}
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"A", "B", "base-only", "head-only"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("report missing %q:\n%s", want, joined)
-		}
-	}
-	// A faster head must not produce a positive worst.
-	_, worst = compare(map[string][]float64{"A": {100}}, map[string][]float64{"A": {90}})
-	if worst != 0 {
-		t.Fatalf("improvement reported as regression: %v", worst)
-	}
-}
-
 func TestHeadgate(t *testing.T) {
 	head := map[string][]float64{
 		"New":  {110, 112, 108}, // median 110
 		"Ref":  {100, 102, 98},  // median 100
 		"Fast": {80},
 	}
-	line, pct, budget, err := headgate("New=Ref", 5, head)
+	g, err := parseGate("New=Ref@250")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.budget != 250 {
+		t.Fatalf("budget = %v, want 250", g.budget)
+	}
+	line, pct, err := g.judge(head)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pct < 9.9 || pct > 10.1 {
 		t.Fatalf("pct = %v, want ~10", pct)
 	}
-	if budget != 5 {
-		t.Fatalf("budget = %v, want the 5 fallback", budget)
-	}
-	for _, want := range []string{"New", "Ref", "head gate"} {
+	for _, want := range []string{"New", "Ref", "head gate", "budget 250.0%"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("verdict line missing %q: %s", want, line)
 		}
 	}
-	// A per-gate @budget overrides the fallback threshold.
-	if _, _, budget, err = headgate("New=Ref@250", 5, head); err != nil || budget != 250 {
-		t.Fatalf("explicit budget = %v, %v, want 250", budget, err)
-	}
 	// A candidate faster than its reference reports a negative overhead.
-	if _, pct, _, _ = headgate("Fast=Ref", 5, head); pct >= 0 {
+	if g, err = parseGate("Fast=Ref@5"); err != nil {
+		t.Fatal(err)
+	}
+	if _, pct, _ = g.judge(head); pct >= 0 {
 		t.Fatalf("faster candidate pct = %v, want negative", pct)
 	}
-	for _, bad := range []string{"", "NoEquals", "=Ref", "New=", "Missing=Ref", "New=Missing",
-		"New=Ref@", "New=Ref@x", "New=Ref@-3"} {
-		if _, _, _, err := headgate(bad, 5, head); err == nil {
-			t.Fatalf("headgate(%q) accepted", bad)
+	// A spec without @pct names no budget and is rejected.
+	if _, err := parseGate("New=Ref"); err == nil || !strings.Contains(err.Error(), "no budget") {
+		t.Fatalf("parseGate without @pct: %v, want a no-budget error", err)
+	}
+	for _, bad := range []string{"", "NoEquals@5", "=Ref@5", "New=@5", "New=Ref@", "New=Ref@x", "New=Ref@-3"} {
+		if _, err := parseGate(bad); err == nil {
+			t.Fatalf("parseGate(%q) accepted", bad)
 		}
 	}
 }
@@ -135,7 +113,7 @@ func TestHeadgateNoSamples(t *testing.T) {
 		"Empty": {}, // present but sample-less
 	}
 	for _, spec := range []string{"Gone=New", "New=Gone", "Empty=New", "New=Empty"} {
-		_, _, _, err := headgate(spec, 5, head)
+		_, _, err := mustGate(t, spec+"@5").judge(head)
 		if err == nil {
 			t.Fatalf("headgate(%q) accepted with a sample-less side", spec)
 		}
@@ -145,26 +123,16 @@ func TestHeadgateNoSamples(t *testing.T) {
 	}
 	// A zero reference median must not divide through to ±Inf.
 	zero := map[string][]float64{"New": {110}, "Zed": {0}}
-	if _, _, _, err := headgate("New=Zed", 5, zero); err == nil || !strings.Contains(err.Error(), "0 ns/op median") {
+	if _, _, err := mustGate(t, "New=Zed@5").judge(zero); err == nil || !strings.Contains(err.Error(), "0 ns/op median") {
 		t.Fatalf("zero-median reference not rejected: %v", err)
 	}
 }
 
-// TestRoundOrder: every round runs every side once, and with two sides
-// each one runs first in half the rounds.
-func TestRoundOrder(t *testing.T) {
-	first := map[int]int{}
-	for r := 0; r < 6; r++ {
-		o := roundOrder(r, 2)
-		if len(o) != 2 || o[0] == o[1] {
-			t.Fatalf("round %d order %v, want both sides once", r, o)
-		}
-		first[o[0]]++
+func mustGate(t *testing.T, spec string) gate {
+	t.Helper()
+	g, err := parseGate(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if first[0] != 3 || first[1] != 3 {
-		t.Fatalf("sides ran first %v times over 6 rounds, want 3 each", first)
-	}
-	if o := roundOrder(3, 1); len(o) != 1 || o[0] != 0 {
-		t.Fatalf("single-side order %v, want [0]", o)
-	}
+	return g
 }

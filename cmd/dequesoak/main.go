@@ -21,6 +21,10 @@
 // DETECTS the leak, with a non-empty flight dump.  A harness that
 // cannot catch a leak it planted itself certifies nothing; CI runs this
 // mode alongside the clean sweep.
+//
+// Both modes first print one "env: num_cpu=… gomaxprocs=… go=…" line,
+// as dequestress does, so a recorded certificate carries the
+// parallelism it was earned at.
 package main
 
 import (
@@ -28,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -50,6 +55,7 @@ var (
 
 func main() {
 	flag.Parse()
+	fmt.Printf("env: num_cpu=%d gomaxprocs=%d go=%s\n", runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version())
 	if *certifyFlag {
 		os.Exit(certifyLeak())
 	}

@@ -569,7 +569,8 @@ func BenchmarkPublicAPI(b *testing.B) {
 	// Latency-enabled twins: the same loop with WithLatency, pricing the
 	// enabled path (two clock reads + histogram records per operation) for
 	// the benchguard head gate.  The budget is documented in EXPERIMENTS.md
-	// (LATOBS); the disabled path stays under the default 5% threshold.
+	// (LATOBS); the disabled path is priced by perfbench's deque-ends
+	// workload.
 	b.Run("Array[int]/lat", func(b *testing.B) {
 		d := deque.NewArray[int](1<<10, deque.WithLatency())
 		for i := 0; i < b.N; i++ {

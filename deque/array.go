@@ -3,7 +3,6 @@ package deque
 import (
 	"dcasdeque/internal/arena"
 	"dcasdeque/internal/core/arraydeque"
-	"dcasdeque/internal/dcas"
 )
 
 // Array is the bounded array-based DCAS deque of Section 3, carrying
@@ -17,8 +16,7 @@ type Array[T any] struct {
 // NewArray returns an empty array-based deque with the given capacity
 // (≥ 1).  Capacity is exact: the deque holds at most capacity elements
 // and pushes beyond that return ErrFull.  Its DCAS emulation is
-// dcas.EndLock (three locked instructions per DCAS; DESIGN.md §6),
-// unless WithGlobalLockDCAS selects the serializing reference.
+// dcas.EndLock (three locked instructions per DCAS; DESIGN.md §6).
 func NewArray[T any](capacity int, opts ...Option) *Array[T] {
 	if capacity < 1 {
 		panic("deque: capacity must be ≥ 1")
@@ -27,10 +25,7 @@ func NewArray[T any](capacity int, opts ...Option) *Array[T] {
 	// The core counts its own DCASes into the sink (one flush per
 	// operation), so its provider is never wrapped: the default EndLock
 	// keeps its inlined fast path with telemetry on.
-	coreOpts := []arraydeque.Option{arraydeque.WithBackoff(inst.backoff(cfg.backoff))}
-	if cfg.globalLockDCAS {
-		coreOpts = append(coreOpts, arraydeque.WithProvider(new(dcas.GlobalLock)))
-	}
+	var coreOpts []arraydeque.Option
 	if inst != nil {
 		coreOpts = append(coreOpts, arraydeque.WithTelemetry(inst.sink))
 	}

@@ -42,19 +42,19 @@ type ChaseLev[T any] struct {
 
 // NewChaseLev returns an empty Chase–Lev work-stealing deque.  It is
 // unbounded up to the arena's maxNodes bound (default 1<<20, settable
-// with WithMaxNodes).  The telemetry, backoff and max-nodes options
-// apply; the DCAS-emulation and algorithm-variant options are
-// meaningless for this backend and are ignored.
+// with WithMaxNodes).  The telemetry options, WithMaxNodes and
+// WithMemoryBound apply; the list deque's options (WithoutNodeReuse,
+// WithDummyNodes, WithLFRC) are meaningless for this backend and are
+// ignored.
 func NewChaseLev[T any](opts ...Option) *ChaseLev[T] {
 	cfg, inst := configure(opts)
 	var coreOpts []chaselev.Option
 	if inst != nil {
 		// There is no DCAS provider to instrument; the DCAS counters stay
-		// zero and only the backoff spins are attributed.
-		cfg.backoff = inst.backoff(cfg.backoff)
+		// zero.
 		coreOpts = append(coreOpts, chaselev.WithTelemetry(inst.sink))
 	}
-	c := chaselev.New(append(coreOpts, chaselev.WithBackoff(cfg.backoff))...)
+	c := chaselev.New(coreOpts...)
 	s := newSlotted[T](c, arena.New[T](cfg.maxNodes, arena.WithBlockSize(256)), cfg, inst)
 	s.aux = func(m *telemetry.MemSnapshot, _ bool) {
 		r := c.Rings()

@@ -28,11 +28,7 @@
 // emulation itself.
 package deque
 
-import (
-	"errors"
-
-	"dcasdeque/internal/dcas"
-)
+import "errors"
 
 // Errors returned by deque operations, mirroring the sequential
 // specification's "empty" and "full" responses (Section 2.2).
@@ -85,16 +81,14 @@ type Deque[T any] interface {
 type Option func(*config)
 
 type config struct {
-	globalLockDCAS bool
-	nodeReuse      bool
-	dummyNodes     bool
-	lfrc           bool
-	maxNodes       int
-	memBound       uint64
-	backoff        *dcas.BackoffPolicy
-	telemetry      bool
-	telemetryName  string
-	latency        bool
+	nodeReuse     bool
+	dummyNodes    bool
+	lfrc          bool
+	maxNodes      int
+	memBound      uint64
+	telemetry     bool
+	telemetryName string
+	latency       bool
 }
 
 // configure applies opts over the defaults and builds the telemetry
@@ -109,45 +103,6 @@ func configure(opts []Option) (config, *instruments) {
 		inst = newInstruments(cfg.telemetryName, cfg.latency)
 	}
 	return cfg, inst
-}
-
-// WithGlobalLockDCAS selects the coarse global-mutex DCAS emulation, the
-// reference the engineered emulations are measured against, instead of
-// the default: dcas.EndLock for the array deque (three locked
-// instructions per DCAS, each end's index word its own lock) and
-// dcas.TwoLock for the list deques.  All DCAS operations on the deque
-// then serialize; useful only for measurement.
-func WithGlobalLockDCAS() Option {
-	return func(c *config) { c.globalLockDCAS = true }
-}
-
-// BackoffConfig tunes the bounded exponential backoff applied after a
-// failed operation attempt.  The zero value selects the library default
-// (spin briefly then yield; yield immediately when GOMAXPROCS is 1).
-type BackoffConfig struct {
-	// MinSpins is the initial spin bound; the bound doubles after each
-	// failed attempt.
-	MinSpins int
-	// MaxSpins caps the growing spin bound; beyond it the operation yields
-	// the processor instead of spinning.
-	MaxSpins int
-}
-
-// WithBackoff enables per-goroutine bounded exponential backoff with
-// jitter on the deque operations' DCAS-retry loops.  Without it a failed
-// attempt retries immediately, re-contending the very locations that just
-// caused the failure.
-func WithBackoff(cfg BackoffConfig) Option {
-	return func(c *config) {
-		if cfg == (BackoffConfig{}) {
-			c.backoff = dcas.DefaultBackoff()
-			return
-		}
-		c.backoff = &dcas.BackoffPolicy{
-			MinSpins: uint32(cfg.MinSpins),
-			MaxSpins: uint32(cfg.MaxSpins),
-		}
-	}
 }
 
 // WithoutNodeReuse puts the list deque's node arena in gc mode: node

@@ -13,13 +13,12 @@ import (
 // implementation at a given capacity, keyed by name.
 func implementations(capacity int) map[string]Deque[int] {
 	return map[string]Deque[int]{
-		"Array":            NewArray[int](capacity),
-		"Array/globalLock": NewArray[int](capacity, WithGlobalLockDCAS()),
-		"List":             NewList[int](WithMaxNodes(capacity * 100)),
-		"List/gc":          NewList[int](WithoutNodeReuse(), WithMaxNodes(1<<16)),
-		"List/dummy":       NewList[int](WithDummyNodes()),
-		"List/lfrc":        NewList[int](WithLFRC()),
-		"Mutex":            NewMutex[int](capacity),
+		"Array":      NewArray[int](capacity),
+		"List":       NewList[int](WithMaxNodes(capacity * 100)),
+		"List/gc":    NewList[int](WithoutNodeReuse(), WithMaxNodes(1<<16)),
+		"List/dummy": NewList[int](WithDummyNodes()),
+		"List/lfrc":  NewList[int](WithLFRC()),
+		"Mutex":      NewMutex[int](capacity),
 	}
 }
 
@@ -145,8 +144,7 @@ func TestCrossImplementationDifferential(t *testing.T) {
 	const capacity = 5
 	for name, d := range implementations(capacity) {
 		t.Run(name, func(t *testing.T) {
-			bounded := name == "Array" || name == "Array/weak" ||
-				name == "Array/globalLock" || name == "Mutex"
+			bounded := name == "Array" || name == "Mutex"
 			rng := rand.New(rand.NewPCG(3, 14))
 			var ref []int
 			next := 1

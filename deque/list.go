@@ -47,35 +47,19 @@ func WithLFRC() Option {
 	return func(c *config) { c.lfrc = true }
 }
 
-// listProvider picks a list deque's DCAS emulation; nil selects the
-// core's default, the per-location TwoLock.  The array deque's EndLock
-// does not apply: list-deque link words appear on both sides of DCAS
-// pairs, outside its anchored-pair contract.
-func listProvider(cfg config) dcas.Provider {
-	if cfg.globalLockDCAS {
-		return new(dcas.GlobalLock)
-	}
-	return nil
-}
-
 // NewList returns an empty list-based deque.  Pushes fail with ErrFull
 // only if the internal node arena is exhausted (see WithMaxNodes).
 func NewList[T any](opts ...Option) *List[T] {
 	cfg, inst := configure(opts)
-	prov := listProvider(cfg)
-	if inst != nil {
-		prov, cfg.backoff = inst.instrument(prov, cfg.backoff)
-	}
 	coreOpts := []listdeque.Option{
 		listdeque.WithMaxNodes(cfg.maxNodes + 2), // + the two sentinels
 		listdeque.WithNodeReuse(cfg.nodeReuse),
-		listdeque.WithBackoff(cfg.backoff),
-	}
-	if prov != nil {
-		coreOpts = append(coreOpts, listdeque.WithProvider(prov))
 	}
 	if inst != nil {
-		coreOpts = append(coreOpts, listdeque.WithTelemetry(inst.sink))
+		// Count every DCAS attempt in the sink's DCAS lanes.
+		coreOpts = append(coreOpts,
+			listdeque.WithProvider(inst.sink.Instrument(dcas.Default())),
+			listdeque.WithTelemetry(inst.sink))
 	}
 	var c listCore
 	switch {

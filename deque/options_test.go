@@ -63,34 +63,16 @@ func hammer(t *testing.T, d Deque[int]) {
 	}
 }
 
-// TestEngineeredOptions exercises the contention-engineering options —
-// retry backoff, on the array deque's default EndLock DCAS and the list
-// deques' TwoLock — through the public constructors under concurrent
-// load.
+// TestEngineeredOptions pins the DCAS emulation the public list deques
+// run on, through the public constructor under concurrent load.  The
+// array deque's EndLock default is exercised by TestConcurrentConservation.
 func TestEngineeredOptions(t *testing.T) {
-	t.Run("ArrayEndLockBackoff", func(t *testing.T) {
-		hammer(t, NewArray[int](64, WithBackoff(BackoffConfig{})))
-	})
 	t.Run("ListEndLockFallsBackToTwoLock", func(t *testing.T) {
 		// List deques cannot satisfy EndLock's anchored-pair contract;
 		// they stay on the default per-location TwoLock.
-		cfg, _ := configure(nil)
-		if p := listProvider(cfg); p != nil {
-			t.Fatalf("default list provider = %T, want the core default", p)
-		}
 		if _, ok := dcas.Default().(*dcas.TwoLock); !ok {
 			t.Fatalf("default provider is %T, want *dcas.TwoLock", dcas.Default())
 		}
-		hammer(t, NewList[int](WithBackoff(BackoffConfig{})))
-	})
-	t.Run("ArrayExplicitBackoff", func(t *testing.T) {
-		hammer(t, NewArray[int](64,
-			WithBackoff(BackoffConfig{MinSpins: 4, MaxSpins: 256})))
-	})
-	t.Run("ListDummyBackoff", func(t *testing.T) {
-		hammer(t, NewList[int](WithDummyNodes(), WithBackoff(BackoffConfig{})))
-	})
-	t.Run("ListLFRCBackoff", func(t *testing.T) {
-		hammer(t, NewList[int](WithLFRC(), WithBackoff(BackoffConfig{})))
+		hammer(t, NewList[int]())
 	})
 }

@@ -3,7 +3,6 @@ package deque
 import (
 	"net/http"
 
-	"dcasdeque/internal/dcas"
 	"dcasdeque/internal/telemetry"
 )
 
@@ -80,14 +79,11 @@ type RefStats struct {
 }
 
 // DCASStats are the deque's DCAS substrate counters: every double-word
-// attempt the deque issued, how many failed, and the backoff work those
-// failures caused (spins/yields are zero unless WithBackoff is set).
+// attempt the deque issued and how many failed.
 type DCASStats struct {
-	Attempts      uint64 `json:"attempts"`
-	Failures      uint64 `json:"failures"`
-	Successes     uint64 `json:"successes"`
-	BackoffSpins  uint64 `json:"backoff_spins"`
-	BackoffYields uint64 `json:"backoff_yields"`
+	Attempts  uint64 `json:"attempts"`
+	Failures  uint64 `json:"failures"`
+	Successes uint64 `json:"successes"`
 }
 
 // HistogramStats summarize one latency histogram: observation count,
@@ -191,11 +187,9 @@ func (in *instruments) stats() Stats {
 		Right: endStats(sn.Ends[telemetry.Right]),
 		Ref:   RefStats{Incs: ref[telemetry.RefIncs], Decs: ref[telemetry.RefDecs], Frees: ref[telemetry.RefFrees]},
 		DCAS: DCASStats{
-			Attempts:      dc[telemetry.DCASAttempts],
-			Failures:      dc[telemetry.DCASFailures],
-			Successes:     dc[telemetry.DCASSuccesses],
-			BackoffSpins:  dc[telemetry.DCASBackoffSpins],
-			BackoffYields: dc[telemetry.DCASBackoffYields],
+			Attempts:  dc[telemetry.DCASAttempts],
+			Failures:  dc[telemetry.DCASFailures],
+			Successes: dc[telemetry.DCASSuccesses],
 		},
 	}
 	if l := sn.Latency; l != nil {
@@ -225,30 +219,4 @@ func (in *instruments) close() {
 	if in != nil && in.unregister != nil {
 		in.unregister()
 	}
-}
-
-// instrument wraps the DCAS provider a core will use so every attempt is
-// counted in the sink's DCAS lanes, and attaches the backoff policy's
-// spin/yield counters to the same sink.  It returns the provider to
-// install (never nil) and the backoff policy to install (nil stays nil:
-// backoff remains opt-in under telemetry).
-func (in *instruments) instrument(prov dcas.Provider, bo *dcas.BackoffPolicy) (dcas.Provider, *dcas.BackoffPolicy) {
-	if prov == nil {
-		prov = dcas.Default()
-	}
-	return in.sink.Instrument(prov), in.backoff(bo)
-}
-
-// backoff attaches a backoff policy's spin/yield counters to this
-// deque's sink.  It clones: the caller's policy may be shared across
-// deques, and this deque's spins must land in this deque's stats.
-// nil stays nil: backoff remains opt-in under telemetry.  nil-safe: with
-// telemetry disabled the policy is returned as is.
-func (in *instruments) backoff(bo *dcas.BackoffPolicy) *dcas.BackoffPolicy {
-	if in == nil || bo == nil {
-		return bo
-	}
-	b := *bo
-	b.Stats = in.sink.Backoff()
-	return &b
 }

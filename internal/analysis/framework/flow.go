@@ -188,22 +188,6 @@ func blockingCall(pass *Pass, call *ast.CallExpr) bool {
 	return false
 }
 
-// StmtFor returns the smallest statement in the function body that
-// contains pos, or nil.
-func (f *FuncFlow) StmtFor(pos token.Pos) ast.Stmt {
-	var best ast.Stmt
-	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
-		if n == nil || pos < n.Pos() || pos >= n.End() {
-			return n == f.Decl.Body // always descend from the root
-		}
-		if s, ok := n.(ast.Stmt); ok {
-			best = s
-		}
-		return true
-	})
-	return best
-}
-
 // StmtOnLine returns the smallest statement starting on the given line of
 // the given file, or nil.  Analyzers use it to resolve which statement a
 // standalone or end-of-line directive governs.

@@ -68,7 +68,6 @@ type Deque struct {
 	shift uint // log₂ cell stride in s: 0 packed, cellShift padded
 	s     []dcas.Loc
 
-	backoff      *dcas.BackoffPolicy
 	recheckIndex bool
 	strongDCAS   bool
 	tel          *telemetry.Sink
@@ -103,7 +102,6 @@ type Option func(*options)
 
 type options struct {
 	prov         dcas.Provider
-	backoff      *dcas.BackoffPolicy
 	recheckIndex bool
 	strongDCAS   bool
 	paddedCells  bool
@@ -132,14 +130,6 @@ func WithRecheckIndex(on bool) Option {
 // cell i±1.  It costs 8× the array storage.  Default off.
 func WithPaddedCells(on bool) Option {
 	return func(o *options) { o.paddedCells = on }
-}
-
-// WithBackoff installs a bounded-exponential-backoff policy applied after
-// every failed operation attempt (a DCAS that lost to a competitor, or an
-// index recheck that observed the end moving).  A nil policy — the default
-// — retries immediately.
-func WithBackoff(p *dcas.BackoffPolicy) Option {
-	return func(o *options) { o.backoff = p }
 }
 
 // WithTelemetry attaches a telemetry sink: every completed operation is
@@ -180,7 +170,6 @@ func New(n int, opts ...Option) *Deque {
 	d := &Deque{
 		prov:         o.prov,
 		n:            uint64(n),
-		backoff:      o.backoff,
 		recheckIndex: o.recheckIndex,
 		strongDCAS:   o.strongDCAS,
 		tel:          o.tel,
@@ -254,7 +243,6 @@ func (d *Deque) dec(i uint64) uint64 {
 // empty at the operation's linearization point.
 func (d *Deque) PopRight() (uint64, spec.Result) {
 	start := d.tstart()
-	bo := d.backoff.Start()
 	var retries, att uint64 // attempts lost; DCASes issued
 	for {
 		oldR := d.endLoad(&d.r) // line 3
@@ -330,7 +318,6 @@ func (d *Deque) PopRight() (uint64, spec.Result) {
 			}
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -342,7 +329,6 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 		panic("arraydeque: cannot push the distinguished null value")
 	}
 	start := d.tstart()
-	bo := d.backoff.Start()
 	var retries, att uint64 // attempts lost; DCASes issued
 	for {
 		oldR := d.endLoad(&d.r) // line 3
@@ -410,14 +396,12 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 			}
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
 // PopLeft implements Figure 30, the mirror image of PopRight.
 func (d *Deque) PopLeft() (uint64, spec.Result) {
 	start := d.tstart()
-	bo := d.backoff.Start()
 	var retries, att uint64 // attempts lost; DCASes issued
 	for {
 		oldL := d.endLoad(&d.l) // line 3
@@ -488,7 +472,6 @@ func (d *Deque) PopLeft() (uint64, spec.Result) {
 			}
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -499,7 +482,6 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 		panic("arraydeque: cannot push the distinguished null value")
 	}
 	start := d.tstart()
-	bo := d.backoff.Start()
 	var retries, att uint64 // attempts lost; DCASes issued
 	for {
 		oldL := d.endLoad(&d.l) // line 3
@@ -567,6 +549,5 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 			}
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }

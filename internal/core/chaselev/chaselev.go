@@ -124,10 +124,9 @@ func (r *ring) put(i int64, h uint64) { r.buf[i&r.mask].Store(h) }
 // CAS on top must never invalidate the line the owner's bottom cursor
 // lives on.
 type Deque struct {
-	tel     *telemetry.Sink
-	lat     bool // tel non-nil with latency enabled: stamp operations
-	backoff *dcas.BackoffPolicy
-	span    int64
+	tel  *telemetry.Sink
+	lat  bool // tel non-nil with latency enabled: stamp operations
+	span int64
 
 	_ dcas.CacheLinePad
 	//dequevet:contended top claim word (index+stamp), CAS target of every steal
@@ -150,7 +149,6 @@ type Option func(*options)
 
 type options struct {
 	tel     *telemetry.Sink
-	backoff *dcas.BackoffPolicy
 	ringLog uint
 	span    int64
 }
@@ -159,13 +157,6 @@ type options struct {
 // costs each operation one inlined nil check.
 func WithTelemetry(t *telemetry.Sink) Option {
 	return func(o *options) { o.tel = t }
-}
-
-// WithBackoff installs a bounded-exponential-backoff policy applied
-// after a failed CAS attempt.  A nil policy — the default — retries
-// immediately.
-func WithBackoff(p *dcas.BackoffPolicy) Option {
-	return func(o *options) { o.backoff = p }
 }
 
 // WithRingLog sets the initial ring to 1<<log cells (default 6, i.e.
@@ -193,13 +184,10 @@ func New(opts ...Option) *Deque {
 	for _, f := range opts {
 		f(&o)
 	}
-	d := &Deque{tel: o.tel, lat: o.tel != nil && o.tel.LatencyEnabled(), backoff: o.backoff, span: o.span}
+	d := &Deque{tel: o.tel, lat: o.tel != nil && o.tel.LatencyEnabled(), span: o.span}
 	d.array.Store(newRing(o.ringLog, nil))
 	return d
 }
-
-// Span reports the configured steal span.
-func (d *Deque) Span() int { return int(d.span) }
 
 // Grows reports the number of ring doublings so far.
 func (d *Deque) Grows() uint64 { return d.grows.Load() }
@@ -305,7 +293,6 @@ func (d *Deque) PushRight(h uint64) spec.Result {
 // generalized to a span-element guard zone).
 func (d *Deque) PopRight() (uint64, spec.Result) {
 	start := d.tstart()
-	bo := d.backoff.Start()
 	var retries uint64
 	b := d.bottom.Load() - 1
 	d.bottom.Store(b) //dequevet:publish recheck=top.Load announce the claim, then re-read the frontier
@@ -339,8 +326,7 @@ func (d *Deque) PopRight() (uint64, spec.Result) {
 			d.note(telemetry.Right, telemetry.Pops, retries, start)
 			return h, spec.Okay
 		}
-		retries++
-		bo.Wait() // a steal moved the frontier; re-read and re-decide
+		retries++ // a steal moved the frontier; re-read and re-decide
 	}
 }
 
@@ -352,7 +338,6 @@ func (d *Deque) PopRight() (uint64, spec.Result) {
 // fails the attempt cleanly.
 func (d *Deque) PopLeft() (uint64, spec.Result) {
 	start := d.tstart()
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		w := d.top.Load()
@@ -369,7 +354,6 @@ func (d *Deque) PopLeft() (uint64, spec.Result) {
 			return h, spec.Okay
 		}
 		retries++
-		bo.Wait()
 	}
 }
 
@@ -392,7 +376,6 @@ func (d *Deque) PopLeftMany(out []uint64) int {
 		return 0
 	}
 	start := d.tstart()
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		w := d.top.Load()
@@ -427,7 +410,6 @@ func (d *Deque) PopLeftMany(out []uint64) int {
 			return int(k)
 		}
 		retries++
-		bo.Wait()
 	}
 }
 

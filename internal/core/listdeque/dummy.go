@@ -40,9 +40,8 @@ type DummyDeque struct {
 	slPtr  tagptr.Word
 	srPtr  tagptr.Word
 
-	backoff *dcas.BackoffPolicy
-	tel     *telemetry.Sink
-	lat     bool // tel non-nil with latency enabled: stamp operations
+	tel *telemetry.Sink
+	lat bool // tel non-nil with latency enabled: stamp operations
 
 	// itemLimit caps live regular nodes; the arena is sized itemLimit +
 	// dummyHeadroom so that pops can always allocate their delete-bit
@@ -75,7 +74,7 @@ func NewDummy(opts ...Option) *DummyDeque {
 	if !ok1 || !ok2 {
 		panic("listdeque: sentinel allocation failed")
 	}
-	d := &DummyDeque{prov: o.prov, ar: ar, sl: sl, sr: sr, backoff: o.backoff, tel: o.tel,
+	d := &DummyDeque{prov: o.prov, ar: ar, sl: sl, sr: sr, tel: o.tel,
 		lat: o.tel != nil && o.tel.LatencyEnabled(), itemLimit: o.maxNodes}
 	d.slPtr = tagptr.Pack(sl, ar.Gen(sl), false)
 	d.srPtr = tagptr.Pack(sr, ar.Gen(sr), false)
@@ -164,7 +163,6 @@ func (d *DummyDeque) mkDummy(real tagptr.Word, right bool) (tagptr.Word, uint32,
 func (d *DummyDeque) PopRight() (uint64, spec.Result) {
 	start := d.tstart()
 	srL := &d.node(d.sr).l
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		raw := srL.Load()
@@ -209,7 +207,6 @@ func (d *DummyDeque) PopRight() (uint64, spec.Result) {
 			d.ar.Free(arena.Right, didx) // never published
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -232,7 +229,6 @@ func (d *DummyDeque) PushRight(v uint64) spec.Result {
 	n := d.node(idx)
 	dcas.AssignIDs(&n.l, &n.r, &n.val)
 	srL := &d.node(d.sr).l
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		raw := srL.Load()
@@ -248,7 +244,6 @@ func (d *DummyDeque) PushRight(v uint64) spec.Result {
 			return spec.Okay
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -309,7 +304,6 @@ func (d *DummyDeque) deleteRight() {
 func (d *DummyDeque) PopLeft() (uint64, spec.Result) {
 	start := d.tstart()
 	slR := &d.node(d.sl).r
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		raw := slR.Load()
@@ -346,7 +340,6 @@ func (d *DummyDeque) PopLeft() (uint64, spec.Result) {
 			d.ar.Free(arena.Left, didx)
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -369,7 +362,6 @@ func (d *DummyDeque) PushLeft(v uint64) spec.Result {
 	n := d.node(idx)
 	dcas.AssignIDs(&n.l, &n.r, &n.val)
 	slR := &d.node(d.sl).r
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		raw := slR.Load()
@@ -385,7 +377,6 @@ func (d *DummyDeque) PushLeft(v uint64) spec.Result {
 			return spec.Okay
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 

@@ -42,9 +42,8 @@ type LFRCDeque struct {
 	slPtr  tagptr.Word
 	srPtr  tagptr.Word
 
-	backoff *dcas.BackoffPolicy
-	tel     *telemetry.Sink
-	lat     bool // tel non-nil with latency enabled: stamp operations
+	tel *telemetry.Sink
+	lat bool // tel non-nil with latency enabled: stamp operations
 }
 
 // rcNode is a list node with a reference count.
@@ -74,7 +73,7 @@ func NewLFRC(opts ...Option) *LFRCDeque {
 	if !ok1 || !ok2 {
 		panic("listdeque: sentinel allocation failed")
 	}
-	d := &LFRCDeque{prov: o.prov, ar: ar, sl: sl, sr: sr, backoff: o.backoff, tel: o.tel,
+	d := &LFRCDeque{prov: o.prov, ar: ar, sl: sl, sr: sr, tel: o.tel,
 		lat: o.tel != nil && o.tel.LatencyEnabled()}
 	d.slPtr = tagptr.Pack(sl, ar.Gen(sl), false)
 	d.srPtr = tagptr.Pack(sr, ar.Gen(sr), false)
@@ -230,7 +229,6 @@ func (d *LFRCDeque) load(loc *dcas.Loc) tagptr.Word {
 func (d *LFRCDeque) PopRight() (uint64, spec.Result) {
 	start := d.tstart()
 	srL := &d.node(d.sr).l
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		oldL := d.load(srL) // counted local ref (unless sentinel)
@@ -266,7 +264,6 @@ func (d *LFRCDeque) PopRight() (uint64, spec.Result) {
 			}
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -292,7 +289,6 @@ func (d *LFRCDeque) PushRight(v uint64) spec.Result {
 	n.rc.Init(2)
 	nw := tagptr.Pack(idx, d.ar.Gen(idx), false)
 	srL := &d.node(d.sr).l
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		oldL := d.load(srL)
@@ -318,7 +314,6 @@ func (d *LFRCDeque) PushRight(v uint64) spec.Result {
 		// overwritten next iteration).
 		d.release(arena.Right, oldL)
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -406,7 +401,6 @@ func (d *LFRCDeque) severLink(l arena.Lane, link *dcas.Loc, target tagptr.Word, 
 func (d *LFRCDeque) PopLeft() (uint64, spec.Result) {
 	start := d.tstart()
 	slR := &d.node(d.sl).r
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		oldR := d.load(slR)
@@ -440,7 +434,6 @@ func (d *LFRCDeque) PopLeft() (uint64, spec.Result) {
 			}
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -460,7 +453,6 @@ func (d *LFRCDeque) PushLeft(v uint64) spec.Result {
 	n.rc.Init(2) // pre-charged for the splice's two shared refs; see PushRight
 	nw := tagptr.Pack(idx, d.ar.Gen(idx), false)
 	slR := &d.node(d.sl).r
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		oldR := d.load(slR)
@@ -480,7 +472,6 @@ func (d *LFRCDeque) PushLeft(v uint64) spec.Result {
 		}
 		d.release(arena.Left, oldR)
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 

@@ -75,7 +75,6 @@ type Deque struct {
 	slPtr  tagptr.Word
 	srPtr  tagptr.Word
 
-	backoff     *dcas.BackoffPolicy
 	eagerDelete bool
 	tel         *telemetry.Sink
 	lat         bool // tel non-nil with latency enabled: stamp operations
@@ -86,7 +85,6 @@ type Option func(*options)
 
 type options struct {
 	prov        dcas.Provider
-	backoff     *dcas.BackoffPolicy
 	maxNodes    int
 	reuse       bool
 	eagerDelete bool
@@ -113,16 +111,6 @@ func WithMaxNodes(n int) Option {
 // the reuse tags in pointer words for ABA protection.  Default true.
 func WithNodeReuse(on bool) Option {
 	return func(o *options) { o.reuse = on }
-}
-
-// WithBackoff installs a bounded-exponential-backoff policy applied after
-// every failed operation attempt (a DCAS that lost to a competitor).  The
-// helping paths — deleteRight/deleteLeft and the retries they force — never
-// back off: delaying a physical deletion delays every operation on that
-// side.  A nil policy — the default — retries immediately.  Shared by New,
-// NewDummy and NewLFRC.
-func WithBackoff(p *dcas.BackoffPolicy) Option {
-	return func(o *options) { o.backoff = p }
 }
 
 // WithTelemetry attaches a telemetry sink: every completed operation is
@@ -174,7 +162,6 @@ func New(opts ...Option) *Deque {
 		ar:          ar,
 		sl:          sl,
 		sr:          sr,
-		backoff:     o.backoff,
 		eagerDelete: o.eagerDelete,
 		tel:         o.tel,
 		lat:         o.tel != nil && o.tel.LatencyEnabled(),
@@ -235,7 +222,6 @@ func (d *Deque) count(end telemetry.End, c telemetry.Counter, n uint64) {
 func (d *Deque) PopRight() (uint64, spec.Result) {
 	start := d.tstart()
 	srL := &d.node(d.sr).l
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		oldL := srL.Load()   // line 3: oldL = SR->L
@@ -271,7 +257,6 @@ func (d *Deque) PopRight() (uint64, spec.Result) {
 			}
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -291,7 +276,6 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 	n := d.node(idx)
 	dcas.AssignIDs(&n.l, &n.r, &n.val)
 	srL := &d.node(d.sr).l
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		oldL := srL.Load()        // line 6
@@ -313,7 +297,6 @@ func (d *Deque) PushRight(v uint64) spec.Result {
 			return spec.Okay // line 18
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -367,7 +350,6 @@ func (d *Deque) deleteRight() {
 func (d *Deque) PopLeft() (uint64, spec.Result) {
 	start := d.tstart()
 	slR := &d.node(d.sl).r
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		oldR := slR.Load()
@@ -398,7 +380,6 @@ func (d *Deque) PopLeft() (uint64, spec.Result) {
 			}
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 
@@ -417,7 +398,6 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 	n := d.node(idx)
 	dcas.AssignIDs(&n.l, &n.r, &n.val)
 	slR := &d.node(d.sl).r
-	bo := d.backoff.Start()
 	var retries uint64
 	for {
 		oldR := slR.Load()
@@ -434,7 +414,6 @@ func (d *Deque) PushLeft(v uint64) spec.Result {
 			return spec.Okay
 		}
 		retries++
-		bo.Wait() // the attempt lost a race; back off before retrying
 	}
 }
 

@@ -5,78 +5,68 @@ import (
 	"sync/atomic"
 )
 
-// This file provides the contention-management engine shared by the
-// spinlock slow path and the deque algorithms' DCAS-retry loops: bounded
-// exponential backoff with jitter.
+// This file provides the contention management of the lock slow paths —
+// the spinlock's and EndLock's wait for a marked anchor: bounded
+// exponential backoff with jitter.  The deque algorithms' own retry
+// loops retry a lost DCAS at once, as the paper's pseudocode does.
 //
-// The paper's machine model treats a failed DCAS as free to retry; on real
-// cache-coherent hardware (and on the software emulation) an immediate
-// retry re-contends the very lines that just caused the failure.  The
-// standard remedy from the practical non-blocking literature (Sundell &
-// Tsigas's single-word-CAS deques, the ABP work-stealing line) is for each
-// processor to wait a randomized, exponentially growing, bounded interval
-// after a failed primitive before retrying.
+// A waiter that re-reads a held lock word in a tight loop keeps the
+// word's line bouncing between caches and, on a single-P schedule,
+// burns the time slice the holder needs.  The standard remedy from the
+// practical non-blocking literature (Sundell & Tsigas's single-word-CAS
+// deques, the ABP work-stealing line) is to wait a randomized,
+// exponentially growing, bounded interval before looking again.
 
-// BackoffPolicy configures the backoff behaviour.  A policy is immutable
-// after creation and may be shared by any number of goroutines; each
-// operation derives its own Backoff cursor from it with Start.
-//
-// A nil *BackoffPolicy is valid everywhere one is accepted and means
-// "no backoff": Start returns a cursor whose Wait is a no-op.
-type BackoffPolicy struct {
-	// MinSpins is the initial spin bound (iterations of a pause loop).
-	MinSpins uint32
-	// MaxSpins caps the exponentially growing spin bound.  Once the bound
-	// exceeds MaxSpins — or if MaxSpins is 0, from the first Wait — the
+// backoffPolicy configures the backoff behaviour.  A policy is
+// immutable after creation and may be shared by any number of
+// goroutines; each wait derives its own backoff cursor from it with
+// start.
+type backoffPolicy struct {
+	// minSpins is the initial spin bound (iterations of a pause loop).
+	minSpins uint32
+	// maxSpins caps the exponentially growing spin bound.  Once the bound
+	// exceeds maxSpins — or if maxSpins is 0, from the first wait — the
 	// waiter yields the processor (runtime.Gosched) instead of spinning.
-	// MaxSpins = 0 is the right setting for GOMAXPROCS=1, where spinning
-	// burns the time slice the lock holder or DCAS winner needs.
-	MaxSpins uint32
-	// Stats, when non-nil, accumulates backoff activity (BackoffSpins,
-	// BackoffYields) for the benchmark harness.
-	Stats *Stats
+	// maxSpins = 0 is the right setting for GOMAXPROCS=1, where spinning
+	// burns the time slice the lock holder needs.
+	maxSpins uint32
 }
 
-// DefaultBackoff returns the recommended policy for the current schedule:
-// spin briefly then yield on a multi-P schedule, yield immediately when
-// GOMAXPROCS is 1.
-func DefaultBackoff() *BackoffPolicy {
-	p := &BackoffPolicy{MinSpins: 8, MaxSpins: 1 << 9}
+// lockBackoff is the backoff policy for the lock slow paths.  It is
+// initialized once at startup: on a multi-P schedule waiters spin briefly
+// before yielding; with GOMAXPROCS=1 spinning can never observe a release
+// (the holder is not running), so waiters yield immediately.
+var lockBackoff = func() *backoffPolicy {
+	p := &backoffPolicy{minSpins: 16, maxSpins: 1 << 10}
 	if runtime.GOMAXPROCS(0) == 1 {
-		p.MaxSpins = 0
+		p.maxSpins = 0
 	}
 	return p
-}
+}()
 
 // backoffSeed perturbs each cursor's jitter stream so concurrent
 // goroutines do not back off in lockstep (which would make them re-collide
 // on retry — the exact pathology jitter exists to break).
 var backoffSeed atomic.Uint64
 
-// Backoff is one operation's backoff cursor: the current bound and jitter
-// state.  It lives on the operation's stack, so the backoff is
-// per-goroutine by construction, as the contention-management literature
-// prescribes.  The zero value (or one started from a nil policy) never
-// waits.
-type Backoff struct {
-	pol *BackoffPolicy
-	cur uint32 // current spin bound; doubles per Wait up to pol.MaxSpins
+// backoff is one wait's cursor: the current bound and jitter state.  It
+// lives on the waiter's stack, so the backoff is per-goroutine by
+// construction, as the contention-management literature prescribes.
+type backoff struct {
+	pol *backoffPolicy
+	cur uint32 // current spin bound; doubles per wait up to pol.maxSpins
 	rng uint64 // xorshift64 jitter state, never zero once started
 }
 
-// Start derives a fresh cursor.  It is valid on a nil policy.  Start does
-// no atomic work: deque operations derive a cursor unconditionally, and the
-// jitter stream is only seeded (one shared-counter increment) on the first
-// Wait that actually spins.
-func (p *BackoffPolicy) Start() Backoff {
-	if p == nil {
-		return Backoff{}
-	}
-	return Backoff{pol: p, cur: p.MinSpins}
+// start derives a fresh cursor.  It does no atomic work: the jitter
+// stream is only seeded (one shared-counter increment) on the first wait
+// that actually spins.
+func (p *backoffPolicy) start() backoff {
+	return backoff{pol: p, cur: p.minSpins}
 }
 
 // nextRand steps the xorshift64 jitter generator, seeding it on first use.
-func (b *Backoff) nextRand() uint64 {
+func (b *backoff) nextRand() uint64 {
 	x := b.rng
 	if x == 0 {
 		x = backoffSeed.Add(0x9e3779b97f4a7c15) // golden-ratio increments
@@ -93,38 +83,21 @@ func (b *Backoff) nextRand() uint64 {
 	return x
 }
 
-// Wait blocks the caller for the cursor's current backoff interval and
+// wait blocks the caller for the cursor's current backoff interval and
 // advances the bound: a jittered spin of [cur/2, cur] pause iterations
-// while the bound is within MaxSpins, a scheduler yield beyond it.  On a
-// cursor with no policy it returns immediately.
-func (b *Backoff) Wait() {
-	p := b.pol
-	if p == nil {
-		return
-	}
-	if n := b.cur; n > 0 && n <= p.MaxSpins {
+// while the bound is within maxSpins, a scheduler yield beyond it.  It
+// reports the pause iterations it spun, 0 for a yield.
+func (b *backoff) wait() uint32 {
+	if n := b.cur; n > 0 && n <= b.pol.maxSpins {
 		spins := n/2 + uint32(b.nextRand())%(n-n/2+1) // jitter: [n/2, n]
 		for i := uint32(0); i < spins; i++ {
 			cpuRelax()
 		}
 		b.cur = n * 2
-		if p.Stats != nil {
-			p.Stats.BackoffSpins.Add(uint64(spins))
-		}
-		return
+		return spins
 	}
 	runtime.Gosched()
-	if p.Stats != nil {
-		p.Stats.BackoffYields.Add(1)
-	}
-}
-
-// Reset returns the cursor to its initial bound.  Called after a
-// successful operation so the next contention episode starts cheap.
-func (b *Backoff) Reset() {
-	if b.pol != nil {
-		b.cur = b.pol.MinSpins
-	}
+	return 0
 }
 
 // cpuRelax is one iteration of the pause loop.  Go exposes no PAUSE/YIELD

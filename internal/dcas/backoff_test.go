@@ -5,65 +5,42 @@ import (
 	"testing"
 )
 
-// TestBackoffNilPolicyIsNoop checks that the disabled form (nil policy,
-// zero cursor) never waits and never touches stats.
-func TestBackoffNilPolicyIsNoop(t *testing.T) {
-	var p *BackoffPolicy
-	bo := p.Start()
-	for i := 0; i < 100; i++ {
-		bo.Wait()
-	}
-	bo.Reset()
-	var zero Backoff
-	zero.Wait() // must not panic
-}
-
 // TestBackoffBoundDoubling checks the exponential growth and the bound:
-// the spin budget doubles per Wait starting at MinSpins and, once past
-// MaxSpins, every further Wait yields instead of spinning.
+// the spin budget doubles per wait starting at minSpins and, once past
+// maxSpins, every further wait yields instead of spinning.
 func TestBackoffBoundDoubling(t *testing.T) {
-	var st Stats
-	p := &BackoffPolicy{MinSpins: 4, MaxSpins: 64, Stats: &st}
-	bo := p.Start()
+	p := &backoffPolicy{minSpins: 4, maxSpins: 64}
+	bo := p.start()
 
 	wantCur := []uint32{4, 8, 16, 32, 64, 128, 128, 128}
 	for i, want := range wantCur {
 		if bo.cur != want {
 			t.Fatalf("wait %d: cur = %d, want %d", i, bo.cur, want)
 		}
-		bo.Wait()
+		spun := bo.wait()
+		if past := want > p.maxSpins; past != (spun == 0) {
+			t.Fatalf("wait %d at bound %d spun %d iterations", i, want, spun)
+		}
 	}
-	// cur is now pinned above MaxSpins: all subsequent waits must be
+	// cur is now pinned above maxSpins: all subsequent waits must be
 	// yields, not spins.
-	spinsBefore := st.BackoffSpins.Load()
-	yieldsBefore := st.BackoffYields.Load()
 	for i := 0; i < 10; i++ {
-		bo.Wait()
+		if spun := bo.wait(); spun != 0 {
+			t.Fatalf("spun %d iterations past the bound", spun)
+		}
 	}
-	if got := st.BackoffSpins.Load(); got != spinsBefore {
-		t.Fatalf("spins grew past the bound: %d -> %d", spinsBefore, got)
-	}
-	if got := st.BackoffYields.Load(); got != yieldsBefore+10 {
-		t.Fatalf("yields = %d, want %d", got, yieldsBefore+10)
-	}
-
-	bo.Reset()
-	if bo.cur != p.MinSpins {
-		t.Fatalf("after Reset: cur = %d, want %d", bo.cur, p.MinSpins)
+	if bo.cur != 128 {
+		t.Fatalf("yields moved the bound: cur = %d, want 128", bo.cur)
 	}
 }
 
 // TestBackoffSpinAccounting checks that the per-wait spin count lands in
 // the jitter window [cur/2, cur].
 func TestBackoffSpinAccounting(t *testing.T) {
-	var st Stats
-	p := &BackoffPolicy{MinSpins: 32, MaxSpins: 32, Stats: &st}
+	p := &backoffPolicy{minSpins: 32, maxSpins: 32}
 	for trial := 0; trial < 50; trial++ {
-		bo := p.Start()
-		before := st.BackoffSpins.Load()
-		bo.Wait()
-		spun := st.BackoffSpins.Load() - before
-		if spun < 16 || spun > 32 {
+		bo := p.start()
+		if spun := bo.wait(); spun < 16 || spun > 32 {
 			t.Fatalf("trial %d: spun %d iterations, want within [16, 32]", trial, spun)
 		}
 	}
@@ -72,10 +49,10 @@ func TestBackoffSpinAccounting(t *testing.T) {
 // TestBackoffJitterVaries checks that independent cursors do not produce
 // one identical spin sequence (the lockstep pathology jitter must break).
 func TestBackoffJitterVaries(t *testing.T) {
-	p := &BackoffPolicy{MinSpins: 1 << 20, MaxSpins: 1 << 20}
+	p := &backoffPolicy{minSpins: 1 << 20, maxSpins: 1 << 20}
 	seen := map[uint64]bool{}
 	for i := 0; i < 32; i++ {
-		bo := p.Start()
+		bo := p.start()
 		seen[bo.nextRand()] = true
 	}
 	if len(seen) < 2 {
@@ -83,31 +60,28 @@ func TestBackoffJitterVaries(t *testing.T) {
 	}
 }
 
-// TestBackoffYieldOnlyPolicy checks the MaxSpins=0 configuration used on
+// TestBackoffYieldOnlyPolicy checks the maxSpins=0 configuration used on
 // single-P schedules: every wait is a yield from the start.
 func TestBackoffYieldOnlyPolicy(t *testing.T) {
-	var st Stats
-	p := &BackoffPolicy{MinSpins: 8, MaxSpins: 0, Stats: &st}
-	bo := p.Start()
+	p := &backoffPolicy{minSpins: 8, maxSpins: 0}
+	bo := p.start()
 	for i := 0; i < 5; i++ {
-		bo.Wait()
+		if spun := bo.wait(); spun != 0 {
+			t.Fatalf("wait %d: yield-only policy spun %d iterations", i, spun)
+		}
 	}
-	if st.BackoffSpins.Load() != 0 {
-		t.Fatalf("yield-only policy spun %d times", st.BackoffSpins.Load())
-	}
-	if st.BackoffYields.Load() != 5 {
-		t.Fatalf("yields = %d, want 5", st.BackoffYields.Load())
+	if bo.cur != p.minSpins {
+		t.Fatalf("yields moved the bound: cur = %d, want %d", bo.cur, p.minSpins)
 	}
 }
 
-// TestDefaultBackoffIsUsable smoke-tests the adaptive constructor.
+// TestDefaultBackoffIsUsable smoke-tests the lock slow paths' adaptive
+// policy.
 func TestDefaultBackoffIsUsable(t *testing.T) {
-	p := DefaultBackoff()
-	bo := p.Start()
+	bo := lockBackoff.start()
 	for i := 0; i < 10; i++ {
-		bo.Wait()
+		bo.wait()
 	}
-	bo.Reset()
 }
 
 // TestSpinLockMutualExclusion hammers one spinlock from many goroutines

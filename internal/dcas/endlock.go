@@ -61,11 +61,7 @@ package dcas
 // view's contract above and deadlock freedom while a mark is held.
 //
 // The zero value is ready to use; the provider itself is stateless.
-type EndLock struct {
-	// Backoff, when non-nil, replaces the package default policy used
-	// while waiting for a marked anchor.
-	Backoff *BackoffPolicy
-}
+type EndLock struct{}
 
 // EndLockBit is the in-word lock mark EndLock sets on a1 while a DCAS is
 // in flight.  Anchor values must never use this bit: the word is a
@@ -88,11 +84,7 @@ func (p *EndLock) mark(a1 *Loc, o1 uint64) (uint64, bool) {
 //dequevet:lockpath-transfers a1.v
 //go:noinline
 func (p *EndLock) markSlow(a1 *Loc, o1 uint64) (uint64, bool) {
-	pol := p.Backoff
-	if pol == nil {
-		pol = lockBackoff
-	}
-	bo := pol.Start()
+	bo := lockBackoff.start()
 	for {
 		cur := a1.v.Load()
 		if cur&^EndLockBit != o1 {
@@ -102,7 +94,7 @@ func (p *EndLock) markSlow(a1 *Loc, o1 uint64) (uint64, bool) {
 		}
 		// Marked by an in-flight DCAS that read the same anchor value:
 		// wait for it to commit or restore, then re-attempt.
-		bo.Wait()
+		bo.wait()
 		if a1.v.CompareAndSwap(o1, o1|EndLockBit) {
 			return o1, true
 		}

@@ -1,9 +1,6 @@
 package dcas
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // spinLock is a word-sized test-and-test-and-set (TATAS) lock.  It
 // replaces sync.Mutex as the per-location lock of the DCAS emulation: a
@@ -52,17 +49,17 @@ func (s *spinLock) Lock(k uint64) {
 //
 //go:noinline
 func (s *spinLock) lockSlow(k uint64) {
-	bo := lockBackoff.Start()
+	bo := lockBackoff.start()
 	for {
 		// Test loop: wait for the word to read unlocked before attempting
 		// another CAS.
 		for s.state.Load()&lockedBit != 0 {
-			bo.Wait()
+			bo.wait()
 		}
 		if s.state.CompareAndSwap(k&^lockedBit, k|lockedBit) {
 			return
 		}
-		bo.Wait()
+		bo.wait()
 	}
 }
 
@@ -88,15 +85,3 @@ func (s *spinLock) setID(id uint64) uint64 {
 	}
 	return s.state.Load()
 }
-
-// lockBackoff is the backoff policy for the lock slow path.  It is
-// initialized once at startup: on a multi-P schedule waiters spin briefly
-// before yielding; with GOMAXPROCS=1 spinning can never observe a release
-// (the holder is not running), so waiters yield immediately.
-var lockBackoff = func() *BackoffPolicy {
-	p := &BackoffPolicy{MinSpins: 16, MaxSpins: 1 << 10}
-	if runtime.GOMAXPROCS(0) == 1 {
-		p.MaxSpins = 0
-	}
-	return p
-}()

@@ -19,8 +19,7 @@ func dcasCounts(s *telemetry.Sink) (attempts, failures, successes uint64) {
 	return c[telemetry.DCASAttempts], c[telemetry.DCASFailures], c[telemetry.DCASSuccesses]
 }
 
-// TestStatsSnapshot: the aggregate counts are summed from the lanes, and
-// the backoff counters are read from the sink's backoff Stats.
+// TestStatsSnapshot: the aggregate counts are summed from the lanes.
 func TestStatsSnapshot(t *testing.T) {
 	var a, b dcas.Loc
 	a.Init(1)
@@ -33,10 +32,8 @@ func TestStatsSnapshot(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p.DCAS(&a, &b, 0, 0, 9, 9) // failure
 	}
-	s.Backoff().BackoffSpins.Add(40)
-	s.Backoff().BackoffYields.Add(2)
 	got := s.Snapshot().DCAS
-	want := telemetry.Counts{10, 3, 7, 40, 2}
+	want := telemetry.Counts{10, 3, 7}
 	if got != want {
 		t.Fatalf("DCAS counts = %v, want %v (named %q)", got, want, telemetry.DCASNames)
 	}
@@ -221,9 +218,8 @@ func TestAttrStatsLanes(t *testing.T) {
 // in.  They are rows of the telemetry sink's DCAS bank, unexported
 // there, so reflect reads their offsets: lane 0 starts a false-sharing
 // range into the bank, clear of whatever the allocator places before
-// it; each lane fills whole ranges, so adjacent lanes' counter blocks
-// start a range apart; and the backoff counters start a range past the
-// last lane.
+// it; and each lane fills whole ranges, so adjacent lanes' counter
+// blocks start a range apart.
 func TestAttrLaneLayout(t *testing.T) {
 	field := func(st reflect.Type, name string) reflect.StructField {
 		t.Helper()
@@ -244,9 +240,5 @@ func TestAttrLaneLayout(t *testing.T) {
 	}
 	if used := field(lane, "c").Type.Size(); used > lane.Size() {
 		t.Fatalf("lane counters (%d bytes) overrun the lane (%d bytes)", used, lane.Size())
-	}
-	last := lanes.Offset + uintptr(lanes.Type.Len()-1)*lane.Size()
-	if gap := field(bank, "backoff").Offset - last; gap < dcas.FalseSharingRange {
-		t.Fatalf("backoff counters start %d bytes after the last lane, want ≥ %d", gap, dcas.FalseSharingRange)
 	}
 }

@@ -13,9 +13,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/exposition.golden from the current renderer")
 
 // goldenDCAS runs attempts DCASes through the sink's instrumented
-// provider on a fresh location pair, the last failures of them failing,
-// and charges the backoff counters.
-func goldenDCAS(s *Sink, attempts, failures int, spins, yields uint64) {
+// provider on a fresh location pair, the last failures of them failing.
+func goldenDCAS(s *Sink, attempts, failures int) {
 	var a, b dcas.Loc
 	dcas.AssignIDs(&a, &b)
 	p := s.Instrument(dcas.Default())
@@ -26,8 +25,6 @@ func goldenDCAS(s *Sink, attempts, failures int, spins, yields uint64) {
 			p.DCAS(&a, &b, 1, 1, 2, 2)
 		}
 	}
-	s.Backoff().BackoffSpins.Add(spins)
-	s.Backoff().BackoffYields.Add(yields)
 }
 
 // goldenLatency records fixed durations into a sink's latency histograms
@@ -74,7 +71,7 @@ func TestExpositionGolden(t *testing.T) {
 	goldenLatency(arr, Left, 0, 90, 110, 250, 3000)
 	goldenLatency(arr, Right, 2, 700, 1900)
 	goldenLatency(arr, Right, 0, 40)
-	goldenDCAS(arr, 9, 3, 17, 2)
+	goldenDCAS(arr, 9, 3)
 	Register("golden_array", arr, func() MemSnapshot {
 		return MemSnapshot{Slots: goldenOccupancy(12, 8, 4)}
 	})
@@ -91,7 +88,7 @@ func TestExpositionGolden(t *testing.T) {
 	lst.RefDec()
 	lst.RefDec()
 	lst.RefFree()
-	goldenDCAS(lst, 6, 1, 0, 0)
+	goldenDCAS(lst, 6, 1)
 	nodes, lfrc := goldenOccupancy(30, 27, 3), goldenOccupancy(5, 4, 1)
 	Register("golden_lfrc", lst, func() MemSnapshot {
 		return MemSnapshot{Slots: goldenOccupancy(2, 1, 1), Nodes: &nodes, Lfrc: &lfrc}

@@ -9,7 +9,7 @@ package telemetry
 //
 //   - op: the duration of every completed operation, entry to return —
 //     the end-to-end latency a caller observes, including the DCAS
-//     emulation and any backoff waits.
+//     emulation and every retry.
 //   - spin: the duration of completed operations that lost at least one
 //     race (retries > 0).  Isolating the contended subpopulation is
 //     what makes a retry storm legible as a latency number: the spin

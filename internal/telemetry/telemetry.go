@@ -149,18 +149,15 @@ const (
 var RefNames = []string{"incs", "decs", "frees"}
 
 // The DCAS columns.  A lane row holds attempts and failures; a
-// snapshot's DCAS counts add the derived successes and the backoff
-// policy's spins and yields.
+// snapshot's DCAS counts add the derived successes.
 const (
 	DCASAttempts = iota
 	DCASFailures
 	DCASSuccesses
-	DCASBackoffSpins
-	DCASBackoffYields
 )
 
 // DCASNames names the DCAS snapshot counters.
-var DCASNames = []string{"attempts", "failures", "successes", "backoff_spins", "backoff_yields"}
+var DCASNames = []string{"attempts", "failures", "successes"}
 
 // DCASLanes is the number of DCAS lanes, a power of two.  Four separates
 // the anchors of every backend: the array deque's end words get
@@ -196,17 +193,13 @@ func (sh *shard) end(e End) *row {
 	return &sh.right
 }
 
-// dcasBank is a sink's DCAS lanes and the backoff counters.  The leading
-// pad keeps lane 0's counters a false-sharing range away from whatever
-// the allocator places before the bank (without it,
-// BenchmarkPublicAPI/Array[int]/ends2/lat ran ~35% slower on a 2-vCPU
-// Xeon).  The backoff
-// counters are written only after a lost race, so they sit behind the
-// last lane's padding.
+// dcasBank is a sink's DCAS lanes.  The leading pad keeps lane 0's
+// counters a false-sharing range away from whatever the allocator places
+// before the bank (without it, BenchmarkPublicAPI/Array[int]/ends2/lat
+// ran ~35% slower on a 2-vCPU Xeon).
 type dcasBank struct {
-	_       dcas.CacheLinePad
-	lanes   [DCASLanes]row
-	backoff dcas.Stats
+	_     dcas.CacheLinePad
+	lanes [DCASLanes]row
 }
 
 // Sink accumulates one deque's telemetry.  All methods are safe for
@@ -285,10 +278,6 @@ func (s *Sink) Instrument(p dcas.Provider) dcas.Provider {
 	return &counted{p: p, b: s.dcas}
 }
 
-// Backoff returns the counters a BackoffPolicy charges its spins and
-// yields to, reported with the sink's DCAS counts.
-func (s *Sink) Backoff() *dcas.Stats { return &s.dcas.backoff }
-
 type counted struct {
 	p dcas.Provider
 	b *dcasBank
@@ -323,8 +312,8 @@ type Snapshot struct {
 	Ref Counts
 	// Lanes holds each DCAS lane's attempts and failures.
 	Lanes [DCASLanes]Counts
-	// DCAS sums the lanes and adds the derived successes and the backoff
-	// counters, named by DCASNames.
+	// DCAS sums the lanes and adds the derived successes, named by
+	// DCASNames.
 	DCAS Counts
 	// Latency carries the duration histograms; nil unless the sink was
 	// built with EnableLatency.
@@ -350,8 +339,6 @@ func (s *Sink) Snapshot() Snapshot {
 	if a, f := sn.DCAS[DCASAttempts], sn.DCAS[DCASFailures]; f <= a {
 		sn.DCAS[DCASSuccesses] = a - f
 	}
-	sn.DCAS[DCASBackoffSpins] = s.dcas.backoff.BackoffSpins.Load()
-	sn.DCAS[DCASBackoffYields] = s.dcas.backoff.BackoffYields.Load()
 	sn.Latency = s.latencySnapshot()
 	return sn
 }

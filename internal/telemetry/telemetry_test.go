@@ -139,7 +139,7 @@ func TestCounterAndEndNames(t *testing.T) {
 		{"end", EndNames, NumEnds},
 		{"counter", CounterNames, int(NumCounters)},
 		{"ref", RefNames, RefFrees + 1},
-		{"dcas", DCASNames, DCASBackoffYields + 1},
+		{"dcas", DCASNames, DCASSuccesses + 1},
 		{"sched", SchedCounterNames, int(NumSchedCounters)},
 		{"serve", ServeCounterNames, int(NumServeCounters)},
 	} {

@@ -21,7 +21,7 @@ import (
 
 // labeled runs f on the current goroutine under pprof labels identifying
 // the workload kind and worker index, so CPU and goroutine profiles of a
-// run can be sliced per worker ("which worker burned the backoff time?")
+// run can be sliced per worker ("which worker burned the retry time?")
 // without any change to the profiled code.
 func labeled(kind string, w int, f func()) {
 	pprof.Do(context.Background(), pprof.Labels(

@@ -121,7 +121,7 @@ func WithDeques(mk func(id int) deque.Deque[Task]) Option {
 }
 
 // WithArrayDeques selects bounded array deques (Section 3) for the
-// workers, forwarding dopts (e.g. deque.WithBackoff).  This is the
+// workers, forwarding dopts (e.g. deque.WithTelemetry).  This is the
 // default, with capacity WithDequeCapacity.
 func WithArrayDeques(dopts ...deque.Option) Option {
 	return func(c *config) {

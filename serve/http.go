@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"dcasdeque/internal/metrics"
@@ -49,7 +48,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	if !s.admit() {
 		s.sink.Inc(t.idx, telemetry.ServeRejectedDrain)
-		s.reject(w, http.StatusServiceUnavailable, "draining")
+		reject(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	p := &pending{job: job, t: t, enqNs: metrics.Nanotime(), done: make(chan result, 1)}
@@ -59,7 +58,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// ingress count so a rejected request leaves nothing to drain.
 		s.unadmit()
 		s.sink.Inc(t.idx, telemetry.ServeRejectedBusy)
-		s.reject(w, http.StatusTooManyRequests, "tenant queue full")
+		reject(w, http.StatusTooManyRequests, "tenant queue full")
 		return
 	}
 	s.sink.Inc(t.idx, telemetry.ServeAccepted)
@@ -79,7 +78,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// refusing outside that order.  The client is answered, never
 			// stranded.
 			s.sink.Inc(t.idx, telemetry.ServeAbandoned)
-			s.reject(w, http.StatusServiceUnavailable, "scheduler shut down")
+			reject(w, http.StatusServiceUnavailable, "scheduler shut down")
 			return
 		}
 		s.sink.Stage(telemetry.StageRun, uint64(res.runNs))
@@ -101,7 +100,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// itself still runs exactly once on the background drain; its
 		// result send lands in the buffered channel and is dropped.
 		s.sink.Inc(t.idx, telemetry.ServeAbandoned)
-		s.reject(w, http.StatusServiceUnavailable, "drain deadline exceeded")
+		reject(w, http.StatusServiceUnavailable, "drain deadline exceeded")
 	case <-r.Context().Done():
 		// Client went away; same accounting — the job is not lost, its
 		// response is.
@@ -109,12 +108,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// retryAfter is the Retry-After hint, in whole seconds, attached to 429
+// and 503 responses.
+const retryAfter = "1"
+
 // reject writes a backpressure response with the Retry-After hint.
-func (s *Server) reject(w http.ResponseWriter, code int, msg string) {
-	secs := int((s.cfg.retryAfter + 999_999_999) / 1_000_000_000)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", fmt.Sprint(secs))
+func reject(w http.ResponseWriter, code int, msg string) {
+	w.Header().Set("Retry-After", retryAfter)
 	http.Error(w, msg, code)
 }

@@ -41,7 +41,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dcasdeque/deque"
 	"dcasdeque/internal/metrics"
@@ -67,18 +66,16 @@ type TenantConfig struct {
 type Option func(*config)
 
 type config struct {
-	name       string
-	tenants    []TenantConfig
-	schedOpts  []sched.Option
-	queueCap   int
-	retryAfter time.Duration
+	name      string
+	tenants   []TenantConfig
+	schedOpts []sched.Option
+	queueCap  int
 }
 
 func defaultConfig() config {
 	return config{
-		tenants:    []TenantConfig{{Name: "default", Weight: 1}},
-		queueCap:   1024,
-		retryAfter: time.Second,
+		tenants:  []TenantConfig{{Name: "default", Weight: 1}},
+		queueCap: 1024,
 	}
 }
 
@@ -114,13 +111,6 @@ func WithSchedOptions(opts ...sched.Option) Option {
 // server="name" series at /metrics).
 func WithName(name string) Option {
 	return func(c *config) { c.name = name }
-}
-
-// WithRetryAfter sets the Retry-After hint attached to 429 and 503
-// responses (default 1s), rounded up to whole seconds as the header
-// requires.
-func WithRetryAfter(d time.Duration) Option {
-	return func(c *config) { c.retryAfter = d }
 }
 
 // ingress-word layout: sched's life word applied to admission.  The

@@ -140,8 +140,8 @@ func TestSaturationReturns429WithRetryAfter(t *testing.T) {
 			rr := post(s, "", `{"kind":"echo","data":"x"}`)
 			if rr.Code == http.StatusTooManyRequests {
 				got429.Add(1)
-				if ra := rr.Header().Get("Retry-After"); ra == "" {
-					t.Error("429 missing Retry-After")
+				if ra := rr.Header().Get("Retry-After"); ra != "1" {
+					t.Errorf("429 Retry-After = %q, want \"1\"", ra)
 				}
 			}
 		}()
@@ -186,8 +186,8 @@ func TestDrainWindowReturns503(t *testing.T) {
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", rr.Code)
 	}
-	if rr.Header().Get("Retry-After") == "" {
-		t.Fatal("503 missing Retry-After")
+	if ra := rr.Header().Get("Retry-After"); ra != "1" {
+		t.Fatalf("503 Retry-After = %q, want \"1\"", ra)
 	}
 	st := mustConserve(t, s)
 	if st.Total.RejectedDrain != 1 {

@@ -63,10 +63,16 @@ func hammer(t *testing.T, d Deque[int]) {
 	}
 }
 
-// TestEngineeredOptions pins the DCAS emulation the public list deques
-// run on, through the public constructor under concurrent load.  The
-// array deque's EndLock default is exercised by TestConcurrentConservation.
+// TestEngineeredOptions exercises the contention-engineered
+// configurations — the array deque's default EndLock DCAS and the list
+// deques' TwoLock — through the public constructors under concurrent
+// load.  The *Backoff cells once added retry backoff; the deques now
+// retry a lost DCAS at once, as the paper does, and the cells keep their
+// names with the option dropped.
 func TestEngineeredOptions(t *testing.T) {
+	t.Run("ArrayEndLockBackoff", func(t *testing.T) {
+		hammer(t, NewArray[int](64))
+	})
 	t.Run("ListEndLockFallsBackToTwoLock", func(t *testing.T) {
 		// List deques cannot satisfy EndLock's anchored-pair contract;
 		// they stay on the default per-location TwoLock.
@@ -74,5 +80,14 @@ func TestEngineeredOptions(t *testing.T) {
 			t.Fatalf("default provider is %T, want *dcas.TwoLock", dcas.Default())
 		}
 		hammer(t, NewList[int]())
+	})
+	t.Run("ArrayExplicitBackoff", func(t *testing.T) {
+		hammer(t, NewArray[int](64))
+	})
+	t.Run("ListDummyBackoff", func(t *testing.T) {
+		hammer(t, NewList[int](WithDummyNodes()))
+	})
+	t.Run("ListLFRCBackoff", func(t *testing.T) {
+		hammer(t, NewList[int](WithLFRC()))
 	})
 }

@@ -101,16 +101,21 @@ func TestListDequeLinearizable(t *testing.T) {
 }
 
 // TestEngineeredSubstrateLinearizable stress-checks the contention-
-// engineered array configurations: the anchored EndLock DCAS emulation
-// (the array default, also named explicitly) and padded cells.  EndLock
-// locks an end by marking its own word and padding moves every cell onto
-// its own false-sharing range, so these schedules interleave differently
-// from the defaults the other tests cover; the lock-pair emulation is
-// TestArrayDequeLinearizable's twolock cell.
+// engineered configurations: the anchored EndLock DCAS emulation (the
+// array default, also named explicitly), TwoLock and padded cells on the
+// array, and the list deques on their default TwoLock.  EndLock locks an
+// end by marking its own word and padding moves every cell onto its own
+// false-sharing range, so these schedules interleave differently from the
+// defaults the other tests cover.  The -backoff cells once added retry
+// backoff; the cores now retry a lost DCAS at once, as the paper does,
+// and the cells keep their names and seeds with the option dropped.
 func TestEngineeredSubstrateLinearizable(t *testing.T) {
 	arrayCases := map[string][]arraydeque.Option{
-		"endlock": {arraydeque.WithProvider(new(dcas.EndLock))},
-		"padded":  {arraydeque.WithPaddedCells(true)},
+		"backoff":         nil,
+		"endlock":         {arraydeque.WithProvider(new(dcas.EndLock))},
+		"endlock-backoff": {arraydeque.WithProvider(new(dcas.EndLock))},
+		"padded":          {arraydeque.WithPaddedCells(true)},
+		"twolock-backoff": {arraydeque.WithProvider(new(dcas.TwoLock))},
 	}
 	for name, opts := range arrayCases {
 		t.Run("array-"+name, func(t *testing.T) {
@@ -122,6 +127,45 @@ func TestEngineeredSubstrateLinearizable(t *testing.T) {
 				Capacity:     3,
 				Items:        d.Items,
 				Seed:         11,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	listCases := map[string]struct {
+		d     Deque
+		items func() ([]uint64, error)
+	}{}
+	{
+		d := listdeque.New()
+		listCases["bit-backoff"] = struct {
+			d     Deque
+			items func() ([]uint64, error)
+		}{d, d.Items}
+	}
+	{
+		d := listdeque.NewDummy()
+		listCases["dummy-backoff"] = struct {
+			d     Deque
+			items func() ([]uint64, error)
+		}{d, d.Items}
+	}
+	{
+		d := listdeque.NewLFRC()
+		listCases["lfrc-backoff"] = struct {
+			d     Deque
+			items func() ([]uint64, error)
+		}{d, d.Items}
+	}
+	for name, tgt := range listCases {
+		t.Run("list-"+name, func(t *testing.T) {
+			if _, err := Run(tgt.d, Config{
+				Threads:      3,
+				OpsPerThread: 4,
+				Windows:      150,
+				Capacity:     spec.Unbounded,
+				Items:        tgt.items,
+				Seed:         13,
 			}); err != nil {
 				t.Fatal(err)
 			}

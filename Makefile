@@ -28,14 +28,17 @@ vet-fixtures:
 
 # Every test at one and two processors, the scheduler's, the arena's,
 # the deques', the array and Chase–Lev cores', the telemetry rows', the
-# DCAS lanes' and the server's tests race-instrumented at both (the CI steps of the
-# same names), then one iteration of every benchmark family in bench_test.go
-# so none of them rots, then perfbench (its own module, which ./... does
-# not reach) vetted and tested against this checkout's API.
+# operation stamp's, the DCAS lanes' and the server's tests race-instrumented
+# at both (the CI steps of the same names), then an arm64 vet and build so
+# the stamp's non-amd64 fallback keeps compiling, then one iteration of
+# every benchmark family in bench_test.go so none of them rots, then
+# perfbench (its own module, which ./... does not reach) vetted and tested
+# against this checkout's API.
 test:
 	$(GO) test -cpu 1,2 ./...
 	$(GO) test -race -cpu 1,2 ./sched/...
-	$(GO) test -race -cpu 1,2 ./internal/arena/... ./deque/... ./internal/core/arraydeque/... ./internal/core/chaselev/... ./internal/telemetry/... ./internal/dcas/... ./serve/...
+	$(GO) test -race -cpu 1,2 ./internal/arena/... ./deque/... ./internal/core/arraydeque/... ./internal/core/chaselev/... ./internal/telemetry/... ./internal/metrics/... ./internal/dcas/... ./serve/...
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu 1,2 .
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 

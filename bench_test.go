@@ -567,7 +567,7 @@ func BenchmarkPublicAPI(b *testing.B) {
 		}
 	})
 	// Latency-enabled twins: the same loop with WithLatency, pricing the
-	// enabled path (two clock reads + histogram records per operation) for
+	// enabled path (two operation stamps + histogram records per operation) for
 	// the benchguard head gate.  The budget is documented in EXPERIMENTS.md
 	// (LATOBS); the disabled path is priced by perfbench's deque-ends
 	// workload.

@@ -61,7 +61,7 @@ type mutexCore struct {
 // 0 otherwise, so the disabled path never reads the clock.
 func (c *mutexCore) tstart() int64 {
 	if c.lat {
-		return metrics.Nanotime()
+		return metrics.Stamp()
 	}
 	return 0
 }

@@ -38,10 +38,11 @@ func WithTelemetryName(name string) Option {
 // recorded into a per-end sharded histogram, and the durations of
 // contended operations (those that retried) additionally into a
 // separate spin histogram, both readable through Stats().Latency and
-// /metrics.  The enabled cost is two monotonic clock reads plus
-// one or two sharded histogram records per operation (see EXPERIMENTS.md
-// LATOBS for the measured overhead); disabled, the deque never reads
-// the clock.
+// /metrics.  The enabled cost is two operation stamps (cycle-counter
+// reads where the CPU's counter is invariant, monotonic clock reads
+// elsewhere) plus one or two sharded histogram records per operation
+// (see EXPERIMENTS.md STAMP and LATOBS for the measured overhead);
+// disabled, the deque never reads a clock.
 func WithLatency() Option {
 	return func(c *config) {
 		c.telemetry = true

@@ -108,7 +108,7 @@ func (d *DummyDeque) note(end telemetry.End, outcome telemetry.Counter, retries 
 // 0 otherwise, so the disabled path never reads the clock.
 func (d *DummyDeque) tstart() int64 {
 	if d.lat {
-		return metrics.Nanotime()
+		return metrics.Stamp()
 	}
 	return 0
 }

@@ -111,7 +111,7 @@ func (d *LFRCDeque) note(end telemetry.End, outcome telemetry.Counter, retries u
 // 0 otherwise, so the disabled path never reads the clock.
 func (d *LFRCDeque) tstart() int64 {
 	if d.lat {
-		return metrics.Nanotime()
+		return metrics.Stamp()
 	}
 	return 0
 }

@@ -207,7 +207,7 @@ func (d *Deque) note(end telemetry.End, outcome telemetry.Counter, retries uint6
 // 0 otherwise, so the disabled path never reads the clock.
 func (d *Deque) tstart() int64 {
 	if d.lat {
-		return metrics.Nanotime()
+		return metrics.Stamp()
 	}
 	return 0
 }

@@ -27,22 +27,15 @@ type backoffPolicy struct {
 	// maxSpins caps the exponentially growing spin bound.  Once the bound
 	// exceeds maxSpins — or if maxSpins is 0, from the first wait — the
 	// waiter yields the processor (runtime.Gosched) instead of spinning.
-	// maxSpins = 0 is the right setting for GOMAXPROCS=1, where spinning
-	// burns the time slice the lock holder needs.
+	// A wait started while GOMAXPROCS is 1 yields from the first wait
+	// whatever maxSpins says: spinning there burns the time slice the lock
+	// holder needs.
 	maxSpins uint32
 }
 
-// lockBackoff is the backoff policy for the lock slow paths.  It is
-// initialized once at startup: on a multi-P schedule waiters spin briefly
-// before yielding; with GOMAXPROCS=1 spinning can never observe a release
-// (the holder is not running), so waiters yield immediately.
-var lockBackoff = func() *backoffPolicy {
-	p := &backoffPolicy{minSpins: 16, maxSpins: 1 << 10}
-	if runtime.GOMAXPROCS(0) == 1 {
-		p.maxSpins = 0
-	}
-	return p
-}()
+// lockBackoff is the backoff policy for the lock slow paths: waiters spin
+// briefly before yielding.
+var lockBackoff = &backoffPolicy{minSpins: 16, maxSpins: 1 << 10}
 
 // backoffSeed perturbs each cursor's jitter stream so concurrent
 // goroutines do not back off in lockstep (which would make them re-collide
@@ -53,16 +46,29 @@ var backoffSeed atomic.Uint64
 // lives on the waiter's stack, so the backoff is per-goroutine by
 // construction, as the contention-management literature prescribes.
 type backoff struct {
-	pol *backoffPolicy
-	cur uint32 // current spin bound; doubles per wait up to pol.maxSpins
-	rng uint64 // xorshift64 jitter state, never zero once started
+	cur      uint32 // current spin bound; doubles per wait up to maxSpins
+	maxSpins uint32 // the policy's, or 0 when the wait began at GOMAXPROCS=1
+	rng      uint64 // xorshift64 jitter state, never zero once started
 }
 
-// start derives a fresh cursor.  It does no atomic work: the jitter
-// stream is only seeded (one shared-counter increment) on the first wait
-// that actually spins.
+// start derives a fresh cursor.  It reads GOMAXPROCS here, on the slow
+// path, rather than once at package init, so a process that lowers it to
+// 1 later (as `go test -cpu 1` does) stops spinning from its next wait:
+// with one P, spinning can never observe a release, because the holder
+// is not running.  It does no atomic work: the jitter stream is only
+// seeded (one shared-counter increment) on the first wait that actually
+// spins.
 func (p *backoffPolicy) start() backoff {
-	return backoff{pol: p, cur: p.minSpins}
+	return p.startAt(runtime.GOMAXPROCS(0))
+}
+
+// startAt derives a fresh cursor for a schedule of procs Ps.
+func (p *backoffPolicy) startAt(procs int) backoff {
+	b := backoff{cur: p.minSpins, maxSpins: p.maxSpins}
+	if procs == 1 {
+		b.maxSpins = 0
+	}
+	return b
 }
 
 // nextRand steps the xorshift64 jitter generator, seeding it on first use.
@@ -88,7 +94,7 @@ func (b *backoff) nextRand() uint64 {
 // while the bound is within maxSpins, a scheduler yield beyond it.  It
 // reports the pause iterations it spun, 0 for a yield.
 func (b *backoff) wait() uint32 {
-	if n := b.cur; n > 0 && n <= b.pol.maxSpins {
+	if n := b.cur; n > 0 && n <= b.maxSpins {
 		spins := n/2 + uint32(b.nextRand())%(n-n/2+1) // jitter: [n/2, n]
 		for i := uint32(0); i < spins; i++ {
 			cpuRelax()

@@ -1,6 +1,7 @@
 package dcas
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // maxSpins, every further wait yields instead of spinning.
 func TestBackoffBoundDoubling(t *testing.T) {
 	p := &backoffPolicy{minSpins: 4, maxSpins: 64}
-	bo := p.start()
+	bo := p.startAt(2)
 
 	wantCur := []uint32{4, 8, 16, 32, 64, 128, 128, 128}
 	for i, want := range wantCur {
@@ -39,7 +40,7 @@ func TestBackoffBoundDoubling(t *testing.T) {
 func TestBackoffSpinAccounting(t *testing.T) {
 	p := &backoffPolicy{minSpins: 32, maxSpins: 32}
 	for trial := 0; trial < 50; trial++ {
-		bo := p.start()
+		bo := p.startAt(2)
 		if spun := bo.wait(); spun < 16 || spun > 32 {
 			t.Fatalf("trial %d: spun %d iterations, want within [16, 32]", trial, spun)
 		}
@@ -72,6 +73,26 @@ func TestBackoffYieldOnlyPolicy(t *testing.T) {
 	}
 	if bo.cur != p.minSpins {
 		t.Fatalf("yields moved the bound: cur = %d, want %d", bo.cur, p.minSpins)
+	}
+}
+
+// TestLockBackoffFollowsGOMAXPROCS checks that the lock slow paths read
+// GOMAXPROCS when a wait starts, not once at package init: after the
+// process drops to one P, a wait yields without spinning, and back at
+// two it spins again.  Under `go test -cpu 1,2` it also runs with the
+// test binary's own GOMAXPROCS set either way before it starts.
+func TestLockBackoffFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1, 2, 1} {
+		runtime.GOMAXPROCS(procs)
+		bo := lockBackoff.start()
+		spun := bo.wait()
+		if procs == 1 && spun != 0 {
+			t.Fatalf("GOMAXPROCS=1: first wait spun %d pause iterations, want a yield", spun)
+		}
+		if procs > 1 && spun == 0 {
+			t.Fatalf("GOMAXPROCS=%d: first wait yielded, want a spin", procs)
+		}
 	}
 }
 

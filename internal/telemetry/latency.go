@@ -20,10 +20,19 @@ package telemetry
 // disabled (no EnableLatency) the cores stamp nothing — tstart returns
 // 0 and the flush sees start == 0, so the cost is the one branch the
 // nil-check contract already pays; enabled, each operation pays two
-// monotonic clock reads (metrics.Nanotime, ~25ns each) plus one or two
-// sharded histogram records.  That enabled cost is real and documented
-// (EXPERIMENTS.md PR9); it buys the p99s the offline bench harness
-// cannot see in production.
+// operation stamps (metrics.Stamp at entry, metrics.SinceStamp at the
+// flush) plus one or two sharded histogram records.  Where the CPU has
+// an invariant cycle counter a stamp is one counter read, ~22 ns on a
+// 2-vCPU KVM guest; elsewhere it is metrics.Nanotime, 45–50 ns on the
+// same guest (EXPERIMENTS.md STAMP).  The histograms see nanoseconds
+// either way.  That enabled cost is real and documented (EXPERIMENTS.md
+// LATOBS); it buys the p99s the offline bench harness cannot see in
+// production.
+//
+// Each operation stamps its own entry.  Reusing the previous
+// operation's end stamp would save one read, but it would time the
+// caller's work between two operations as latency — in the scheduler,
+// the task an owner runs between its push and its pop.
 
 import (
 	"runtime"
@@ -41,8 +50,12 @@ type latBank struct {
 // EnableLatency attaches per-end operation-latency and retry-spin
 // histograms to the sink and returns it.  Call before the sink is
 // shared with recording goroutines (the constructors do); enabling is
-// not synchronized against concurrent Op calls.  Idempotent.
+// not synchronized against concurrent Op calls.  Idempotent.  The first
+// call in a process calibrates the operation stamp
+// (metrics.CalibrateStamp, a few milliseconds), before any core can
+// stamp with it.
 func (s *Sink) EnableLatency() *Sink {
+	metrics.CalibrateStamp()
 	if s.lat == nil {
 		lb := new(latBank)
 		n := runtime.GOMAXPROCS(0)
@@ -60,7 +73,7 @@ func (s *Sink) EnableLatency() *Sink {
 func (s *Sink) LatencyEnabled() bool { return s.lat != nil }
 
 // OpTimed is Op plus the latency flush: start is the operation's
-// metrics.Nanotime entry stamp, or 0 when the core has latency
+// metrics.Stamp entry stamp, or 0 when the core has latency
 // disabled (then OpTimed is exactly Op).  Kept out of line for the same
 // inlining-budget reason as Op: the cores' per-return-site helpers must
 // stay one inlined nil check.
@@ -115,7 +128,7 @@ func (s *Sink) Latency(end End, retries uint64, start int64) {
 }
 
 func (s *Sink) recordLatency(end End, retries uint64, start int64) {
-	el := uint64(metrics.Nanotime() - start)
+	el := metrics.SinceStamp(start)
 	s.lat.op[end].Record(el)
 	if retries != 0 {
 		s.lat.spin[end].Record(el)

@@ -25,8 +25,8 @@ func TestSinkLatencyDisabled(t *testing.T) {
 	}
 	// A stale non-zero stamp on a disabled sink must also be a no-op for
 	// latency (the lat nil-check guards it).
-	s.OpTimed(Left, Pushes, 0, metrics.Nanotime())
-	s.Latency(Right, 0, metrics.Nanotime())
+	s.OpTimed(Left, Pushes, 0, metrics.Stamp())
+	s.Latency(Right, 0, metrics.Stamp())
 	if s.Snapshot().Latency != nil {
 		t.Fatal("latency recorded on disabled sink")
 	}
@@ -39,15 +39,15 @@ func TestSinkOpTimed(t *testing.T) {
 		t.Fatal("EnableLatency did not enable")
 	}
 	// Uncontended op: op histogram only.
-	s.OpTimed(Left, Pushes, 0, metrics.Nanotime()-100)
+	s.OpTimed(Left, Pushes, 0, metrics.Stamp()-100)
 	// Contended op: op and spin histograms.
-	s.OpTimed(Left, Pops, 2, metrics.Nanotime()-1000)
+	s.OpTimed(Left, Pops, 2, metrics.Stamp()-1000)
 	// start == 0: counters only, even with latency enabled (the core had
 	// stamping off — mixed configurations must not record garbage).
 	s.OpTimed(Left, Pushes, 0, 0)
 	// Latency-only flush (the Chase–Lev batch path): histogram moves,
 	// counters do not.
-	s.Latency(Right, 1, metrics.Nanotime()-500)
+	s.Latency(Right, 1, metrics.Stamp()-500)
 
 	sn := s.Snapshot()
 	if c := sn.Ends[Left]; c[Pushes] != 2 || c[Pops] != 1 || c[Retries] != 2 {
@@ -125,8 +125,8 @@ func TestSchedLatencyStrings(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	sink := NewSink().EnableLatency()
-	sink.OpTimed(Right, Pushes, 0, metrics.Nanotime()-1000)
-	sink.OpTimed(Right, Pops, 2, metrics.Nanotime()-5000)
+	sink.OpTimed(Right, Pushes, 0, metrics.Stamp()-1000)
+	sink.OpTimed(Right, Pops, 2, metrics.Stamp()-5000)
 	unDeque := Register("test_prom_deque", sink, nil)
 	defer unDeque()
 
@@ -184,7 +184,7 @@ func TestWritePrometheus(t *testing.T) {
 // for a deque registered without latency.
 func TestWriteTextLatency(t *testing.T) {
 	sink := NewSink().EnableLatency()
-	sink.OpTimed(Left, Pushes, 1, metrics.Nanotime()-1000)
+	sink.OpTimed(Left, Pushes, 1, metrics.Stamp()-1000)
 	unDeque := Register("test_lat_deque", sink, nil)
 	defer unDeque()
 

@@ -47,10 +47,12 @@ race:
 
 # The array algorithm's model check with each DCAS expanded into
 # dcas.EndLock's steps, at the CI smoke bound (2 threads) and then the
-# full 3-thread certificate (EXPERIMENTS.md §1), as CI runs them.
+# full 3-thread certificate (EXPERIMENTS.md §1), then the Chase–Lev
+# model, as CI runs them.
 model-smoke:
 	$(GO) run ./cmd/dequemodel -algo array -dcas endlock -threads 2
 	$(GO) run ./cmd/dequemodel -algo array -dcas endlock -threads 3
+	$(GO) run ./cmd/dequemodel -algo chaselev
 
 # Randomized scheduler stress certification (bounded; CI runs 300
 # race-instrumented, the full certification is -sched-runs 10000).

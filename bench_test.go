@@ -22,6 +22,7 @@ package dcasdeque_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -503,16 +504,26 @@ func BenchmarkSched(b *testing.B) {
 
 // benchEnds2 runs b.N push+pop pairs on each end of d from two
 // goroutines, one per end, after a prefill of 512 that keeps the ends
-// from meeting.
+// from meeting.  Both goroutines wait at a ready barrier (yielding
+// until both have arrived) before their loops, so neither loop starts
+// before the other goroutine is running.
 func benchEnds2(b *testing.B, d *deque.Array[int]) {
 	for i := 0; i < 512; i++ {
 		d.PushRight(i)
 	}
 	var wg sync.WaitGroup
+	var ready atomic.Int32
+	arrive := func() {
+		ready.Add(1)
+		for ready.Load() < 2 {
+			runtime.Gosched()
+		}
+	}
 	wg.Add(2)
 	b.ResetTimer()
 	go func() {
 		defer wg.Done()
+		arrive()
 		for i := 0; i < b.N; i++ {
 			d.PushLeft(i)
 			d.PopLeft()
@@ -520,6 +531,7 @@ func benchEnds2(b *testing.B, d *deque.Array[int]) {
 	}()
 	go func() {
 		defer wg.Done()
+		arrive()
 		for i := 0; i < b.N; i++ {
 			d.PushRight(i)
 			d.PopRight()

@@ -122,9 +122,32 @@ func TestChaseLevPushLeftUnsupported(t *testing.T) {
 	}
 }
 
-// TestPopManyBeyondChunk drains a population larger than the internal
-// chunk buffer in one call, covering the chunked-refill path (and, for
-// Chase–Lev, the chained span-sized batch claims).
+// TestChaseLevPopLManyLarge takes 64 of 100 items in one steal batch:
+// the 64 leftmost in order, then the remaining 36.
+func TestChaseLevPopLManyLarge(t *testing.T) {
+	d := NewChaseLev[int]()
+	for i := 0; i < 100; i++ {
+		if err := d.PushRight(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := d.PopLMany(64); !equal(got, seq(64)) {
+		t.Fatalf("PopLMany(64) = %v, want the 64 leftmost in order", got)
+	}
+	rest := d.PopLMany(64)
+	if len(rest) != 36 {
+		t.Fatalf("second PopLMany(64) = %d items, want 36", len(rest))
+	}
+	for i, v := range rest {
+		if v != 64+i {
+			t.Fatalf("rest[%d] = %d, want %d", i, v, 64+i)
+		}
+	}
+}
+
+// TestPopManyBeyondChunk drains a population larger than the up-front
+// chunk in one call: the mutex's chunked refill, and the other
+// backends' growth past the initial capacity.
 func TestPopManyBeyondChunk(t *testing.T) {
 	const n = popManyChunk*2 + 17
 	for name, d := range map[string]Deque[int]{

@@ -10,8 +10,8 @@ import (
 // ("Dynamic Circular Work-Stealing Deque", SPAA 2005), carrying elements
 // of type T.  Create with NewChaseLev.  Unlike the DCAS deques it needs
 // no DCAS emulation at all: the owner's end runs on plain atomic stores
-// and loads, and steals commit with one CompareAndSwap on a single top
-// word — which makes it the fast backend for the owner-LIFO/thief-FIFO
+// and loads, and steals commit with one CompareAndSwap on the top
+// index — which makes it the fast backend for the owner-LIFO/thief-FIFO
 // access pattern of a work-stealing scheduler (sched.WithChaseLev).
 //
 // The trade against the paper-faithful deques is generality:
@@ -37,7 +37,6 @@ import (
 // traffic and Right.Grows the array doublings.
 type ChaseLev[T any] struct {
 	slotted[T]
-	cl *chaselev.Deque // the core, for PopLMany's chained span claims
 }
 
 // NewChaseLev returns an empty Chase–Lev work-stealing deque.  It is
@@ -60,7 +59,7 @@ func NewChaseLev[T any](opts ...Option) *ChaseLev[T] {
 		r := c.Rings()
 		m.Rings = &r
 	}
-	d := &ChaseLev[T]{slotted: s, cl: c}
+	d := &ChaseLev[T]{slotted: s}
 	inst.bind(d.ledger)
 	return d
 }
@@ -73,25 +72,5 @@ func (d *ChaseLev[T]) Cap() int { return d.slots.Cap() }
 // deque is single-ended-push); it always returns ErrUnsupported without
 // touching the deque.
 func (d *ChaseLev[T]) PushLeft(v T) error { return ErrUnsupported }
-
-// PopLMany implements Deque, strengthening its contract: each core
-// claim takes a whole run of up to chaselev.DefaultSpan elements in ONE
-// CompareAndSwap — an atomic multi-steal, not a loop of single-element
-// windows — so a thief taking max ≤ 32 tasks pays exactly one RMW.
-// Larger batches chain span-sized claims until max is reached or the
-// deque is observed empty.  Safe for any goroutine.
-func (d *ChaseLev[T]) PopLMany(max int) []T {
-	return d.popMany(max, arena.Left, func(out []uint64) int {
-		n := 0
-		for n < len(out) {
-			k := d.cl.PopLeftMany(out[n:])
-			if k == 0 {
-				break
-			}
-			n += k
-		}
-		return n
-	})
-}
 
 var _ Deque[int] = (*ChaseLev[int])(nil)

@@ -68,10 +68,9 @@ type Deque[T any] interface {
 	// PopLMany removes up to max elements from the left end and returns
 	// them in pop order (leftmost first); nil when the deque is empty or
 	// max ≤ 0.  The batch is a sequence of independent PopLeft
-	// operations — not an atomic multi-pop — that pays the wrapper,
-	// dispatch and telemetry costs once per call instead of once per
-	// element.  Work-stealing thieves use it to take several tasks from
-	// a victim in one call.
+	// operations — not an atomic multi-pop — returned in one slice.
+	// Work-stealing thieves use it to take several tasks from a victim
+	// in one call.
 	PopLMany(max int) []T
 	// PopRMany is PopLMany for the right end (rightmost first).
 	PopRMany(max int) []T

@@ -15,7 +15,17 @@ import (
 // synchronization, not boxing strategy.  Create with NewMutex.
 type Mutex[T any] struct {
 	slotted[T]
+	batch    batchCore
 	capacity int
+}
+
+// batchCore is the baseline core with its lock-once batch pops, which
+// Mutex's PopLMany/PopRMany use in place of slotted's loop of single
+// pops.
+type batchCore interface {
+	core
+	PopLeftMany(out []uint64) int
+	PopRightMany(out []uint64) int
 }
 
 // NewMutex returns an empty mutex-based deque with the given capacity.
@@ -31,7 +41,7 @@ func NewMutex[T any](capacity int, opts ...Option) *Mutex[T] {
 	}
 	cfg, inst := configure(opts)
 	ring := mutexdeque.New(capacity)
-	var c core = ring
+	var c batchCore = ring
 	if inst != nil {
 		c = &mutexCore{Deque: ring, sink: inst.sink, lat: cfg.latency}
 	}
@@ -39,13 +49,53 @@ func NewMutex[T any](capacity int, opts ...Option) *Mutex[T] {
 	// discovering the deque is full, so concurrent losing pushes need
 	// slots too.
 	slots := arena.New[T](2*capacity+64, arena.WithBlockSize(256))
-	d := &Mutex[T]{slotted: newSlotted[T](c, slots, cfg, inst), capacity: capacity}
+	d := &Mutex[T]{slotted: newSlotted[T](c, slots, cfg, inst), batch: c, capacity: capacity}
 	inst.bind(d.ledger)
 	return d
 }
 
 // Cap reports the deque's capacity.
 func (d *Mutex[T]) Cap() int { return d.capacity }
+
+// PopLMany implements Deque, taking up to popManyChunk elements per
+// lock acquisition.
+func (d *Mutex[T]) PopLMany(max int) []T {
+	return d.drain(max, arena.Left, d.batch.PopLeftMany)
+}
+
+// PopRMany implements Deque, taking up to popManyChunk elements per
+// lock acquisition.
+func (d *Mutex[T]) PopRMany(max int) []T {
+	return d.drain(max, arena.Right, d.batch.PopRightMany)
+}
+
+// drain transfers up to max handles through the core's batch pop in
+// chunks of popManyChunk, taking each from the slot arena on the
+// popping end's lane, and stops early at empty.
+func (d *Mutex[T]) drain(max int, l arena.Lane, pop func([]uint64) int) []T {
+	if max <= 0 {
+		return nil
+	}
+	var out []T
+	buf := make([]uint64, min(max, popManyChunk))
+	for len(out) < max {
+		want := min(max-len(out), len(buf))
+		n := pop(buf[:want])
+		if n == 0 {
+			break
+		}
+		if out == nil {
+			out = make([]T, 0, n)
+		}
+		for _, h := range buf[:n] {
+			out = append(out, d.take(l, h))
+		}
+		if n < want {
+			break // the deque went empty mid-chunk
+		}
+	}
+	return out
+}
 
 // mutexCore is the baseline core with telemetry: the core has no
 // counters of its own, so each call records its outcome here, timed from

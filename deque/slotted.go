@@ -7,15 +7,13 @@ import (
 )
 
 // core is the word-level vocabulary every backend already has: the
-// paper's four operations on one-word values, their batch forms, and a
-// quiescent snapshot of the contents.
+// paper's four operations on one-word values and a quiescent snapshot
+// of the contents.
 type core interface {
 	PushLeft(h uint64) spec.Result
 	PushRight(h uint64) spec.Result
 	PopLeft() (uint64, spec.Result)
 	PopRight() (uint64, spec.Result)
-	PopLeftMany(out []uint64) int
-	PopRightMany(out []uint64) int
 	Items() ([]uint64, error)
 }
 
@@ -120,43 +118,35 @@ func (s *slotted[T]) take(l arena.Lane, h uint64) T {
 
 // PopLMany implements Deque.
 func (s *slotted[T]) PopLMany(max int) []T {
-	return s.popMany(max, arena.Left, s.core.PopLeftMany)
+	return s.popMany(max, arena.Left, s.core.PopLeft)
 }
 
 // PopRMany implements Deque.
 func (s *slotted[T]) PopRMany(max int) []T {
-	return s.popMany(max, arena.Right, s.core.PopRightMany)
+	return s.popMany(max, arena.Right, s.core.PopRight)
 }
 
-// popManyChunk bounds the handle buffer a batch pop allocates, so a
+// popManyChunk bounds the buffer a batch pop allocates up front, so a
 // caller passing a huge max (e.g. "drain everything") does not force a
-// proportionally huge allocation; the drain loops in chunks instead.
+// proportionally huge allocation; past it the result grows by append.
 const popManyChunk = 256
 
-// popMany implements the PopLMany/PopRMany contract over a core-level
-// batch pop: transfer up to max handles, take each from the slot arena
-// on the popping end's lane, stop early at empty.
-func (s *slotted[T]) popMany(max int, l arena.Lane, pop func([]uint64) int) []T {
-	if max <= 0 {
-		return nil
-	}
+// popMany implements the PopLMany/PopRMany contract: a sequence of
+// independent single pops on one end, each value linearizing inside the
+// pop that took it, stopping early at empty.  Each handle is taken from
+// the slot arena on the popping end's lane.  An empty deque allocates
+// nothing.
+func (s *slotted[T]) popMany(max int, l arena.Lane, pop func() (uint64, spec.Result)) []T {
 	var out []T
-	buf := make([]uint64, min(max, popManyChunk))
 	for len(out) < max {
-		want := min(max-len(out), len(buf))
-		n := pop(buf[:want])
-		if n == 0 {
+		h, r := pop()
+		if r != spec.Okay {
 			break
 		}
 		if out == nil {
-			out = make([]T, 0, n)
+			out = make([]T, 0, min(max, popManyChunk))
 		}
-		for _, h := range buf[:n] {
-			out = append(out, s.take(l, h))
-		}
-		if n < want {
-			break // the deque went empty mid-chunk
-		}
+		out = append(out, s.take(l, h))
 	}
 	return out
 }

@@ -356,7 +356,8 @@ func TestStatsLatency(t *testing.T) {
 }
 
 // TestStatsLatencyChaseLev: the owner/thief deque records latency on its
-// supported operations, including exactly one sample per PopLMany batch.
+// supported operations, one sample per stolen element of a PopLMany
+// batch, as every other backend records.
 func TestStatsLatencyChaseLev(t *testing.T) {
 	d := NewChaseLev[int](WithLatency())
 	for i := 0; i < 10; i++ {
@@ -377,13 +378,13 @@ func TestStatsLatencyChaseLev(t *testing.T) {
 	if !ok || st.Latency == nil {
 		t.Fatal("Stats/Latency missing with WithLatency")
 	}
-	// 10 pushes + 1 pop on the right; the 4-pop batch is one commit and
-	// one latency sample on the left; the rejected PushLeft records none.
+	// 10 pushes + 1 pop on the right; the 4-pop batch is four steals and
+	// four latency samples on the left; the rejected PushLeft records none.
 	if st.Latency.Right.Op.N != 11 {
 		t.Fatalf("right op samples = %d, want 11", st.Latency.Right.Op.N)
 	}
-	if st.Latency.Left.Op.N != 1 {
-		t.Fatalf("left op samples = %d, want 1 (one per batch)", st.Latency.Left.Op.N)
+	if st.Latency.Left.Op.N != 4 {
+		t.Fatalf("left op samples = %d, want 4 (one per stolen element)", st.Latency.Left.Op.N)
 	}
 }
 

@@ -36,9 +36,9 @@ package linpoint
 // move (the static half of the Σ-conservation law; enforced by the
 // telemhook analyzer): every annotated commit site must increment one of
 // the named counters on its success path, and every named counter must
-// be incremented somewhere in the function.  Batch wrappers delegate to
-// the single pops and move no counters of their own, so their entries
-// stay nil.
+// be incremented somewhere in the function.  The cores have no batch
+// pops: the public wrapper's PopLMany/PopRMany loop over the single pops
+// above, so a batch adds no commit site to obligate.
 //
 // Timed extends the binding to the latency contract (PR 9): the
 // operation stamps its entry and every counter flush carries the stamp,
@@ -51,12 +51,6 @@ var DefaultTable = map[string][]Obligation{
 		{Func: "Deque.PushRight", Points: 7, Paper: "Fig 3, §5.1", Counters: []string{"Pushes", "FullHits"}, Timed: true},
 		{Func: "Deque.PopLeft", Points: 7, Paper: "Fig 30, §5.1", Counters: []string{"Pops", "EmptyHits"}, Timed: true},
 		{Func: "Deque.PushLeft", Points: 7, Paper: "Fig 31, §5.1", Counters: []string{"Pushes", "FullHits"}, Timed: true},
-
-		// Batch pops are sequences of the single pops above; each value
-		// linearizes inside the pop that took it, and a zero obligation
-		// machine-checks that the batch wrapper adds no commit sites.
-		{Func: "Deque.PopLeftMany", Points: 0, Paper: "batch of Fig 30 pops"},
-		{Func: "Deque.PopRightMany", Points: 0, Paper: "batch of Fig 2 pops"},
 	},
 	"dcasdeque/internal/core/listdeque": {
 		{Func: "Deque.PopRight", Points: 2, Paper: "Fig 18, §5.2", Counters: []string{"Pops", "EmptyHits"}, Timed: true},
@@ -73,34 +67,22 @@ var DefaultTable = map[string][]Obligation{
 		{Func: "LFRCDeque.PushRight", Points: 1, Paper: "Fig 25, §5.2", Counters: []string{"Pushes"}, Timed: true},
 		{Func: "LFRCDeque.PopLeft", Points: 2, Paper: "Fig 24 mirrored, §5.2", Counters: []string{"Pops", "EmptyHits"}, Timed: true},
 		{Func: "LFRCDeque.PushLeft", Points: 1, Paper: "Fig 25 mirrored, §5.2", Counters: []string{"Pushes"}, Timed: true},
-
-		// Batch pops: sequences of the single pops above, obligated to
-		// zero commit sites of their own (see the arraydeque entries).
-		{Func: "Deque.PopLeftMany", Points: 0, Paper: "batch of Fig 18 pops"},
-		{Func: "Deque.PopRightMany", Points: 0, Paper: "batch of Fig 18 pops"},
-		{Func: "DummyDeque.PopLeftMany", Points: 0, Paper: "batch of Fig 22 pops"},
-		{Func: "DummyDeque.PopRightMany", Points: 0, Paper: "batch of Fig 22 pops"},
-		{Func: "LFRCDeque.PopLeftMany", Points: 0, Paper: "batch of Fig 24 pops"},
-		{Func: "LFRCDeque.PopRightMany", Points: 0, Paper: "batch of Fig 24 pops"},
 	},
-	// Chase–Lev deque (SPAA'05, with this library's stamped-top batch
-	// extension).  The owner's push linearizes at a plain release store
-	// of bottom — the algorithm's whole point is that the owner does not
-	// CAS — which the analyzer cannot annotate, so PushRight is obligated
-	// to zero CAS commit sites; the zero-count entry still machine-checks
-	// that no one adds a stray CAS to the push path.  Every other outcome
-	// commits at exactly one CompareAndSwap of the top word: the steal,
-	// the batch steal (k values at one CAS — the single annotated site
-	// covers all of them), and the owner's boundary pop (stamp bump /
-	// one-element race; its Empty return and far-from-frontier plain take
-	// are decided by loads ordered before or after that same word's
-	// history, not by additional RMWs).
+	// Chase–Lev deque (SPAA'05, as published).  The owner's push
+	// linearizes at a plain release store of bottom — the algorithm's
+	// whole point is that the owner does not CAS — which the analyzer
+	// cannot annotate, so PushRight is obligated to zero CAS commit
+	// sites; the zero-count entry still machine-checks that no one adds a
+	// stray CAS to the push path.  The steal commits at exactly one
+	// CompareAndSwap of the top index, and so does the owner's pop of the
+	// last element (the one-element race); the pop's Empty return and its
+	// plain take with more than one element left are decided by loads
+	// ordered before or after that same word's history, not by additional
+	// RMWs.
 	"dcasdeque/internal/core/chaselev": {
 		{Func: "Deque.PushRight", Points: 0, Paper: "CL §3 pushBottom: plain bottom store", Counters: []string{"Pushes"}, Timed: true},
-		{Func: "Deque.PopRight", Points: 1, Paper: "CL §3 popBottom boundary CAS", Counters: []string{"Pops", "EmptyHits"}, Timed: true},
+		{Func: "Deque.PopRight", Points: 1, Paper: "CL §3 popBottom one-element CAS", Counters: []string{"Pops", "EmptyHits"}, Timed: true},
 		{Func: "Deque.PopLeft", Points: 1, Paper: "CL §3 steal CAS", Counters: []string{"Pops", "EmptyHits"}, Timed: true},
-		{Func: "Deque.PopLeftMany", Points: 1, Paper: "stamped-top batch claim CAS", Counters: []string{"Pops", "EmptyHits"}, Timed: true},
-		{Func: "Deque.PopRightMany", Points: 0, Paper: "batch of popBottom pops"},
 		// Not Timed: the unsupported-end rejection is immediate, so it
 		// records no operation latency (the core passes start 0).
 		{Func: "Deque.PushLeft", Points: 0, Paper: "unsupported: CL has no pushTop", Counters: []string{"FullHits"}},

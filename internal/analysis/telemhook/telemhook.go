@@ -37,10 +37,10 @@
 // the counters' — an operation counted but not timed would silently
 // skew the quantiles toward whichever outcomes still stamp.  A flush
 // carries the stamp when the call's arguments mention the identifier
-// `start`; counters moved through a bulk `Add` (the Chase–Lev batch
-// steal, whose k pops are one commit and one latency sample) are
-// excused per call, provided the function flushes latency through a
-// `Latency(..., start)` call somewhere.
+// `start`; counters moved through a bulk `Add` (a batch whose k pops
+// are one commit and one latency sample) are excused per call, provided
+// the function flushes latency through a `Latency(..., start)` call
+// somewhere.
 package telemhook
 
 import (

@@ -148,65 +148,16 @@ func TestGrowMidWindow(t *testing.T) {
 	}
 }
 
-func TestPopLeftMany(t *testing.T) {
-	d := New(WithSpan(4))
-	for v := uint64(1); v <= 10; v++ {
-		d.PushRight(v)
-	}
-	// Clamped by the span (4), not the buffer (8) or the size (10).
-	out := make([]uint64, 8)
-	if n := d.PopLeftMany(out); n != 4 {
-		t.Fatalf("PopLeftMany(8-buf) = %d, want span clamp 4", n)
-	}
-	for i, want := range []uint64{1, 2, 3, 4} {
-		if out[i] != want {
-			t.Fatalf("batch[%d] = %d, want %d (leftmost first)", i, out[i], want)
-		}
-	}
-	checkInv(t, d)
-	// Clamped by the buffer.
-	if n := d.PopLeftMany(out[:2]); n != 2 || out[0] != 5 || out[1] != 6 {
-		t.Fatalf("PopLeftMany(2-buf) = %d %v, want 2 [5 6]", n, out[:2])
-	}
-	// Clamped by the remaining size, including taking the last element.
-	if n := d.PopLeftMany(out); n != 4 || out[0] != 7 || out[3] != 10 {
-		t.Fatalf("PopLeftMany(rest) = %d %v, want 4 [7..10]", n, out[:4])
-	}
-	if n := d.PopLeftMany(out); n != 0 {
-		t.Fatalf("PopLeftMany(empty) = %d, want 0", n)
-	}
-	if n := d.PopLeftMany(nil); n != 0 {
-		t.Fatalf("PopLeftMany(nil) = %d, want 0", n)
-	}
-	checkInv(t, d)
-}
-
-func TestPopRightMany(t *testing.T) {
-	d := New()
-	for v := uint64(1); v <= 5; v++ {
-		d.PushRight(v)
-	}
-	out := make([]uint64, 3)
-	if n := d.PopRightMany(out); n != 3 || out[0] != 5 || out[1] != 4 || out[2] != 3 {
-		t.Fatalf("PopRightMany = %d %v, want 3 [5 4 3] (rightmost first)", n, out)
-	}
-	if n := d.PopRightMany(out); n != 2 || out[0] != 2 || out[1] != 1 {
-		t.Fatalf("PopRightMany(rest) = %d %v, want 2 [2 1]", n, out[:2])
-	}
-	if n := d.PopRightMany(out); n != 0 {
-		t.Fatalf("PopRightMany(empty) = %d, want 0", n)
-	}
-}
-
 func TestTelemetry(t *testing.T) {
 	sink := telemetry.NewSink()
 	d := New(WithTelemetry(sink), WithRingLog(1))
 	for v := uint64(1); v <= 8; v++ {
 		d.PushRight(v)
 	}
-	d.PopRight()                     // owner take
-	d.PopLeft()                      // steal
-	d.PopLeftMany(make([]uint64, 3)) // batch steal: 3 pops in one CAS
+	d.PopRight() // owner take
+	for i := 0; i < 4; i++ {
+		d.PopLeft() // steal
+	}
 	for {
 		if _, r := d.PopRight(); r == spec.Empty {
 			break
@@ -222,7 +173,7 @@ func TestTelemetry(t *testing.T) {
 	if r[telemetry.Pops] != 4 { // 1 + the 3 that drained the remainder
 		t.Fatalf("right pops = %d, want 4", r[telemetry.Pops])
 	}
-	if l[telemetry.Pops] != 4 { // 1 single + 3 batched
+	if l[telemetry.Pops] != 4 {
 		t.Fatalf("left pops = %d, want 4", l[telemetry.Pops])
 	}
 	if r[telemetry.EmptyHits] != 1 || l[telemetry.EmptyHits] != 1 {
@@ -238,7 +189,7 @@ func TestTelemetry(t *testing.T) {
 
 // TestConcurrentConservation is the exactly-once core property under
 // real contention: one owner pushing and popping, several thieves
-// stealing singles and batches, every pushed value consumed exactly
+// stealing, every pushed value consumed exactly
 // once across all parties.  Run under -race this also certifies the
 // memory-model claims (plain bottom stores, frozen retired rings).
 func TestConcurrentConservation(t *testing.T) {
@@ -246,7 +197,7 @@ func TestConcurrentConservation(t *testing.T) {
 		thieves = 3
 		total   = 20000
 	)
-	d := New(WithRingLog(1), WithSpan(4)) // tiny ring + span: grow and boundary CAS constantly
+	d := New(WithRingLog(1)) // tiny ring and short window: grow and one-element races constantly
 
 	var stop sync.WaitGroup
 	taken := make([][]uint64, 1+thieves) // [0] = owner, [1..] = thieves
@@ -275,14 +226,9 @@ func TestConcurrentConservation(t *testing.T) {
 		stop.Add(1)
 		go func(i int) {
 			defer stop.Done()
-			buf := make([]uint64, 3)
 			for {
-				if i%2 == 0 {
-					if h, r := d.PopLeft(); r == spec.Okay {
-						taken[1+i] = append(taken[1+i], h)
-					}
-				} else if n := d.PopLeftMany(buf); n > 0 {
-					taken[1+i] = append(taken[1+i], buf[:n]...)
+				if h, r := d.PopLeft(); r == spec.Okay {
+					taken[1+i] = append(taken[1+i], h)
 				}
 				select {
 				case <-done:
@@ -331,24 +277,5 @@ func TestConcurrentConservation(t *testing.T) {
 				t.Fatalf("thief %d stole out of order: %d after %d", i-1, taken[i][j], taken[i][j-1])
 			}
 		}
-	}
-}
-
-func TestPackUnpack(t *testing.T) {
-	cases := []struct {
-		idx   int64
-		stamp uint64
-	}{
-		{0, 0}, {1, 1}, {int64(idxMask >> 1), 1 << 23}, {12345, (1 << 24) - 1},
-	}
-	for _, c := range cases {
-		i, s := unpack(pack(c.idx, c.stamp))
-		if i != c.idx || s != c.stamp {
-			t.Fatalf("unpack(pack(%d,%d)) = (%d,%d)", c.idx, c.stamp, i, s)
-		}
-	}
-	// The stamp wraps without bleeding into the index.
-	if i, s := unpack(pack(7, 1<<24)); i != 7 || s != 0 {
-		t.Fatalf("stamp wrap: got (%d,%d), want (7,0)", i, s)
 	}
 }

@@ -12,13 +12,12 @@ import "fmt"
 // the current ring.
 
 // Snapshot is an instantaneous view of the implementation state: the two
-// logical indices, the top stamp, and the live cells.  Snapshots are
+// logical indices and the live cells.  Snapshots are
 // meaningful only when taken without concurrent operations (tests, model
 // checking).
 type Snapshot struct {
 	Top    int64
 	Bottom int64
-	Stamp  uint64
 	// RingSize is the current ring's cell count.
 	RingSize int64
 	// Grows is the ring-doubling total.
@@ -30,10 +29,10 @@ type Snapshot struct {
 // Snapshot copies the current implementation state.  It must only be
 // called while no operations are in flight.
 func (d *Deque) Snapshot() Snapshot {
-	t, stamp := unpack(d.top.Load())
+	t := d.top.Load()
 	b := d.bottom.Load()
 	a := d.array.Load()
-	st := Snapshot{Top: t, Bottom: b, Stamp: stamp, RingSize: a.size(), Grows: d.grows.Load()}
+	st := Snapshot{Top: t, Bottom: b, RingSize: a.size(), Grows: d.grows.Load()}
 	for i := t; i < b; i++ {
 		st.Cells = append(st.Cells, a.get(i))
 	}

@@ -115,18 +115,6 @@ func (s *Sink) OpDCAS(end End, outcome Counter, retries uint64, start int64, lan
 	}
 }
 
-// Latency records an operation's duration without moving counters: the
-// flush for paths that count through Add (the Chase–Lev batch steal,
-// whose k pops are one commit).  start == 0 (latency disabled at the
-// core) and a nil bank are both no-ops.
-//
-//go:noinline
-func (s *Sink) Latency(end End, retries uint64, start int64) {
-	if start != 0 && s.lat != nil {
-		s.recordLatency(end, retries, start)
-	}
-}
-
 func (s *Sink) recordLatency(end End, retries uint64, start int64) {
 	el := metrics.SinceStamp(start)
 	s.lat.op[end].Record(el)

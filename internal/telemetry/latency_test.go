@@ -26,7 +26,6 @@ func TestSinkLatencyDisabled(t *testing.T) {
 	// A stale non-zero stamp on a disabled sink must also be a no-op for
 	// latency (the lat nil-check guards it).
 	s.OpTimed(Left, Pushes, 0, metrics.Stamp())
-	s.Latency(Right, 0, metrics.Stamp())
 	if s.Snapshot().Latency != nil {
 		t.Fatal("latency recorded on disabled sink")
 	}
@@ -45,16 +44,15 @@ func TestSinkOpTimed(t *testing.T) {
 	// start == 0: counters only, even with latency enabled (the core had
 	// stamping off — mixed configurations must not record garbage).
 	s.OpTimed(Left, Pushes, 0, 0)
-	// Latency-only flush (the Chase–Lev batch path): histogram moves,
-	// counters do not.
-	s.Latency(Right, 1, metrics.Stamp()-500)
+	// A contended boundary hit on the other end: its own histograms.
+	s.OpTimed(Right, EmptyHits, 1, metrics.Stamp()-500)
 
 	sn := s.Snapshot()
 	if c := sn.Ends[Left]; c[Pushes] != 2 || c[Pops] != 1 || c[Retries] != 2 {
 		t.Fatalf("counters: %+v", c)
 	}
-	if c := sn.Ends[Right]; c[Pushes] != 0 || c[Pops] != 0 {
-		t.Fatalf("Latency moved counters: %+v", c)
+	if c := sn.Ends[Right]; c[EmptyHits] != 1 || c[Retries] != 1 || c[Pops] != 0 {
+		t.Fatalf("right counters: %+v", c)
 	}
 	l := sn.Latency
 	if l == nil {

@@ -8,31 +8,29 @@ import (
 	"dcasdeque/internal/spec"
 )
 
-// chaselevSys is the checker's model of the Chase–Lev backend with this
-// library's stamped-top batch extension (internal/core/chaselev): shared
-// memory is the packed top word (index + stamp), the bottom index and a
-// logically-indexed cell array; thread 0 is the deque's owner, every
-// other thread a thief.
+// chaselevSys is the checker's model of the Chase–Lev backend
+// (internal/core/chaselev): shared memory is the top index, the bottom
+// index and a logically-indexed cell array; thread 0 is the deque's
+// owner, every other thread a thief.
 //
 // Granularity choices, and what they certify:
 //
 //   - Thieves run at FULL granularity: the top read, the bottom read,
-//     each cell read and the claim CAS are separate atomic steps, so
+//     the cell read and the claim CAS are separate atomic steps, so
 //     every stale-read/late-CAS interleaving against the owner and
-//     against other thieves is enumerated — including the interleavings
-//     the stamp exists to kill (a thief whose claim straddles an owner
-//     boundary pop, two batch claims racing, a claim built on cells that
-//     were popped and re-pushed in between).
+//     against other thieves is enumerated — a thief whose claim races
+//     the owner's last-item pop, two claims racing for one index, a
+//     claim built on a cell that was popped and re-pushed in between.
 //   - The owner's PopRight is ONE atomic step (the bottom store, top
-//     read and boundary CAS fused).  This is deliberate: during the real
-//     algorithm's transient window — bottom published as b but the
-//     boundary race unresolved — a thief's Empty return has NO fixed
+//     read and last-item CAS fused).  This is deliberate: during the
+//     real algorithm's transient window — bottom published as b but the
+//     one-element race unresolved — a thief's Empty return has NO fixed
 //     linearization point (the history linearizes only by ordering the
 //     concurrent owner pop first), so a fixed-point checker at full
-//     owner granularity rejects histories that are in fact linearizable.
-//     The fused step removes the transient window while preserving what
-//     the model must certify — the commit-order arbitration between the
-//     owner's boundary CAS and every in-flight steal, via the stamp.
+//     owner granularity rejects histories that are in fact
+//     linearizable.  The fused step removes the transient window while
+//     preserving what the model must certify — the commit-order
+//     arbitration between the owner's pop and every in-flight steal.
 //     The owner-granular interleavings the fusion hides are covered by
 //     the windowed linearizability stress (dequestress -impl chaselev),
 //     whose checker searches all orderings instead of fixing points.
@@ -45,43 +43,35 @@ import (
 // is outside the abstraction until the store publishes it.
 type chaselevSys struct {
 	top     int64
-	stamp   uint64
 	bottom  int64
 	cells   []uint64
-	span    int64
 	threads []clThread
 }
 
-// Thief program counters (owner ops never block mid-operation except
+// Thread program counters (owner ops never block mid-operation except
 // the push's two steps, tracked by the same pc field).
 const (
 	clpcStart    = iota // next shared access is the first of the op
 	clpcPushCell        // owner push: cell written, bottom store pending
 	clpcReadBot         // thief: top read done, bottom read pending
-	clpcReadCell        // thief: reading cells, claim CAS pending
+	clpcReadCell        // thief: bottom read done, cell read pending
+	clpcClaim           // thief: cell read, claim CAS pending
 )
 
 type clThread struct {
 	prog []OpSpec
 	opi  int
 	pc   int
-	// thief registers: the top word it read, its claim size and the
-	// cells copied so far.
-	rTop   int64
-	rStamp uint64
-	rK     int64
-	copied []uint64
+	// thief registers: the top index it read and the cell it copied.
+	rTop int64
+	rVal uint64
 }
 
 // NewChaseLevSys builds a Chase–Lev model with the given initial items
-// (left to right), steal span, and one thread per program.  progs[0] is
-// the OWNER and may contain PushRight and PopRight; all other programs
-// are thieves and may contain PopLeft and PopLeftBatch (Arg = requested
-// batch size).
-func NewChaseLevSys(initial []uint64, span int, progs [][]OpSpec) Sys {
-	if span < 1 {
-		panic("model: span must be ≥ 1")
-	}
+// (left to right) and one thread per program.  progs[0] is the OWNER
+// and may contain PushRight and PopRight; all other programs are
+// thieves and may contain only PopLeft.
+func NewChaseLevSys(initial []uint64, progs [][]OpSpec) Sys {
 	if len(progs) == 0 {
 		panic("model: need at least the owner program")
 	}
@@ -90,7 +80,7 @@ func NewChaseLevSys(initial []uint64, span int, progs [][]OpSpec) Sys {
 	for _, p := range progs {
 		max += len(p)
 	}
-	sys := &chaselevSys{cells: make([]uint64, max+1), span: int64(span)}
+	sys := &chaselevSys{cells: make([]uint64, max+1)}
 	for i, v := range initial {
 		if v == 0 {
 			panic("model: initial item cannot be null")
@@ -102,7 +92,7 @@ func NewChaseLevSys(initial []uint64, span int, progs [][]OpSpec) Sys {
 		for _, op := range p {
 			switch {
 			case ti == 0 && (op.Kind == PushRight || op.Kind == PopRight):
-			case ti != 0 && (op.Kind == PopLeft || op.Kind == PopLeftBatch):
+			case ti != 0 && op.Kind == PopLeft:
 			default:
 				panic(fmt.Sprintf("model: thread %d may not run %v (owner is thread 0)", ti, op.Kind))
 			}
@@ -113,24 +103,20 @@ func NewChaseLevSys(initial []uint64, span int, progs [][]OpSpec) Sys {
 }
 
 func (c *chaselevSys) Clone() Sys {
-	n := &chaselevSys{top: c.top, stamp: c.stamp, bottom: c.bottom, span: c.span}
+	n := &chaselevSys{top: c.top, bottom: c.bottom}
 	n.cells = append([]uint64(nil), c.cells...)
-	n.threads = append([]clThread(nil), c.threads...)
-	for i := range n.threads {
-		n.threads[i].prog = c.threads[i].prog // immutable, shared
-		n.threads[i].copied = append([]uint64(nil), c.threads[i].copied...)
-	}
+	n.threads = append([]clThread(nil), c.threads...) // prog is immutable, shared
 	return n
 }
 
 func (c *chaselevSys) Key() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d,%d,%d|", c.top, c.stamp, c.bottom)
+	fmt.Fprintf(&b, "%d,%d|", c.top, c.bottom)
 	for _, v := range c.cells {
 		fmt.Fprintf(&b, "%d,", v)
 	}
 	for _, t := range c.threads {
-		fmt.Fprintf(&b, "|%d,%d,%d,%d,%d,%v", t.opi, t.pc, t.rTop, t.rStamp, t.rK, t.copied)
+		fmt.Fprintf(&b, "|%d,%d,%d,%d", t.opi, t.pc, t.rTop, t.rVal)
 	}
 	return b.String()
 }
@@ -145,17 +131,14 @@ func (c *chaselevSys) OpsRemaining(i int) int { return len(c.threads[i].prog) - 
 func (c *chaselevSys) Capacity() int { return spec.Unbounded }
 
 // SoloBound: a solo thief may first have to finish a doomed in-flight
-// attempt (up to span cell reads plus the failing CAS — the stamp went
-// stale before it was left alone), then completes a fresh attempt — top
-// read, bottom read, at most span cell reads, CAS.  2·span+4 steps,
-// plus one of slack; the owner finishes in at most two.
-func (c *chaselevSys) SoloBound() int { return 2*int(c.span) + 5 }
+// attempt (at most its bottom read, cell read and failing CAS — top
+// moved before it was left alone), then completes a fresh attempt — top
+// read, bottom read, cell read, CAS.  Seven steps, plus one of slack;
+// the owner finishes in at most two.
+func (c *chaselevSys) SoloBound() int { return 8 }
 
 func (c *chaselevSys) Abstract() ([]uint64, error) {
-	st := chaselev.Snapshot{
-		Top: c.top, Bottom: c.bottom, Stamp: c.stamp,
-		RingSize: int64(len(c.cells)),
-	}
+	st := chaselev.Snapshot{Top: c.top, Bottom: c.bottom, RingSize: int64(len(c.cells))}
 	for i := c.top; i < c.bottom; i++ {
 		st.Cells = append(st.Cells, c.cells[i])
 	}
@@ -166,11 +149,11 @@ func (c *chaselevSys) Abstract() ([]uint64, error) {
 func (c *chaselevSys) Step(i int, absEmpty bool) (string, *Lin) {
 	t := &c.threads[i]
 	op := t.prog[t.opi]
-	fin := func(val uint64, res spec.Result, multi []uint64) *Lin {
-		lin := &Lin{Thread: i, Op: op, Val: val, Res: res, Multi: multi}
+	fin := func(val uint64, res spec.Result) *Lin {
+		lin := &Lin{Thread: i, Op: op, Val: val, Res: res}
 		t.opi++
 		t.pc = clpcStart
-		t.rTop, t.rStamp, t.rK, t.copied = 0, 0, 0, nil
+		t.rTop, t.rVal = 0, 0
 		return lin
 	}
 
@@ -179,57 +162,41 @@ func (c *chaselevSys) Step(i int, absEmpty bool) (string, *Lin) {
 	}
 
 	switch t.pc {
-	case clpcStart: // read the top word
-		t.rTop, t.rStamp = c.top, c.stamp
+	case clpcStart: // read top
+		t.rTop = c.top
 		t.pc = clpcReadBot
-		return fmt.Sprintf("%v: read top=(%d,#%d)", op, t.rTop, t.rStamp), nil
+		return fmt.Sprintf("%v: read top=%d", op, t.rTop), nil
 
 	case clpcReadBot: // read bottom; decide size
 		b := c.bottom
-		size := b - t.rTop
-		if size <= 0 {
+		if b-t.rTop <= 0 {
 			// Empty commits here: bottom is read NOW, and the current top
 			// is ≥ the one read earlier, so the deque is empty at this
 			// very step (monotone top makes the stale top read harmless).
-			return fmt.Sprintf("%v: read bottom=%d, empty", op, b), fin(0, spec.Empty, nil)
-		}
-		t.rK = 1
-		if op.Kind == PopLeftBatch {
-			t.rK = min64(int64(op.Arg), min64(size, c.span))
-			if t.rK < 1 {
-				t.rK = 1
-			}
+			return fmt.Sprintf("%v: read bottom=%d, empty", op, b), fin(0, spec.Empty)
 		}
 		t.pc = clpcReadCell
-		return fmt.Sprintf("%v: read bottom=%d, claim %d", op, b, t.rK), nil
+		return fmt.Sprintf("%v: read bottom=%d", op, b), nil
 
-	case clpcReadCell: // copy one cell per step; after the last, CAS on the next step
-		if int64(len(t.copied)) < t.rK {
-			idx := t.rTop + int64(len(t.copied))
-			v := c.cells[idx]
-			t.copied = append(t.copied, v)
-			return fmt.Sprintf("%v: read cell[%d]=%d", op, idx, v), nil
-		}
-		// The claim CAS on the packed top word.
-		if c.top == t.rTop && c.stamp == t.rStamp {
-			c.top = t.rTop + t.rK
-			c.stamp++
-			if op.Kind == PopLeftBatch {
-				return fmt.Sprintf("%v: claim-CAS ok [%d,%d)", op, t.rTop, t.rTop+t.rK),
-					fin(0, spec.Okay, t.copied)
-			}
-			return fmt.Sprintf("%v: steal-CAS ok -> %d", op, t.copied[0]),
-				fin(t.copied[0], spec.Okay, nil)
+	case clpcReadCell: // copy the cell at the index read from top
+		t.rVal = c.cells[t.rTop]
+		t.pc = clpcClaim
+		return fmt.Sprintf("%v: read cell[%d]=%d", op, t.rTop, t.rVal), nil
+
+	case clpcClaim: // CAS(top, t, t+1)
+		if c.top == t.rTop {
+			c.top++
+			return fmt.Sprintf("%v: steal-CAS ok -> %d", op, t.rVal), fin(t.rVal, spec.Okay)
 		}
 		t.pc = clpcStart
-		t.rTop, t.rStamp, t.rK, t.copied = 0, 0, 0, nil
-		return fmt.Sprintf("%v: claim-CAS failed", op), nil
+		t.rTop, t.rVal = 0, 0
+		return fmt.Sprintf("%v: steal-CAS failed", op), nil
 	}
 	panic("chaselevSys: invalid thief pc")
 }
 
 // ownerStep: thread 0's actions.
-func (c *chaselevSys) ownerStep(t *clThread, op OpSpec, fin func(uint64, spec.Result, []uint64) *Lin) (string, *Lin) {
+func (c *chaselevSys) ownerStep(t *clThread, op OpSpec, fin func(uint64, spec.Result) *Lin) (string, *Lin) {
 	switch op.Kind {
 	case PushRight:
 		if t.pc == clpcStart {
@@ -240,40 +207,23 @@ func (c *chaselevSys) ownerStep(t *clThread, op OpSpec, fin func(uint64, spec.Re
 			return fmt.Sprintf("%v: write cell[%d]", op, c.bottom), nil
 		}
 		c.bottom++
-		return fmt.Sprintf("%v: store bottom=%d", op, c.bottom), fin(0, spec.Okay, nil)
+		return fmt.Sprintf("%v: store bottom=%d", op, c.bottom), fin(0, spec.Okay)
 
 	case PopRight:
 		// One fused atomic step; see the type comment for why.
 		b := c.bottom - 1
-		size := b - c.top
 		switch {
-		case size < 0:
-			c.bottom = c.top
-			return fmt.Sprintf("%v: empty (top=%d)", op, c.top), fin(0, spec.Empty, nil)
-		case size > c.span:
+		case c.top > b:
+			return fmt.Sprintf("%v: empty (top=%d)", op, c.top), fin(0, spec.Empty)
+		case c.top < b:
 			c.bottom = b
-			return fmt.Sprintf("%v: plain take cell[%d]", op, b), fin(c.cells[b], spec.Okay, nil)
-		case size == 0:
-			// One-element race, resolved in the owner's favour by the
-			// fused claim (in-flight thief CASes fail on the bump).
-			v := c.cells[b]
-			c.top++
-			c.stamp++
-			c.bottom = c.top
-			return fmt.Sprintf("%v: last-item CAS -> %d", op, v), fin(v, spec.Okay, nil)
+			return fmt.Sprintf("%v: plain take cell[%d]", op, b), fin(c.cells[b], spec.Okay)
 		default:
-			// Within the span guard zone: stamp-bump take.
-			c.stamp++
-			c.bottom = b
-			return fmt.Sprintf("%v: bump-take cell[%d]", op, b), fin(c.cells[b], spec.Okay, nil)
+			// One-element race, won by the owner's CAS on top: every
+			// in-flight steal of this index now fails its CAS.
+			c.top++
+			return fmt.Sprintf("%v: last-item CAS -> %d", op, c.cells[b]), fin(c.cells[b], spec.Okay)
 		}
 	}
 	panic("chaselevSys: owner op " + op.Kind.String())
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

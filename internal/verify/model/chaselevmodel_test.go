@@ -13,35 +13,33 @@ func ownerOps(base uint64) []OpSpec {
 	}
 }
 
-// thiefOps enumerates the operations a thief may run; batch Arg is the
-// requested claim size.
-func thiefOps() []OpSpec {
-	return []OpSpec{
-		{Kind: PopLeft},
-		{Kind: PopLeftBatch, Arg: 2},
+// thiefProgs enumerates the thief programs: one steal, and two in a row
+// (the second starting from whatever the owner and the first left).
+func thiefProgs() [][]OpSpec {
+	return [][]OpSpec{
+		{{Kind: PopLeft}},
+		{{Kind: PopLeft}, {Kind: PopLeft}},
 	}
 }
 
-// TestChaseLevOwnerThiefPairs checks every owner-op/thief-op pair over
-// every small initial fill and span, with the solo-termination check:
-// the boundary arbitration (one-element race, stamp bump, batch claim)
-// is exhaustively interleaved against the full-granularity thief.
+// TestChaseLevOwnerThiefPairs checks every owner-op/thief-program pair
+// over every small initial fill, with the solo-termination check: the
+// one-element race and the owner's plain take are exhaustively
+// interleaved against the full-granularity thief.
 func TestChaseLevOwnerThiefPairs(t *testing.T) {
 	totalStates := 0
-	for _, span := range []int{1, 2} {
-		for fill := 0; fill <= 4; fill++ {
-			var initial []uint64
-			for i := 0; i < fill; i++ {
-				initial = append(initial, uint64(100+i))
-			}
-			for _, oop := range ownerOps(11) {
-				for _, top := range thiefOps() {
-					s := NewChaseLevSys(initial, span, [][]OpSpec{{oop}, {top}})
-					rep := mustExplore(t, s, Options{CheckSolo: true})
-					totalStates += rep.States
-					if rep.Terminals == 0 {
-						t.Fatalf("span=%d fill=%d %v/%v: no terminal state", span, fill, oop, top)
-					}
+	for fill := 0; fill <= 4; fill++ {
+		var initial []uint64
+		for i := 0; i < fill; i++ {
+			initial = append(initial, uint64(100+i))
+		}
+		for _, oop := range ownerOps(11) {
+			for _, tp := range thiefProgs() {
+				s := NewChaseLevSys(initial, [][]OpSpec{{oop}, tp})
+				rep := mustExplore(t, s, Options{CheckSolo: true})
+				totalStates += rep.States
+				if rep.Terminals == 0 {
+					t.Fatalf("fill=%d %v/%v: no terminal state", fill, oop, tp)
 				}
 			}
 		}
@@ -50,8 +48,8 @@ func TestChaseLevOwnerThiefPairs(t *testing.T) {
 }
 
 // TestChaseLevTwoThieves checks the owner against two full-granularity
-// thieves: claim-vs-claim CAS races, and a batch claim racing both a
-// single steal and the owner's boundary pop.
+// thieves: claim-vs-claim CAS races for one index, and both racing the
+// owner's last-item pop.
 func TestChaseLevTwoThieves(t *testing.T) {
 	total := 0
 	for _, fill := range []int{0, 1, 2, 3} {
@@ -60,9 +58,9 @@ func TestChaseLevTwoThieves(t *testing.T) {
 			initial = append(initial, uint64(100+i))
 		}
 		for _, oop := range ownerOps(11) {
-			for _, t1 := range thiefOps() {
-				for _, t2 := range thiefOps() {
-					s := NewChaseLevSys(initial, 2, [][]OpSpec{{oop}, {t1}, {t2}})
+			for _, t1 := range thiefProgs() {
+				for _, t2 := range thiefProgs() {
+					s := NewChaseLevSys(initial, [][]OpSpec{{oop}, t1, t2})
 					rep := mustExplore(t, s, Options{})
 					total += rep.States
 				}
@@ -72,10 +70,11 @@ func TestChaseLevTwoThieves(t *testing.T) {
 	t.Logf("chaselev two-thief: %d states total", total)
 }
 
-// TestChaseLevOwnerPrograms runs multi-op owner programs against a
-// thief: push/pop sequences drive the deque through empty, the span
-// guard zone and the plain-take region (fill 4 > span 2) while claims
-// are in flight — the stale-claim interleavings the stamp exists for.
+// TestChaseLevOwnerPrograms runs multi-op owner programs against two
+// thieves: push/pop sequences drive the deque through empty, the last
+// item and the plain-take region while steals are in flight — the
+// stale-claim interleavings where a popped index is re-pushed under a
+// thief that read it.
 func TestChaseLevOwnerPrograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large state space")
@@ -93,9 +92,9 @@ func TestChaseLevOwnerPrograms(t *testing.T) {
 			initial = append(initial, uint64(100+i))
 		}
 		for _, op := range progs {
-			for _, t1 := range thiefOps() {
-				for _, t2 := range thiefOps() {
-					s := NewChaseLevSys(initial, 2, [][]OpSpec{op, {t1}, {t2}})
+			for _, t1 := range thiefProgs() {
+				for _, t2 := range thiefProgs() {
+					s := NewChaseLevSys(initial, [][]OpSpec{op, t1, t2})
 					rep := mustExplore(t, s, Options{})
 					total += rep.States
 				}
@@ -106,25 +105,22 @@ func TestChaseLevOwnerPrograms(t *testing.T) {
 }
 
 // TestChaseLevOneElementRace pins the paper's signature scenario: one
-// item, the owner popping it while a thief (single and batch) steals.
-// Exactly one side may win; the Events map must show both outcomes
-// reachable.
+// item, the owner popping it while a thief steals.  Exactly one side
+// may win; the Events map must show both outcomes reachable.
 func TestChaseLevOneElementRace(t *testing.T) {
-	for _, thief := range thiefOps() {
-		s := NewChaseLevSys([]uint64{100}, 2, [][]OpSpec{{{Kind: PopRight}}, {thief}})
-		rep := mustExplore(t, s, Options{CheckSolo: true})
-		ownerWins, thiefWins := 0, 0
-		for label, n := range rep.Events {
-			switch {
-			case strings.Contains(label, "last-item CAS"):
-				ownerWins += n
-			case strings.Contains(label, "steal-CAS ok"), strings.Contains(label, "claim-CAS ok"):
-				thiefWins += n
-			}
+	s := NewChaseLevSys([]uint64{100}, [][]OpSpec{{{Kind: PopRight}}, {{Kind: PopLeft}}})
+	rep := mustExplore(t, s, Options{CheckSolo: true})
+	ownerWins, thiefWins := 0, 0
+	for label, n := range rep.Events {
+		switch {
+		case strings.Contains(label, "last-item CAS"):
+			ownerWins += n
+		case strings.Contains(label, "steal-CAS ok"):
+			thiefWins += n
 		}
-		if ownerWins == 0 || thiefWins == 0 {
-			t.Fatalf("thief %v: one-element race not two-sided (owner wins %d, thief wins %d):\n%v",
-				thief, ownerWins, thiefWins, rep.Events)
-		}
+	}
+	if ownerWins == 0 || thiefWins == 0 {
+		t.Fatalf("one-element race not two-sided (owner wins %d, thief wins %d):\n%v",
+			ownerWins, thiefWins, rep.Events)
 	}
 }

@@ -49,18 +49,12 @@ import (
 // OpKind identifies one of the four deque operations.
 type OpKind uint8
 
-// The four deque operations of Section 2.2, plus the batch steal of the
-// Chase–Lev backend (several popLefts committing at one CAS).
+// The four deque operations of Section 2.2.
 const (
 	PushLeft OpKind = iota
 	PushRight
 	PopLeft
 	PopRight
-	// PopLeftBatch is a multi-element left pop that linearizes as a
-	// block: the values it claimed are carried in Lin.Multi and checked
-	// as that many consecutive sequential popLefts at the single commit
-	// step.
-	PopLeftBatch
 )
 
 // String returns the paper's name for the operation.
@@ -74,8 +68,6 @@ func (k OpKind) String() string {
 		return "popLeft"
 	case PopRight:
 		return "popRight"
-	case PopLeftBatch:
-		return "popLeftMany"
 	default:
 		return fmt.Sprintf("OpKind(%d)", uint8(k))
 	}
@@ -112,11 +104,6 @@ type Lin struct {
 	// was empty at that read.
 	Retro   bool
 	RetroOK bool
-	// Multi carries the values a PopLeftBatch claimed, leftmost first:
-	// the step is checked as len(Multi) consecutive sequential popLefts,
-	// all taking effect at this one commit (the Chase–Lev batch steal's
-	// single-CAS claim).  Empty for every other kind.
-	Multi []uint64
 }
 
 // Sys is a checkable system: simulated shared memory plus thread step
@@ -292,9 +279,6 @@ func checkLin(lin *Lin, abs0, abs1 []uint64, capacity int, trace []string) *Viol
 		return nil
 	}
 	ref := spec.FromSlice(abs0, capacity)
-	if lin.Op.Kind == PopLeftBatch {
-		return checkBatchLin(lin, ref, abs0, abs1, trace)
-	}
 	var wantVal uint64
 	var wantRes spec.Result
 	switch lin.Op.Kind {
@@ -319,44 +303,6 @@ func checkLin(lin *Lin, abs0, abs1 []uint64, capacity int, trace []string) *Viol
 			Msg: fmt.Sprintf("T%d %v returned %d; sequential spec on %v gives %d",
 				lin.Thread, lin.Op, lin.Val, abs0, wantVal),
 			Trace: trace,
-		}
-	}
-	if !equalSeq(ref.Items(), abs1) {
-		return &Violation{
-			Msg: fmt.Sprintf("T%d %v: post-state abstraction %v, sequential spec gives %v",
-				lin.Thread, lin.Op, abs1, ref.Items()),
-			Trace: trace,
-		}
-	}
-	return nil
-}
-
-// checkBatchLin verifies a PopLeftBatch linearization: an Empty result
-// claims nothing, an Okay result claims Multi — checked as that many
-// consecutive sequential popLefts all taking effect at the one commit.
-func checkBatchLin(lin *Lin, ref *spec.Deque, abs0, abs1 []uint64, trace []string) *Violation {
-	if lin.Res == spec.Empty {
-		if len(lin.Multi) != 0 {
-			return &Violation{Msg: "empty batch steal carries values", Trace: trace}
-		}
-		if len(abs0) != 0 {
-			return &Violation{
-				Msg:   fmt.Sprintf("T%d %v returned empty but abstraction was %v", lin.Thread, lin.Op, abs0),
-				Trace: trace,
-			}
-		}
-	}
-	if lin.Res == spec.Okay && len(lin.Multi) == 0 {
-		return &Violation{Msg: "successful batch steal claims no values", Trace: trace}
-	}
-	for j, want := range lin.Multi {
-		v, r := ref.PopLeft()
-		if r != spec.Okay || v != want {
-			return &Violation{
-				Msg: fmt.Sprintf("T%d %v claimed %v; sequential spec on %v gives (%d,%v) at position %d, want %d",
-					lin.Thread, lin.Op, lin.Multi, abs0, v, r, j, want),
-				Trace: trace,
-			}
 		}
 	}
 	if !equalSeq(ref.Items(), abs1) {
